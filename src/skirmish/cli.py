@@ -5,7 +5,10 @@ bench.  Configuration precedence is built-in defaults < --config file <
 command-line flags; every run directory gets a manifest with the fully
 resolved configuration so it can be reproduced bit-for-bit.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
+Exit codes: 0 success; 2 usage or configuration error (bad flags, a
+:class:`CliError` such as an unknown ``--config`` key, or a
+:class:`~skirmish.scenario.ScenarioError`); 1 any other failure while
+running, domain ``ValueError`` subclasses included.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ import numpy as np
 from . import __version__
 from .engine import EngineConfig, Team
 from .env import BattleEnv, ReplayWriter, RewardConfig
-from .learners import ALGORITHMS, Learner, LearnerConfig, load_learner, load_learner_meta, make_learner
-from .scenario import ScenarioSpec, builtin_scenarios, get_scenario, parse_scenario_config
-from .seeding import STREAM_INIT, derive_seed
+from .learners import Learner, LearnerConfig, load_learner, make_learner
+from .scenario import ScenarioError, ScenarioSpec, builtin_scenarios, get_scenario, parse_scenario_config
+from .seeding import STREAM_BENCH, STREAM_INIT, derive_seed
 from .training import (
     OpponentPool,
     PoolRecipe,
@@ -33,7 +36,6 @@ from .training import (
     curve_to_json,
     evaluate,
     median_win_rate,
-    run_episode,
     train_mixed,
     train_paired,
     train_vs_bot,
@@ -135,7 +137,14 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            overrides = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"--config {path}: {exc}") from exc
+    unknown = set(overrides) - {"scenario", "engine", "reward", "learner"}
+    if unknown:
+        raise CliError(f"--config {path}: unknown section(s) {', '.join(sorted(unknown))}")
+    return overrides
 
 
 def _resolve_scenario(args, overrides: dict) -> ScenarioSpec:
@@ -146,14 +155,22 @@ def _resolve_scenario(args, overrides: dict) -> ScenarioSpec:
         spec = get_scenario(name)
     scn = overrides.get("scenario", {})
     if scn:
+        _check_keys(ScenarioSpec, scn, "scenario")
         spec = dataclasses.replace(spec, **scn)
     if getattr(args, "spawn_spread", None) is not None:
         spec = dataclasses.replace(spec, spawn_spread=args.spawn_spread)
     return spec
 
 
+def _check_keys(cls, data: dict, key: str) -> None:
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise CliError(f"unknown --config {key} key(s): {', '.join(sorted(unknown))}")
+
+
 def _build_section(cls, overrides: dict, key: str):
     data = overrides.get(key, {})
+    _check_keys(cls, data, key)
     if key == "learner" and "hidden" in data:
         data = dict(data, hidden=tuple(data["hidden"]))
     return cls(**data) if data else cls()
@@ -198,7 +215,6 @@ def _train_one_seed(payload: tuple) -> list[str]:
         total_env_steps=args.steps,
         test_interval=args.test_interval,
         test_episodes=args.test_episodes,
-        mode=args.mode,
         learner=learner_cfg,
         engine=engine,
         reward=reward,
@@ -314,29 +330,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pit(args) -> int:
+    """``eval`` with a human-readable report and an optional replay log."""
     scenario, env, red, blue = _eval_common(args)
     writer = ReplayWriter(args.replay_out) if args.replay_out else None
-    rng_red = np.random.default_rng(derive_seed(1, args.seed, 0))
-    rng_blue = np.random.default_rng(derive_seed(1, args.seed, 1))
-    from .seeding import episode_seed
-
-    wins = draws = losses = 0
-    ret_r = ret_b = 0.0
     try:
-        for i in range(args.episodes):
-            ep = run_episode(env, red, blue, seed=episode_seed(args.seed, i),
-                             rng_red=rng_red, rng_blue=rng_blue, replay=writer, episode_id=i)
-            wins += ep.outcome.value == "red_win"
-            losses += ep.outcome.value == "blue_win"
-            draws += ep.outcome.value == "draw"
-            ret_r += ep.return_red
-            ret_b += ep.return_blue
+        result = evaluate(red, blue, scenario, n_episodes=args.episodes, seed=args.seed,
+                          engine_config=env.engine_config, reward_config=env.reward_config, replay=writer)
     finally:
         if writer is not None:
             writer.close()
     print(f"scenario {scenario.name}: {args.red} (red) vs {args.blue} (blue), {args.episodes} episodes")
-    print(f"  red wins {wins}  draws {draws}  red losses {losses}")
-    print(f"  mean return red {ret_r / args.episodes:.4f}  blue {ret_b / args.episodes:.4f}")
+    print(f"  red wins {result.wins}  draws {result.draws}  red losses {result.losses}")
+    print(f"  mean return red {result.mean_return_red:.4f}  blue {result.mean_return_blue:.4f}")
     if args.replay_out:
         print(f"  replay written to {args.replay_out}")
     return 0
@@ -474,8 +479,8 @@ def cmd_bench(args) -> int:
     env = BattleEnv(scenario, engine, reward)
     red = make_learner("random", env.team_spec(Team.RED))
     blue = make_learner("random", env.team_spec(Team.BLUE))
-    rng_r = np.random.default_rng(derive_seed(7, args.seed, 0))
-    rng_b = np.random.default_rng(derive_seed(7, args.seed, 1))
+    rng_r = np.random.default_rng(derive_seed(STREAM_BENCH, args.seed, 0))
+    rng_b = np.random.default_rng(derive_seed(STREAM_BENCH, args.seed, 1))
     # Warm-up episode so first-use allocations stay out of the measurement.
     r_res, b_res = env.reset(0)
     while not env.terminated:
@@ -515,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ScenarioError) as exc:
         print(f"skirmish {args.command}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures

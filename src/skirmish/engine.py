@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import _fastpath
 
 
 class EngineError(ValueError):
@@ -119,9 +117,6 @@ class EngineConfig:
     step_dt: float = 0.5
     shield_regen_delay: float = 10.0
     shield_regen_rate: float = 2.0
-    arena_width: float = 32.0
-    arena_height: float = 32.0
-    allow_overlap: bool = True
 
 
 @dataclass(frozen=True)
@@ -203,30 +198,6 @@ def _split_damage(health: float, shield: float, amount: float) -> tuple[float, f
     if health_loss > health:
         health_loss = health
     return health - health_loss, shield - shield_loss, shield_loss + health_loss
-
-
-def apply_damage(unit: Unit, amount: float, now: float) -> Unit:
-    """Pure single-unit damage application (shield first, clamp at zero)."""
-    if amount < 0:
-        raise EngineError("damage amount must be non-negative")
-    if not unit.alive:
-        raise EngineError("damage to a dead unit must be filtered by the caller")
-    health, shield, _ = _split_damage(unit.health, unit.shield, amount)
-    return replace(unit, health=health, shield=shield, alive=health > 0.0, last_damaged_at=now)
-
-
-def apply_heal(healer: Unit, target: Unit) -> Unit:
-    """Heal ``target`` by the healer's per-step amount; shields are never healed."""
-    if not healer.spec.is_healer:
-        raise InvalidHealTarget(f"{healer.spec.name} cannot heal")
-    if target.team is not healer.team:
-        raise InvalidHealTarget("heal target must be an ally")
-    if not target.alive:
-        raise InvalidHealTarget("heal target is dead")
-    if target.spec.is_healer:
-        raise InvalidHealTarget("healers cannot heal each other")
-    health = min(target.spec.max_health, target.health + healer.spec.heal_per_action)
-    return replace(target, health=health)
 
 
 @dataclass(frozen=True)
@@ -344,16 +315,15 @@ def new_world(
     members: list[tuple[UnitSpec, Team]],
     positions: list[tuple[float, float]],
     config: EngineConfig | None = None,
-    arena: tuple[float, float] | None = None,
+    *,
+    arena: tuple[float, float],
 ) -> WorldState:
     """Build a world from (spec, team) pairs and map-coordinate positions.
 
     Red units must precede blue units; within a team, list order fixes the
-    mirror-paired unit ids.
+    mirror-paired unit ids.  ``arena`` is the (width, height) of the map.
     """
     config = config or EngineConfig()
-    if arena is None:
-        arena = (config.arena_width, config.arena_height)
     if len(members) != len(positions):
         raise EngineError("one position per unit required")
     teams = [t for _, t in members]
@@ -387,63 +357,6 @@ def new_world(
     if out_x.any() or out_y.any():
         raise EngineError("spawn position outside arena bounds")
     return world
-
-
-@dataclass(frozen=True)
-class MacroStep:
-    """Outcome of one attack-move decision: either fire now or close in."""
-
-    fires: bool
-    pos: tuple[float, float]
-
-
-def _approach(ax: float, ay: float, tx: float, ty: float, step_len: float) -> tuple[float, float]:
-    dx = tx - ax
-    dy = ty - ay
-    dist = math.sqrt(dx * dx + dy * dy)
-    if dist <= step_len:
-        return tx, ty
-    return ax + dx / dist * step_len, ay + dy / dist * step_len
-
-
-def resolve_attack_move(unit: Unit, target: Unit, config: EngineConfig | None = None) -> MacroStep:
-    """One step of the attack-move macro against a sighted target.
-
-    In range with a ready weapon: fire without moving.  Out of range: close
-    straight in; firing waits for a later step even if this leg ends inside
-    range.  A dead target dissolves the macro into a stop.
-    """
-    config = config or EngineConfig()
-    if not target.alive:
-        return MacroStep(False, unit.pos)
-    dx = target.pos[0] - unit.pos[0]
-    dy = target.pos[1] - unit.pos[1]
-    dist = math.sqrt(dx * dx + dy * dy)
-    if dist <= unit.spec.attack_range:
-        return MacroStep(unit.weapon_cooldown <= 0.0, unit.pos)
-    step_len = unit.spec.move_speed * config.step_dt
-    return MacroStep(False, _approach(unit.pos[0], unit.pos[1], target.pos[0], target.pos[1], step_len))
-
-
-def regen_shields(world: WorldState) -> WorldState:
-    """Return a world with one regeneration tick applied to idle shields."""
-    shield = world.shield.copy()
-    _regen_into(shield, world)
-    return replace(world, shield=shield)
-
-
-def _regen_into(shield: np.ndarray, world: WorldState) -> None:
-    stats = world.stats
-    if not stats.has_shields:
-        return
-    eligible = (
-        world.alive
-        & (stats.max_shield > 0.0)
-        & (world.time - world.last_damaged >= world.config.shield_regen_delay)
-    )
-    if eligible.any():
-        gain = world.config.shield_regen_rate * world.config.step_dt
-        shield[eligible] = np.minimum(stats.max_shield[eligible], shield[eligible] + gain)
 
 
 _KIND_CODE = {CommandKind.STOP: 0, CommandKind.MOVE: 1, CommandKind.ATTACK: 2, CommandKind.HEAL: 3}
@@ -519,68 +432,19 @@ def step_world_arrays(
                 if stats.is_healer[t]:
                     raise InvalidHealTarget("healers cannot heal each other")
 
-    px = world.pos_x.copy()
-    py = world.pos_y.copy()
-    health = world.health.copy()
-    shield = world.shield.copy()
-    cooldown = world.cooldown.copy()
-    alive = world.alive.copy()
+    dt = world.config.step_dt
+    half_w, half_h, now = world.half_w, world.half_h, world.time
+    move_speed, attack_range, max_health = stats.move_speed, stats.attack_range, stats.max_health
+    # Every decision reads the start-of-step snapshot; the copies take the results.
+    px0, py0, health0, shield0 = world.pos_x, world.pos_y, world.health, world.shield
+    cd0, alive0 = world.cooldown, world.alive
+    px = px0.copy()
+    py = py0.copy()
+    health = health0.copy()
+    shield = shield0.copy()
+    cooldown = np.empty(n)
+    alive = alive0.copy()
     last_damaged = world.last_damaged.copy()
-    events = np.zeros(10)
-    core = _fastpath.engine_step if _fastpath.HAVE_NUMBA else _step_core
-    core(
-        px, py, health, shield, cooldown, alive, last_damaged,
-        kind, dir_x, dir_y, target,
-        stats.move_speed, stats.attack_range, stats.base_damage, stats.bonus_damage,
-        stats.bonus_class, stats.armor_class, stats.attack_period, stats.heal_amount,
-        stats.splash_radius, stats.max_health, stats.max_shield,
-        team_of, world.config.step_dt, world.half_w, world.half_h, world.time,
-        world.config.shield_regen_delay, world.config.shield_regen_rate, stats.has_shields,
-        events,
-    )
-    nxt = WorldState(
-        config=world.config,
-        specs=world.specs,
-        stats=stats,
-        team_of=team_of,
-        n_red=world.n_red,
-        pos_x=px,
-        pos_y=py,
-        health=health,
-        shield=shield,
-        cooldown=cooldown,
-        alive=alive,
-        last_damaged=last_damaged,
-        time=world.time + world.config.step_dt,
-        step_count=world.step_count + 1,
-        half_w=world.half_w,
-        half_h=world.half_h,
-        center=world.center,
-    )
-    step_events = StepEvents(
-        red=TeamEvents(events[0], int(events[1]), events[2], int(events[3]), events[4]),
-        blue=TeamEvents(events[5], int(events[6]), events[7], int(events[8]), events[9]),
-    )
-    return nxt, step_events
-
-
-def _step_core(
-    px, py, health, shield, cooldown, alive, last_damaged,
-    kind, dir_x, dir_y, target,
-    move_speed, attack_range, base_damage, bonus_damage, bonus_class, armor_class,
-    attack_period, heal_amount, splash_radius, max_health, max_shield,
-    team_of, dt, half_w, half_h, now,
-    regen_delay, regen_rate, has_shields,
-    events,
-) -> None:
-    """Pure-python twin of the compiled step kernel (see _fastpath)."""
-    n = len(px)
-    px0 = px.copy()
-    py0 = py.copy()
-    health0 = health.copy()
-    shield0 = shield.copy()
-    cd0 = cooldown.copy()
-    alive0 = alive.copy()
     incoming = np.zeros(n)
     fired = np.zeros(n, dtype=bool)
     heal_target = np.full(n, -1, dtype=np.int64)
@@ -614,8 +478,8 @@ def _step_core(
         elif k == 2:
             if cd0[i] <= 0.0:
                 fired[i] = True
-                dmg = bonus_damage[i] if bonus_class[i] == armor_class[t] else base_damage[i]
-                radius = splash_radius[i]
+                dmg = stats.bonus_damage[i] if stats.bonus_class[i] == stats.armor_class[t] else stats.base_damage[i]
+                radius = stats.splash_radius[i]
                 if radius > 0.0:
                     for j in range(n):
                         if alive0[j] and team_of[j] != team_of[i]:
@@ -628,6 +492,7 @@ def _step_core(
         else:
             heal_target[i] = t
 
+    tallies = (TeamEvents(), TeamEvents())  # indexed by team
     for j in range(n):
         amount = incoming[j]
         if amount <= 0.0:
@@ -636,35 +501,58 @@ def _step_core(
         health[j] = h
         shield[j] = s
         last_damaged[j] = now
-        base = 5 if team_of[j] == 0 else 0  # the attacker's tally block
-        events[base + 0] += effective
-        events[(5 - base) + 2] += effective
+        victim, attacker = tallies[team_of[j]], tallies[1 - team_of[j]]
+        attacker.damage_dealt += effective
+        victim.damage_taken += effective
         if h <= 0.0:
             alive[j] = False
-            events[base + 1] += 1.0
-            events[(5 - base) + 3] += 1.0
+            attacker.kills += 1
+            victim.deaths += 1
 
     for i in range(n):
         t = heal_target[i]
         if t < 0 or not alive[t]:
             continue
-        healed = min(max_health[t] - health[t], heal_amount[i])
+        healed = min(max_health[t] - health[t], stats.heal_amount[i])
         if healed > 0.0:
             health[t] += healed
-            events[(0 if team_of[i] == 0 else 5) + 4] += healed
+            tallies[team_of[i]].heals += healed
 
     for i in range(n):
         if fired[i]:
-            cooldown[i] = attack_period[i]
+            cooldown[i] = stats.attack_period[i]
         else:
             c = cd0[i] - dt
             cooldown[i] = c if c > 0.0 else 0.0
 
-    if has_shields:
-        gain = regen_rate * dt
+    if stats.has_shields:
+        max_shield = stats.max_shield
+        gain = world.config.shield_regen_rate * dt
+        delay = world.config.shield_regen_delay
         for i in range(n):
-            if alive[i] and max_shield[i] > 0.0 and now - last_damaged[i] >= regen_delay:
+            if alive[i] and max_shield[i] > 0.0 and now - last_damaged[i] >= delay:
                 shield[i] = min(max_shield[i], shield[i] + gain)
+
+    nxt = WorldState(
+        config=world.config,
+        specs=world.specs,
+        stats=stats,
+        team_of=team_of,
+        n_red=world.n_red,
+        pos_x=px,
+        pos_y=py,
+        health=health,
+        shield=shield,
+        cooldown=cooldown,
+        alive=alive,
+        last_damaged=last_damaged,
+        time=now + dt,
+        step_count=world.step_count + 1,
+        half_w=half_w,
+        half_h=half_h,
+        center=world.center,
+    )
+    return nxt, StepEvents(red=tallies[Team.RED], blue=tallies[Team.BLUE])
 
 
 def terminal_status(world: WorldState, step_limit: int) -> Outcome:

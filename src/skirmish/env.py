@@ -10,16 +10,17 @@ observations, which keeps self-play exactly fair.
 Action codes: 0 no-op (dead only), 1 stop, 2-5 move north/south/east/west
 in the canonical frame, ``6+k`` target action on slot ``k`` — enemies for
 armed units, own-team patients (self excluded) for healers.
+:func:`team_layout` is the one place that derives the action count and the
+position and width of every observation and state block.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import _fastpath
 from .engine import (
     EngineConfig,
     Outcome,
@@ -88,9 +89,12 @@ def compute_reward(
     outcome: Outcome,
     team: Team,
     config: RewardConfig,
-    scenario: ScenarioSpec,
+    scale: float,
 ) -> float:
-    """One team's reward for one step, terminal terms included."""
+    """One team's reward for one step, terminal terms included.
+
+    ``scale`` is the team's :func:`reward_scale`, computed once per scenario.
+    """
     te = events.for_team(team)
     value = (
         te.damage_dealt
@@ -103,14 +107,15 @@ def compute_reward(
         value -= config.draw_penalty
     elif outcome.is_loss_for(team):
         value -= config.loss_penalty
-    return value * reward_scale(scenario, team, config)
+    return value * scale
 
 
 class TeamStepResult:
     """Everything one team receives after reset or one step.
 
-    ``state`` is the centralized training-only encoding; it is computed
-    lazily on first access so execution-time consumers never pay for it.
+    ``state`` is the centralized training-only encoding of the world this
+    result was produced from; it is computed lazily on first access so
+    execution-time consumers never pay for it.
     """
 
     __slots__ = ("observations", "masks", "reward", "terminated", "outcome", "info", "_state", "_state_fn")
@@ -145,23 +150,84 @@ class TeamSpec:
     scenario: str
 
 
+@dataclass(frozen=True)
+class TeamLayout:
+    """Where each block of one team's observation and state vectors sits.
+
+    Observation: 4 move flags; one row per enemy (id, distance, dx, dy,
+    health, shield, type one-hot); one row per other ally (distance, dx, dy,
+    health, shield, type one-hot); then the agent's own health, shield and
+    type one-hot.  State: one row per enemy (health, weapon cooldown, x, y,
+    shield, type one-hot), then one per ally (the same without cooldown).
+    """
+
+    n_agents: int
+    n_enemies: int
+    n_types: int
+    n_targets: int
+    n_actions: int
+    enemy_off: int
+    enemy_width: int
+    ally_off: int
+    ally_width: int
+    own_off: int
+    obs_len: int
+    state_enemy_width: int
+    state_ally_width: int
+    state_len: int
+
+    def team_spec(self, team: Team, scenario_name: str) -> TeamSpec:
+        return TeamSpec(
+            team=team,
+            n_agents=self.n_agents,
+            n_enemies=self.n_enemies,
+            obs_len=self.obs_len,
+            state_len=self.state_len,
+            n_actions=self.n_actions,
+            scenario=scenario_name,
+        )
+
+
+def team_layout(scenario: ScenarioSpec, team: Team) -> TeamLayout:
+    """Observation, state and action layout of ``team`` in ``scenario``."""
+    units = scenario.team_units(team)
+    A, E, T = len(units), len(scenario.team_units(team.other)), len(scenario.unit_types())
+    n_targets = max(E, A - 1) if any(u.is_healer for u in units) else E
+    enemy_off, enemy_width, ally_width = 4, 6 + T, 5 + T
+    ally_off = enemy_off + E * enemy_width
+    own_off = ally_off + (A - 1) * ally_width
+    return TeamLayout(
+        n_agents=A,
+        n_enemies=E,
+        n_types=T,
+        n_targets=n_targets,
+        n_actions=TARGET_OFFSET + n_targets,
+        enemy_off=enemy_off,
+        enemy_width=enemy_width,
+        ally_off=ally_off,
+        ally_width=ally_width,
+        own_off=own_off,
+        obs_len=own_off + 2 + T,
+        state_enemy_width=5 + T,
+        state_ally_width=4 + T,
+        state_len=E * (5 + T) + A * (4 + T),
+    )
+
+
 class _TeamView:
     """Per-team constants precomputed once per environment."""
 
     def __init__(self, env: "BattleEnv", team: Team):
-        scn = env.scenario
         world = env._proto_world
-        self.team = team
+        self.layout = team_layout(env.scenario, team)
         self.sign = 1.0 if team is Team.RED else -1.0
         self.agents = np.arange(world.n_units)[world.team_slice(team)]
         self.enemies = np.arange(world.n_units)[world.team_slice(team.other)]
         A, E = len(self.agents), len(self.enemies)
         self.n_agents = A
         self.n_enemies = E
-        types = scn.unit_types()
-        self.n_types = len(types)
-        type_col = {s.spec_id: k for k, s in enumerate(types)}
-        onehot_all = np.zeros((world.n_units, self.n_types))
+        type_col = {s.spec_id: k for k, s in enumerate(env.scenario.unit_types())}
+        onehot_all = np.zeros((world.n_units, len(type_col)))
         for i, s in enumerate(world.specs):
             onehot_all[i, type_col[s.spec_id]] = 1.0
         self.onehot_self = onehot_all[self.agents]
@@ -169,10 +235,6 @@ class _TeamView:
         self.onehot_all = onehot_all
         self.is_healer = world.stats.is_healer[self.agents]
         self.has_healer = bool(self.is_healer.any())
-        self.n_targets = max(E, A - 1) if self.has_healer else E
-        self.n_actions = TARGET_OFFSET + self.n_targets
-        T = self.n_types
-        self.obs_len = 4 + E * (6 + T) + (A - 1) * (5 + T) + (2 + T)
 
         # Own-team slots with self excluded, in unit-id order: row a lists the
         # global indices of agent a's potential heal patients / visible allies.
@@ -183,10 +245,8 @@ class _TeamView:
         self.heal_ok = ~world.stats.is_healer[gather]
 
         self.enemy_id_norm = np.arange(E, dtype=float) / E
-        self.sight_vec = world.stats.sight_range[self.agents].copy()
-        self.inv_sight_vec = 1.0 / self.sight_vec
-        self.sight = self.sight_vec[:, None]
-        self.inv_sight = self.inv_sight_vec[:, None]
+        self.sight = world.stats.sight_range[self.agents][:, None]
+        self.inv_sight = 1.0 / self.sight
         self.step_len = world.stats.move_speed[self.agents] * env.engine_config.step_dt
 
         stats = world.stats
@@ -197,23 +257,6 @@ class _TeamView:
         self.inv_h_all = inv_h
         self.inv_s_all = inv_s
         self.inv_p_all = inv_p
-
-        en_w = (5 + T) if env.cooldown_in_state == "enemies" else (4 + T)
-        al_w = (4 + T) if env.cooldown_in_state == "enemies" else (5 + T)
-        self.state_len = E * en_w + A * al_w
-        self.state_enemy_width = en_w
-        self.state_ally_width = al_w
-
-    def team_spec(self, scenario_name: str) -> TeamSpec:
-        return TeamSpec(
-            team=self.team,
-            n_agents=self.n_agents,
-            n_enemies=self.n_enemies,
-            obs_len=self.obs_len,
-            state_len=self.state_len,
-            n_actions=self.n_actions,
-            scenario=scenario_name,
-        )
 
 
 class BattleEnv:
@@ -228,16 +271,10 @@ class BattleEnv:
         scenario: ScenarioSpec,
         engine_config: EngineConfig | None = None,
         reward_config: RewardConfig | None = None,
-        cooldown_in_state: str = "enemies",
     ):
-        if cooldown_in_state not in ("enemies", "allies"):
-            raise EnvError("cooldown_in_state must be 'enemies' or 'allies'")
         self.scenario = scenario
-        self.engine_config = engine_config or EngineConfig(
-            arena_width=scenario.arena[0], arena_height=scenario.arena[1]
-        )
+        self.engine_config = engine_config or EngineConfig()
         self.reward_config = reward_config or RewardConfig()
-        self.cooldown_in_state = cooldown_in_state
         self._proto_world = self._build_world(spawn_layout(scenario, seed=0, spread=0.0))
         self.views = {Team.RED: _TeamView(self, Team.RED), Team.BLUE: _TeamView(self, Team.BLUE)}
         self._scale = {t: reward_scale(scenario, t, self.reward_config) for t in Team}
@@ -286,7 +323,7 @@ class BattleEnv:
         return self._terminated
 
     def team_spec(self, team: Team) -> TeamSpec:
-        return self.views[team].team_spec(self.scenario.name)
+        return self.views[team].layout.team_spec(team, self.scenario.name)
 
     def step(
         self, red_actions: np.ndarray, blue_actions: np.ndarray
@@ -308,29 +345,13 @@ class BattleEnv:
         outcome = terminal_status(world, self.scenario.episode_step_limit)
         self._outcome = outcome
         self._terminated = outcome is not Outcome.ONGOING
-        rewards = {t: self._reward(events, outcome, t) for t in Team}
+        rewards = {t: compute_reward(events, outcome, t, self.reward_config, self._scale[t]) for t in Team}
         reported = self._outcome if self._terminated else None
         info = {t: self._info(events, t) for t in Team}
         return (
             self._result(Team.RED, rewards[Team.RED], self._terminated, reported, info[Team.RED]),
             self._result(Team.BLUE, rewards[Team.BLUE], self._terminated, reported, info[Team.BLUE]),
         )
-
-    def _reward(self, events: StepEvents, outcome: Outcome, team: Team) -> float:
-        cfg = self.reward_config
-        te = events.for_team(team)
-        value = (
-            te.damage_dealt
-            + cfg.kill_bonus * te.kills
-            - cfg.self_damage_weight * (te.damage_taken + cfg.death_penalty * te.deaths)
-        )
-        if outcome.is_win_for(team):
-            value += cfg.win_bonus
-        elif outcome is Outcome.DRAW:
-            value -= cfg.draw_penalty
-        elif outcome.is_loss_for(team):
-            value -= cfg.loss_penalty
-        return value * self._scale[team]
 
     @staticmethod
     def _info(events: StepEvents, team: Team) -> dict:
@@ -352,7 +373,7 @@ class BattleEnv:
         agents = view.agents
         for a in range(view.n_agents):
             code = int(actions[a])
-            if code < 0 or code >= view.n_actions or not mask[a, code]:
+            if code < 0 or code >= view.layout.n_actions or not mask[a, code]:
                 raise UnavailableAction(team, a, code)
             if code <= ACTION_STOP:
                 continue  # no-op (dead) or stop: nothing to fill
@@ -376,6 +397,7 @@ class BattleEnv:
     def _result(self, team: Team, reward: float, terminated: bool, outcome, info) -> TeamStepResult:
         obs, mask = self._encode_team(team)
         self._masks[team] = mask
+        world = self._world
         return TeamStepResult(
             observations=obs,
             masks=mask,
@@ -383,7 +405,7 @@ class BattleEnv:
             terminated=terminated,
             outcome=outcome,
             info=info,
-            state_fn=lambda: self.encode_state(team),
+            state_fn=lambda: self.encode_state(team, world),
         )
 
     def _move_avail(self, view: _TeamView, world: WorldState) -> np.ndarray:
@@ -398,25 +420,13 @@ class BattleEnv:
         return avail
 
     def _encode_team(self, team: Team) -> tuple[np.ndarray, np.ndarray]:
+        """Per-agent observations and action masks of one team."""
         view = self.views[team]
+        layout = view.layout
         world = self._world
-        obs = np.zeros((view.n_agents, view.obs_len))
-        mask = np.zeros((view.n_agents, view.n_actions), dtype=bool)
-        if _fastpath.HAVE_NUMBA:
-            _fastpath.encode_team(
-                world.pos_x, world.pos_y, world.health, world.shield, world.alive,
-                view.agents, view.enemies, view.ally_gather, view.heal_ok,
-                view.inv_h_all, view.inv_s_all, view.onehot_all,
-                view.is_healer, view.sight_vec, view.inv_sight_vec, view.step_len, view.sign,
-                world.half_w, world.half_h, view.enemy_id_norm,
-                view.n_types, obs, mask,
-            )
-            return obs, mask
-        return self._encode_team_reference(view, world, obs, mask)
-
-    def _encode_team_reference(self, view: _TeamView, world: WorldState, obs, mask):
-        """Pure-numpy encoder; the compiled kernel must match it exactly."""
-        A, E, T = view.n_agents, view.n_enemies, view.n_types
+        obs = np.zeros((view.n_agents, layout.obs_len))
+        mask = np.zeros((view.n_agents, layout.n_actions), dtype=bool)
+        A, E, T = view.n_agents, view.n_enemies, layout.n_types
         ag, en = view.agents, view.enemies
 
         px, py, alive = world.pos_x, world.pos_y, world.alive
@@ -432,7 +442,7 @@ class BattleEnv:
         mask[:, ACTION_NOOP] = ~alive_a
         mask[:, ACTION_STOP] = alive_a
         mask[:, 2:6] = move_avail & alive_a[:, None]
-        targets = np.zeros((A, view.n_targets), dtype=bool)
+        targets = np.zeros((A, layout.n_targets), dtype=bool)
         attackers = ~view.is_healer
         targets[attackers, :E] = (enemy_avail & alive_a[:, None])[attackers]
         if view.has_healer and A > 1:
@@ -449,7 +459,7 @@ class BattleEnv:
 
         # Observation blocks, zeroed wherever the subject is dead or unseen.
         sign = view.sign
-        eb = np.empty((A, E, 6 + T))
+        eb = np.empty((A, E, layout.enemy_width))
         eb[:, :, 0] = view.enemy_id_norm[None, :]
         eb[:, :, 1] = dist_ae * view.inv_sight
         eb[:, :, 2] = sign * dx_ae * view.inv_sight
@@ -466,7 +476,7 @@ class BattleEnv:
                 dy_aa = py[gather] - py[ag][:, None]
                 dist_aa = np.sqrt(dx_aa * dx_aa + dy_aa * dy_aa)
                 ally_vis = alive[gather] & (dist_aa <= view.sight)
-            ab = np.empty((A, A - 1, 5 + T))
+            ab = np.empty((A, A - 1, layout.ally_width))
             ab[:, :, 0] = dist_aa * view.inv_sight
             ab[:, :, 1] = sign * dx_aa * view.inv_sight
             ab[:, :, 2] = sign * dy_aa * view.inv_sight
@@ -474,7 +484,7 @@ class BattleEnv:
             ab[:, :, 4] = world.shield[gather] * view.inv_s_all[gather]
             ab[:, :, 5:] = view.onehot_all[gather]
             ab *= (ally_vis & alive_a[:, None])[:, :, None]
-            obs[:, 4 + E * (6 + T) : 4 + E * (6 + T) + (A - 1) * (5 + T)] = ab.reshape(A, -1)
+            obs[:, layout.ally_off : layout.own_off] = ab.reshape(A, -1)
 
         personal = np.empty((A, 2 + T))
         personal[:, 0] = world.health[ag] * view.inv_h_all[ag]
@@ -482,20 +492,25 @@ class BattleEnv:
         personal[:, 2:] = view.onehot_self
         personal *= alive_a[:, None]
 
-        obs[:, :4] = (move_avail & alive_a[:, None]).astype(float)
-        obs[:, 4 : 4 + E * (6 + T)] = eb.reshape(A, -1)
-        obs[:, view.obs_len - (2 + T) :] = personal
+        obs[:, : layout.enemy_off] = (move_avail & alive_a[:, None]).astype(float)
+        obs[:, layout.enemy_off : layout.ally_off] = eb.reshape(A, -1)
+        obs[:, layout.own_off :] = personal
         return obs, mask
 
-    def encode_state(self, team: Team) -> np.ndarray:
-        """Centralized full-information encoding in the team's frame."""
+    def encode_state(self, team: Team, world: WorldState | None = None) -> np.ndarray:
+        """Centralized full-information encoding in the team's frame.
+
+        Encodes ``world``, by default the current one; enemy rows carry the
+        weapon cooldown and ally rows do not (see :class:`TeamLayout`).
+        """
         view = self.views[team]
-        world = self._world
+        layout = view.layout
+        world = self._world if world is None else world
         sign = view.sign
-        T = view.n_types
 
         def block(indices: np.ndarray, with_cd: bool) -> np.ndarray:
-            rows = np.empty((len(indices), (5 if with_cd else 4) + T))
+            width = layout.state_enemy_width if with_cd else layout.state_ally_width
+            rows = np.empty((len(indices), width))
             col = 0
             rows[:, col] = world.health[indices] * view.inv_h_all[indices]
             col += 1
@@ -509,9 +524,8 @@ class BattleEnv:
             rows *= world.alive[indices][:, None]
             return rows
 
-        cd_on_enemies = self.cooldown_in_state == "enemies"
-        enemies = block(view.enemies, with_cd=cd_on_enemies)
-        allies = block(view.agents, with_cd=not cd_on_enemies)
+        enemies = block(view.enemies, with_cd=True)
+        allies = block(view.agents, with_cd=False)
         return np.concatenate([enemies.reshape(-1), allies.reshape(-1)])
 
     def available_actions(self, team: Team) -> np.ndarray:

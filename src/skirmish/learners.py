@@ -1,24 +1,26 @@
 """Policies and trainers behind one pluggable interface.
 
-Four implementations: a deterministic scripted bot (the built-in-AI
-stand-in), a uniform-random policy, and three episodic Q-learners —
-independent per-agent TD (iql), additive team mixing (vdn) and monotonic
-state-conditioned mixing (qmix).  The learners share one feed-forward
-network across a team's agents; each agent's input is its observation plus
-an agent-id one-hot and a last-action one-hot.
+Three implementations of :class:`Learner`: a deterministic scripted bot
+(the built-in-AI stand-in), a uniform-random policy, and an episodic
+Q-learner with three mixing rules — independent per-agent TD (iql),
+additive team mixing (vdn) and monotonic state-conditioned mixing (qmix).
+The Q-learner shares one feed-forward network across a team's agents; each
+agent's input is its observation plus an agent-id one-hot and a
+last-action one-hot.  :func:`save_learner` and :func:`load_learner` are
+the one checkpoint format for all of them.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import _fastpath, nn
+from . import nn
 from .engine import Team
-from .env import ACTION_MOVE_EAST, ACTION_NOOP, ACTION_STOP, TARGET_OFFSET, TeamSpec
+from .env import ACTION_MOVE_EAST, ACTION_NOOP, ACTION_STOP, TARGET_OFFSET, TeamSpec, team_layout
 from .scenario import ScenarioSpec, parse_scenario_config, scenario_config
 from .seeding import STREAM_INIT, derive_seed
 
@@ -143,11 +145,6 @@ class RandomPolicy(Learner):
         if rng is None:
             raise LearnerError("random policy requires an rng")
         draws = rng.random(len(masks))
-        out = np.empty(len(masks), dtype=np.int64)
-        if _fastpath.HAVE_NUMBA:
-            if not _fastpath.sample_available(masks, draws, out):
-                raise NoAvailableAction("an agent has no available action")
-            return out
         counts = masks.cumsum(axis=1)
         totals = counts[:, -1]
         if not totals.all():
@@ -169,23 +166,11 @@ class ScriptedBot(Learner):
     def __init__(self, scenario: ScenarioSpec, team: Team):
         units = scenario.team_units(team)
         enemies = scenario.team_units(team.other)
-        types = scenario.unit_types()
-        A, E, T = len(units), len(enemies), len(types)
+        layout = team_layout(scenario, team)
+        A = layout.n_agents
         self.scenario = scenario
         self.team = team
-        n_targets = max(E, A - 1) if any(u.is_healer for u in units) else E
-        super().__init__(
-            TeamSpec(
-                team=team,
-                n_agents=A,
-                n_enemies=E,
-                obs_len=4 + E * (6 + T) + (A - 1) * (5 + T) + (2 + T),
-                state_len=0,
-                n_actions=TARGET_OFFSET + n_targets,
-                scenario=scenario.name,
-            )
-        )
-        self.n_types = T
+        super().__init__(layout.team_spec(team, scenario.name))
         self.enemy_pool = np.array([s.max_health + s.max_shield for s in enemies])
         self.enemy_max_h = np.array([s.max_health for s in enemies])
         self.enemy_max_s = np.array([s.max_shield for s in enemies])
@@ -194,10 +179,10 @@ class ScriptedBot(Learner):
         self.ally_max_h = np.array(
             [[units[j].max_health for j in range(A) if j != a] for a in range(A)]
         ) if A > 1 else np.zeros((A, 0))
-        self.enemy_row = 6 + T
-        self.ally_row = 5 + T
-        self.enemy_off = 4
-        self.ally_off = 4 + E * self.enemy_row
+        self.enemy_row = layout.enemy_width
+        self.ally_row = layout.ally_width
+        self.enemy_off = layout.enemy_off
+        self.ally_off = layout.ally_off
 
     def act(self, obs, masks, epsilon: float = 0.0, rng=None) -> np.ndarray:
         obs = np.atleast_2d(obs)
@@ -234,11 +219,6 @@ class ScriptedBot(Learner):
             else:
                 actions[a] = ACTION_STOP
         return actions
-
-
-def scripted_bot_act(bot: ScriptedBot, obs: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Functional alias for the bot policy."""
-    return bot.act(obs, masks)
 
 
 # -- value mixing -----------------------------------------------------------
@@ -672,11 +652,6 @@ def save_learner(path, learner: Learner, extra_meta: dict | None = None) -> None
     blob = json.dumps(meta, sort_keys=True)
     arrays["meta"] = np.frombuffer(blob.encode("utf-8"), dtype=np.uint8)
     np.savez(path, **arrays)
-
-
-def load_learner_meta(path) -> dict:
-    with np.load(path) as data:
-        return json.loads(bytes(data["meta"]).decode("utf-8"))
 
 
 def load_learner(path, scenario: ScenarioSpec | None = None) -> Learner:

@@ -1,14 +1,14 @@
 """Small fully-connected networks with hand-written gradients.
 
 float64 end to end.  Parameters live in plain numpy arrays inside explicit
-containers, so target-network copies, checkpointing and hashing stay
-trivial; forward and backward are pure functions of (net, input).
+containers, so target-network copies, checkpointing (see
+``learners.save_learner``) and hashing stay trivial; forward and backward
+are pure functions of (net, input).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,47 +200,6 @@ def finite_diff_check(net: Mlp, x: np.ndarray, tolerance: float, h: float = 1e-4
             if err > worst:
                 worst = err
     return GradCheckReport(max_rel_error=worst, tolerance=tolerance)
-
-
-# -- checkpoints -----------------------------------------------------------
-
-
-def save_checkpoint(path, net: Mlp, opt: OptimState | None = None, meta: dict | None = None) -> None:
-    """Write widths, parameters, optimizer state and metadata to one .npz."""
-    arrays: dict[str, np.ndarray] = {
-        "format_version": np.array([1], dtype=np.int64),
-        "widths": np.array(net.widths, dtype=np.int64),
-    }
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        arrays[f"w{l}"] = w
-        arrays[f"b{l}"] = b
-    if opt is not None:
-        arrays["opt_scalars"] = np.array([opt.lr, opt.beta1, opt.beta2, opt.eps, float(opt.step)])
-        for k, (m, v) in enumerate(zip(opt.m, opt.v)):
-            arrays[f"opt_m{k}"] = m
-            arrays[f"opt_v{k}"] = v
-    meta_json = json.dumps(meta or {}, sort_keys=True)
-    arrays["meta"] = np.frombuffer(meta_json.encode("utf-8"), dtype=np.uint8)
-    np.savez(path, **arrays)
-
-
-def load_checkpoint(path) -> tuple[Mlp, OptimState | None, dict]:
-    """Bit-exact inverse of :func:`save_checkpoint`."""
-    with np.load(path) as data:
-        widths = tuple(int(w) for w in data["widths"])
-        n_layers = len(widths) - 1
-        net = Mlp(widths, [data[f"w{l}"] for l in range(n_layers)], [data[f"b{l}"] for l in range(n_layers)])
-        opt = None
-        if "opt_scalars" in data:
-            lr, b1, b2, eps, step = data["opt_scalars"]
-            n_opt = sum(1 for k in data.files if k.startswith("opt_m"))
-            opt = OptimState(
-                lr=float(lr), beta1=float(b1), beta2=float(b2), eps=float(eps), step=int(step),
-                m=[data[f"opt_m{k}"] for k in range(n_opt)],
-                v=[data[f"opt_v{k}"] for k in range(n_opt)],
-            )
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-    return net, opt, meta
 
 
 def params_hash(arrays: list[np.ndarray]) -> str:

@@ -4,8 +4,10 @@ A server owns one environment and two team slots.  External processes
 claim a slot with ``hello``, receive an ``assign`` describing the scenario
 and tensor shapes, then answer every ``obs`` with an ``act``; the world
 only advances once both teams have acted.  Episodes restart automatically;
-terminal ``obs`` messages are acknowledged with ``reset_ack``.  The
-centralized training state never crosses the wire.
+terminal ``obs`` messages are acknowledged with ``reset_ack``.  With an act
+deadline set, a side that misses it, for an ``act`` or a ``reset_ack``,
+forfeits and the session ends.  The centralized training state never
+crosses the wire.
 
 Messages (every one carries ``type``):
   hello      {v, team: "red"|"blue"|"any", name}
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import EngineConfig, Team
-from .env import BattleEnv, RewardConfig, UnavailableAction
+from .env import BattleEnv, RewardConfig
 from .learners import Learner, ScriptedBot
 from .scenario import CATALOG, ScenarioSpec, get_scenario
 from .seeding import episode_seed
@@ -104,20 +106,25 @@ def _recv(fh) -> dict:
     return message
 
 
+def _close(*handles) -> None:
+    """Close a connection's file objects and socket; the peer sees EOF only once all are closed."""
+    for handle in handles:
+        try:
+            handle.close()
+        except OSError:
+            pass
+
+
 class _Slot:
-    def __init__(self, team: Team, conn: socket.socket, name: str):
+    def __init__(self, team: Team, conn: socket.socket, name: str, rfile, wfile):
         self.team = team
         self.name = name
         self.conn = conn
-        self.rfile = conn.makefile("r", encoding="utf-8")
-        self.wfile = conn.makefile("w", encoding="utf-8")
+        self.rfile = rfile
+        self.wfile = wfile
 
     def close(self) -> None:
-        for closer in (self.rfile.close, self.wfile.close, self.conn.close):
-            try:
-                closer()
-            except OSError:
-                pass
+        _close(self.rfile, self.wfile, self.conn)
 
 
 @dataclass
@@ -170,12 +177,12 @@ class BattleServer:
             try:
                 hello = _recv(rfile)
             except ProtocolError:
-                conn.close()
+                _close(rfile, wfile, conn)
                 continue
             if hello.get("type") != "hello" or hello.get("v") != PROTOCOL_VERSION:
                 _send(wfile, {"type": "error", "code": "HandshakeVersionMismatch",
                               "message": f"server speaks v{PROTOCOL_VERSION}"})
-                conn.close()
+                _close(rfile, wfile, conn)
                 continue
             req = hello.get("team", "any")
             free = [t for t in wanted if t not in slots]
@@ -184,14 +191,11 @@ class BattleServer:
                 if team not in free:
                     _send(wfile, {"type": "error", "code": "TeamSlotTaken",
                                   "message": f"{req} is not available"})
-                    conn.close()
+                    _close(rfile, wfile, conn)
                     continue
             else:
                 team = free[0]
-            slot = _Slot(team, conn, hello.get("name", "anonymous"))
-            slot.rfile = rfile
-            slot.wfile = wfile
-            slots[team] = slot
+            slots[team] = _Slot(team, conn, hello.get("name", "anonymous"), rfile, wfile)
             view = self.env.team_spec(team)
             _send(wfile, {
                 "type": "assign",
@@ -252,16 +256,20 @@ class BattleServer:
                 "outcome": result.outcome.value if result.outcome is not None else None,
             })
 
+    def _recv_in_time(self, slot: _Slot) -> dict:
+        """Next message from ``slot``; missing the act deadline is an :class:`ActTimeout`."""
+        try:
+            return _recv(slot.rfile)
+        except socket.timeout as exc:
+            raise ActTimeout(
+                f"{slot.team.name.lower()} missed the {self.act_timeout}s deadline", slot.team
+            ) from exc
+
     def _read_act(self, slot: _Slot, episode: int, step: int) -> np.ndarray:
         """Blocks until this team sends a mask-consistent act."""
         view = self.env.team_spec(slot.team)
         while True:
-            try:
-                message = _recv(slot.rfile)
-            except socket.timeout as exc:
-                raise ActTimeout(
-                    f"{slot.team.name.lower()} missed the {self.act_timeout}s deadline", slot.team
-                ) from exc
+            message = self._recv_in_time(slot)
             if message["type"] != "act":
                 raise ProtocolViolation(f"expected act, got {message['type']!r}")
             actions = message.get("actions")
@@ -298,8 +306,8 @@ class BattleServer:
             rewards["red"].append(results[0].reward)
             rewards["blue"].append(results[1].reward)
             self._send_obs(slots, results, episode, step)
-        for team, slot in slots.items():
-            message = _recv(slot.rfile)
+        for slot in slots.values():
+            message = self._recv_in_time(slot)
             if message["type"] != "reset_ack":
                 raise ProtocolViolation(f"expected reset_ack, got {message['type']!r}")
         return ServedEpisode(outcome=results[0].outcome.value, rewards=rewards, length=step)
@@ -392,11 +400,7 @@ def client_loop(
             actions = policy.act(obs, masks, 0.0, None)
             _send(wfile, {"type": "act", "actions": [int(a) for a in actions]})
     finally:
-        for closer in (rfile.close, wfile.close, conn.close):
-            try:
-                closer()
-            except OSError:
-                pass
+        _close(rfile, wfile, conn)
     return episodes
 
 

@@ -5,6 +5,11 @@ limit.  Spawns put each team in vertical column files facing the opponent,
 placed point-symmetrically about the arena centre so neither side starts
 with a positional edge; per-unit jitter is drawn once for red and reflected
 onto blue, never drawn twice.
+
+The scenario file format has the sections ``[scenario]``, ``[red]`` and
+``[blue]`` only.  Any other section is rejected, ``[engine]`` included:
+engine mechanics are set through the ``engine`` object of the CLI's
+``--config`` JSON file, never from a scenario file.
 """
 
 from __future__ import annotations
@@ -202,7 +207,6 @@ _PLURAL = {
 _TO_PLURAL = {v: k for k, v in _PLURAL.items()}
 
 _SCENARIO_KEYS = {"base", "name", "arena_width", "arena_height", "episode_step_limit", "spawn_spread"}
-_ENGINE_KEYS = {"step_dt", "shield_regen_delay", "shield_regen_rate", "allow_overlap"}
 
 
 def _read_config(text: str) -> configparser.ConfigParser:
@@ -213,7 +217,7 @@ def _read_config(text: str) -> configparser.ConfigParser:
     except configparser.Error as exc:
         raise ScenarioError(f"malformed scenario config: {exc}") from exc
     for section in parser.sections():
-        if section not in ("scenario", "red", "blue", "engine"):
+        if section not in ("scenario", "red", "blue"):
             raise ScenarioError(f"unknown config section [{section}]")
     return parser
 
@@ -304,16 +308,3 @@ def scenario_config(spec: ScenarioSpec) -> str:
         for unit, count in comp:
             out.write(f"{_TO_PLURAL[unit.name]} = {count}\n")
     return out.getvalue()
-
-
-def parse_engine_overrides(text: str) -> dict[str, float | bool]:
-    """Extract the optional ``[engine]`` section as EngineConfig overrides."""
-    parser = _read_config(text)
-    if not parser.has_section("engine"):
-        return {}
-    out: dict[str, float | bool] = {}
-    for key, raw in parser.items("engine"):
-        if key not in _ENGINE_KEYS:
-            raise ScenarioError(f"unknown [engine] key {key!r}")
-        out[key] = raw.strip().lower() in ("1", "true", "yes") if key == "allow_overlap" else float(raw)
-    return out

@@ -1,9 +1,9 @@
 """Deterministic seed derivation for independent RNG streams.
 
 Every stochastic consumer (spawn jitter, exploration, opponent sampling,
-evaluation) draws from its own stream derived from the run seed plus a
-stream tag, so adding or removing draws in one place never perturbs the
-others.
+evaluation, the ``bench`` command's random policies) draws from its own
+stream derived from the run seed plus a stream tag, so adding or removing
+draws in one place never perturbs the others.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ STREAM_EXPLORE = 2
 STREAM_EVAL = 3
 STREAM_POOL = 4
 STREAM_INIT = 5
+STREAM_BENCH = 7
 
 
 def derive_seed(*parts: int) -> int:

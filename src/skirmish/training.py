@@ -45,8 +45,6 @@ class TrainConfig:
     total_env_steps: int = 300_000
     test_interval: int = 10_000
     test_episodes: int = 32
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    mode: str = "bot"
     learner: LearnerConfig = field(default_factory=LearnerConfig)
     engine: EngineConfig | None = None
     reward: RewardConfig | None = None
@@ -201,11 +199,13 @@ def evaluate(
     engine_config: EngineConfig | None = None,
     reward_config: RewardConfig | None = None,
     opponent_pool: "OpponentPool | None" = None,
+    replay: ReplayWriter | None = None,
 ) -> EvalResult:
     """Greedy head-to-head: no exploration, per-episode seeds from (seed, i).
 
     Counts are from red's perspective.  With ``opponent_pool``, blue is
-    redrawn from the pool for every episode.
+    redrawn from the pool for every episode.  With ``replay``, every episode
+    is also written to that replay log.
     """
     if n_episodes < 1:
         raise TrainingError("n_episodes must be >= 1")
@@ -219,7 +219,8 @@ def evaluate(
     for i in range(n_episodes):
         opponent = blue if opponent_pool is None else opponent_pool.draw(pool_rng, record=False)
         ep = run_episode(
-            env, red, opponent, seed=episode_seed(seed, i), rng_red=rng_red, rng_blue=rng_blue
+            env, red, opponent, seed=episode_seed(seed, i), rng_red=rng_red, rng_blue=rng_blue,
+            replay=replay, episode_id=i,
         )
         if ep.outcome is Outcome.RED_WIN:
             wins += 1
@@ -519,14 +520,15 @@ CSV_COLUMNS = [
 
 
 def write_metrics_csv(metrics: RunMetrics, path) -> None:
+    """One row per evaluation point; floats are written as plain Python floats."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for p in metrics.points:
             writer.writerow(
                 [
-                    p.env_step, p.wins, p.draws, p.losses, repr(p.win_rate),
-                    repr(p.mean_return_red), repr(p.mean_return_blue),
+                    p.env_step, p.wins, p.draws, p.losses, float(p.win_rate),
+                    float(p.mean_return_red), float(p.mean_return_blue),
                     metrics.seed, metrics.mode, metrics.scenario, metrics.algo_red, metrics.algo_blue,
                 ]
             )

@@ -23,21 +23,12 @@ from skirmish.engine import (
     NotAnAttacker,
     Outcome,
     Team,
-    Unit,
-    apply_damage,
-    apply_heal,
     compute_damage,
-    regen_shields,
-    resolve_attack_move,
     step_world,
     terminal_status,
 )
 
 from conftest import make_world
-
-
-def unit_from(world, index):
-    return world.unit(index)
 
 
 def attack(unit, target):
@@ -95,52 +86,77 @@ def test_roster_invariants():
     assert MEDIVAC.is_healer and MEDIVAC.base_damage is None
 
 
-# -- single-unit damage and healing --------------------------------------------
-
-
-def _unit(spec, team=Team.RED, pos=(0.0, 0.0), health=None, shield=None, cooldown=0.0, alive=True):
-    return Unit(
-        unit_id=0, team=team, spec=spec, pos=pos,
-        health=spec.max_health if health is None else health,
-        shield=spec.max_shield if shield is None else shield,
-        weapon_cooldown=cooldown, alive=alive, last_damaged_at=-math.inf,
-    )
+# -- damage and healing, one step at a time ------------------------------------
 
 
 def test_apply_damage_shield_first():
-    z = _unit(ZEALOT)  # 100 health, 50 shield
-    hit = apply_damage(z, 6.0, now=3.0)
-    assert (hit.health, hit.shield) == (100.0, 44.0)
-    assert hit.last_damaged_at == 3.0
+    world = make_world([("marine", Team.RED, (10.0, 16.0)), ("zealot", Team.BLUE, (14.0, 16.0))])
+    world.time = 3.0
+    nxt, events = step_world(world, [attack(0, 1), stop(1)])
+    assert (nxt.health[1], nxt.shield[1]) == (100.0, 44.0)
+    assert nxt.last_damaged[1] == 3.0
+    assert events.red.damage_dealt == 6.0 and events.blue.damage_taken == 6.0
 
 
 def test_apply_damage_overflow():
-    s = _unit(STALKER, shield=10.0)  # 80 health
-    hit = apply_damage(s, 18.0, now=0.0)
-    assert (hit.health, hit.shield) == (72.0, 0.0)
+    world = make_world([("stalker", Team.RED, (10.0, 16.0)), ("stalker", Team.BLUE, (14.0, 16.0))])
+    world.shield[1] = 10.0
+    nxt, events = step_world(world, [attack(0, 1), stop(1)])
+    assert (nxt.health[1], nxt.shield[1]) == (72.0, 0.0)  # 18 bonus damage, 10 absorbed
+    assert events.red.damage_dealt == 18.0
 
 
 def test_apply_damage_clamps_and_kills():
-    m = _unit(MARINE, health=5.0)
-    hit = apply_damage(m, 6.0, now=0.0)
-    assert hit.health == 0.0 and not hit.alive
+    world = make_world([("marine", Team.RED, (10.0, 16.0)), ("marine", Team.BLUE, (14.0, 16.0))])
+    world.health[1] = 5.0
+    nxt, events = step_world(world, [attack(0, 1), stop(1)])
+    assert nxt.health[1] == 0.0 and not nxt.alive[1]
+    assert events.red.damage_dealt == 5.0  # only the health that was there counts
+    assert events.red.kills == 1 and events.blue.deaths == 1
+
+
+def heal(unit, target):
+    return Command(unit, CommandKind.HEAL, target=target)
+
+
+def _medivac_world():
+    world = make_world(
+        [
+            ("medivac", Team.RED, (10.0, 16.0)),
+            ("marine", Team.RED, (12.0, 16.0)),
+            ("marine", Team.RED, (12.0, 18.0)),
+            ("medivac", Team.RED, (10.0, 18.0)),
+            ("marine", Team.BLUE, (30.0, 16.0)),
+        ]
+    )
+    world.health[1] = 30.0
+    return world
 
 
 def test_apply_heal():
-    medivac = _unit(MEDIVAC)
-    marine = _unit(MARINE, health=30.0)
-    assert apply_heal(medivac, marine).health == 37.0
-    assert apply_heal(medivac, _unit(MARINE)).health == 45.0  # clamp at max
+    world = _medivac_world()
+    nxt, events = step_world(world, [heal(0, 1)] + stops_for_living(world, exclude=(0,)))
+    assert nxt.health[1] == 37.0
+    assert events.red.heals == 7.0
+    nxt, events = step_world(world, [heal(0, 2)] + stops_for_living(world, exclude=(0,)))
+    assert nxt.health[2] == 45.0  # clamped at max
+    assert events.red.heals == 0.0
 
 
 def test_apply_heal_rejects_bad_targets():
-    medivac = _unit(MEDIVAC)
-    with pytest.raises(InvalidHealTarget):
-        apply_heal(medivac, _unit(MARINE, team=Team.BLUE))
-    with pytest.raises(InvalidHealTarget):
-        apply_heal(medivac, _unit(MARINE, health=0.0, alive=False))
-    with pytest.raises(InvalidHealTarget):
-        apply_heal(medivac, _unit(MEDIVAC))
+    world = _medivac_world()
+    others = stops_for_living(world, exclude=(0,))
+    with pytest.raises(InvalidHealTarget):  # an enemy
+        step_world(world, [heal(0, 4)] + others)
+    with pytest.raises(InvalidHealTarget):  # another healer
+        step_world(world, [heal(0, 3)] + others)
+    with pytest.raises(InvalidHealTarget):  # a unit that cannot heal
+        step_world(world, [heal(1, 2)] + stops_for_living(world, exclude=(1,)))
+    world.alive[1] = False
+    world.health[1] = 0.0
+    nxt, events = step_world(world, [heal(0, 1)] + stops_for_living(world, exclude=(0,)))
+    assert nxt.health[1] == 0.0 and not nxt.alive[1]  # the dead are not healed
+    assert events.red.heals == 0.0
 
 
 # -- step_world ----------------------------------------------------------------
@@ -212,15 +228,24 @@ def test_attack_move_two_step_trace():
 
 
 def test_resolve_attack_move_cases():
-    cfg = EngineConfig()
-    attacker = _unit(MARINE, pos=(0.0, 0.0))
-    out_of_range = resolve_attack_move(attacker, _unit(MARINE, team=Team.BLUE, pos=(8.0, 0.0)), cfg)
-    assert not out_of_range.fires and out_of_range.pos == (1.125, 0.0)
-    in_range = resolve_attack_move(attacker, _unit(MARINE, team=Team.BLUE, pos=(5.0, 0.0)), cfg)
-    assert in_range.fires and in_range.pos == (0.0, 0.0)
-    dead = _unit(MARINE, team=Team.BLUE, pos=(5.0, 0.0), health=0.0, alive=False)
-    dissolved = resolve_attack_move(attacker, dead, cfg)
-    assert not dissolved.fires and dissolved.pos == (0.0, 0.0)
+    units = [
+        ("marine", Team.RED, (0.0, 0.0)),
+        ("marine", Team.BLUE, (8.0, 0.0)),   # out of range
+        ("marine", Team.BLUE, (5.0, 0.0)),   # in range
+        ("marine", Team.BLUE, (0.0, 5.0)),   # in range, dead
+    ]
+    world = make_world(units, arena=(64, 64))
+    world.alive[3] = False
+    world.health[3] = 0.0
+    others = stops_for_living(world, exclude=(0,))
+    approach, events = step_world(world, [attack(0, 1)] + others)
+    assert approach.unit(0).pos == (1.125, 0.0) and events.red.damage_dealt == 0.0
+    fire, events = step_world(world, [attack(0, 2)] + others)
+    assert fire.unit(0).pos == (0.0, 0.0) and events.red.damage_dealt == 6.0
+    assert fire.cooldown[0] == MARINE.attack_period
+    dissolved, events = step_world(world, [attack(0, 3)] + others)
+    assert dissolved.unit(0).pos == (0.0, 0.0) and events.red.damage_dealt == 0.0
+    assert dissolved.cooldown[0] == 0.0  # no shot: the macro became a stop
 
 
 def test_colossus_splash_hits_clustered_enemies():
@@ -284,7 +309,7 @@ def test_regen_shields_operation():
     world = make_world([("zealot", Team.RED, (10.0, 16.0)), ("marine", Team.BLUE, (30.0, 16.0))])
     world.shield[0] = 44.0
     world.last_damaged[0] = -20.0
-    regen = regen_shields(world)
+    regen, _ = step_world(world, stops_for_living(world))
     assert regen.shield[0] == 45.0
     assert world.shield[0] == 44.0  # purity
     assert regen.shield[1] == 0.0   # no shield to regenerate

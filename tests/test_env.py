@@ -90,7 +90,9 @@ def test_observation_length_formula(name, expected):
 
 def test_restore_rejects_wrong_roster():
     env = BattleEnv(tiny_scenario())
-    world = new_world([(CATALOG["marine"], Team.RED), (CATALOG["marine"], Team.BLUE)], [(10, 16), (20, 16)])
+    world = new_world(
+        [(CATALOG["marine"], Team.RED), (CATALOG["marine"], Team.BLUE)], [(10, 16), (20, 16)], arena=(32.0, 32.0)
+    )
     with pytest.raises(EnvError):
         env.restore(world)
 
@@ -298,8 +300,9 @@ def test_reward_formula_example_values():
     events = StepEvents(red=TeamEvents(damage_dealt=6.0), blue=TeamEvents(damage_taken=6.0))
     cfg = RewardConfig()
     scn = get_scenario("3m")
-    assert compute_reward(events, Outcome.ONGOING, Team.RED, cfg, scn) == pytest.approx(0.3288, abs=1e-4)
-    assert compute_reward(events, Outcome.ONGOING, Team.BLUE, cfg, scn) == pytest.approx(-0.1644, abs=1e-4)
+    red_scale, blue_scale = (reward_scale(scn, t, cfg) for t in (Team.RED, Team.BLUE))
+    assert compute_reward(events, Outcome.ONGOING, Team.RED, cfg, red_scale) == pytest.approx(0.3288, abs=1e-4)
+    assert compute_reward(events, Outcome.ONGOING, Team.BLUE, cfg, blue_scale) == pytest.approx(-0.1644, abs=1e-4)
 
 
 def test_draw_penalty_on_timeout():
@@ -376,29 +379,33 @@ def test_state_symmetric_world_equal_vectors():
     assert np.array_equal(r.state, b.state)
 
 
-def test_state_cooldown_side_flag():
-    scn = get_scenario("3m")
-    default = BattleEnv(scn)
-    flipped = BattleEnv(scn, cooldown_in_state="allies")
-    assert default.team_spec(Team.RED).state_len == 33
-    assert flipped.team_spec(Team.RED).state_len == 33  # widths swap sides
-    r_def, _ = default.reset(seed=0)
-    r_flip, _ = flipped.reset(seed=0)
-    assert len(r_def.state) == len(r_flip.state)
-    env = BattleEnv(tiny_scenario(), cooldown_in_state="allies")
-    restore_world(
-        env,
-        [
-            ("marine", Team.RED, (12.0, 16.0)),
-            ("marine", Team.RED, (10.0, 12.0)),
-            ("marine", Team.BLUE, (17.0, 16.0)),
-            ("marine", Team.BLUE, (26.0, 16.0)),
-        ],
-    )
-    r, b = env.step(np.array([TARGET_OFFSET, ACTION_STOP]), all_stop(env, Team.BLUE))
-    # ally rows now carry the cooldown: red sees its own agent 0 at full cd
-    ally_block = r.state[2 * 5 :]
-    assert ally_block[1] == 1.0
+def test_state_belongs_to_the_step_that_produced_it():
+    env = BattleEnv(get_scenario("3m"))
+    first, _ = env.reset(seed=4)
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        r, b = env.step(
+            [int(rng.choice(np.flatnonzero(m))) for m in env.available_actions(Team.RED)],
+            [int(rng.choice(np.flatnonzero(m))) for m in env.available_actions(Team.BLUE)],
+        )
+    fresh, _ = BattleEnv(get_scenario("3m")).reset(seed=4)
+    assert np.array_equal(first.state, fresh.state)  # read only now, five steps later
+    assert np.array_equal(r.state, env.encode_state(Team.RED))
+
+
+def test_layout_shared_by_env_and_bot():
+    from skirmish.learners import ScriptedBot
+
+    for name in ("3m", "MMM2", "5m_vs_6m", "1c3s5z"):
+        scn = get_scenario(name)
+        env = BattleEnv(scn)
+        r, b = env.reset(seed=0)
+        for team, res in ((Team.RED, r), (Team.BLUE, b)):
+            spec = env.team_spec(team)
+            assert ScriptedBot(scn, team).team_spec == spec
+            assert spec.state_len == len(res.state) > 0
+            assert res.observations.shape == (spec.n_agents, spec.obs_len)
+            assert res.masks.shape == (spec.n_agents, spec.n_actions)
 
 
 def test_state_not_affected_by_sight():

@@ -21,7 +21,6 @@ from skirmish.learners import (
     make_mixer,
     qmix_mix,
     save_learner,
-    scripted_bot_act,
     team_td_train_step,
     vdn_mix,
 )
@@ -187,7 +186,7 @@ def test_bot_noop_when_dead():
     world.health[0] = 0.0
     r, _ = env.restore(world)
     bot = ScriptedBot(scn, Team.RED)
-    actions = scripted_bot_act(bot, r.observations, r.masks)
+    actions = bot.act(r.observations, r.masks)
     assert actions[0] == ACTION_NOOP
 
 
@@ -450,6 +449,11 @@ def test_checkpoint_save_load_round_trip(tmp_path):
     assert loaded.checkpoint_hash() == learner.checkpoint_hash()
     assert loaded.config == cfg
     assert loaded.opt.step == learner.opt.step
+    assert (loaded.opt.lr, loaded.opt.beta1, loaded.opt.beta2, loaded.opt.eps) == (
+        learner.opt.lr, learner.opt.beta1, learner.opt.beta2, learner.opt.eps
+    )
+    for a, b in zip(learner.opt.m + learner.opt.v, loaded.opt.m + loaded.opt.v):
+        assert np.array_equal(a, b)
 
 
 def test_bot_checkpoint_round_trip(tmp_path):

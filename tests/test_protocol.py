@@ -1,0 +1,121 @@
+"""Lockstep protocol over loopback: served play, handshake errors, forfeits."""
+
+import dataclasses
+import socket
+import threading
+
+import numpy as np
+import pytest
+
+from skirmish import protocol
+from skirmish.env import BattleEnv
+from skirmish.engine import Team
+from skirmish.learners import ScriptedBot
+from skirmish.protocol import (
+    PROTOCOL_VERSION,
+    BattleServer,
+    HandshakeVersionMismatch,
+    ServedEpisode,
+    bot_client,
+    client_loop,
+)
+from skirmish.scenario import get_scenario
+from skirmish.seeding import episode_seed
+from skirmish.training import run_episode
+
+JOIN_S = 30
+
+
+def start(target, *args, **kwargs):
+    """Run ``target`` in a daemon thread; the returned box gets its result or error."""
+    box = {}
+
+    def body():
+        try:
+            box["result"] = target(*args, **kwargs)
+        except Exception as exc:  # reported by the test thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=body, daemon=True)
+    thread.start()
+    return thread, box
+
+
+def finish(thread, box):
+    thread.join(JOIN_S)
+    assert not thread.is_alive(), "thread did not finish"
+    if "error" in box:
+        raise box["error"]
+    return box["result"]
+
+
+def raw_client(address):
+    conn = socket.create_connection(address, timeout=JOIN_S)
+    return conn, conn.makefile("r", encoding="utf-8"), conn.makefile("w", encoding="utf-8")
+
+
+def test_bot_client_matches_in_process_play():
+    scenario = get_scenario("3m")
+    server = BattleServer(scenario, seed=5, episodes=3, bot_team=Team.BLUE)
+    client = start(client_loop, bot_client, server.address, team="red")
+    served = finish(*start(server.run))
+    seen = finish(*client)
+
+    env = BattleEnv(scenario)
+    red, blue = ScriptedBot(scenario, Team.RED), ScriptedBot(scenario, Team.BLUE)
+    assert len(served) == len(seen) == 3
+    for i, (rec, got) in enumerate(zip(served, seen)):
+        ep = run_episode(env, red, blue, seed=episode_seed(5, i), collect_red=True, collect_blue=True)
+        assert rec.outcome == got.outcome == ep.outcome.value
+        assert rec.length == got.length == ep.length
+        assert rec.rewards["red"] == got.rewards == [float(r) for r in ep.red_episode.rewards]
+        assert rec.rewards["blue"] == [float(r) for r in ep.blue_episode.rewards]
+
+
+def test_version_mismatch():
+    server = BattleServer(get_scenario("3m"), episodes=1, bot_team=Team.BLUE)
+    session = start(server.run)
+    conn, rfile, wfile = raw_client(server.address)
+    protocol._send(wfile, {"type": "hello", "v": PROTOCOL_VERSION + 1, "team": "red"})
+    refusal = protocol._recv(rfile)
+    assert refusal["code"] == "HandshakeVersionMismatch"
+    assert rfile.readline() == ""  # the server hung up
+    protocol._close(rfile, wfile, conn)
+
+    # The server keeps listening: a client that speaks its version plays the session.
+    assert len(finish(*start(client_loop, bot_client, server.address, team="red"))) == 1
+    assert len(finish(*session)) == 1
+
+    # And the client turns the server's refusal into the matching exception.
+    stub = socket.create_server(("127.0.0.1", 0))
+
+    def refuse():
+        peer, _ = stub.accept()
+        with peer, peer.makefile("r", encoding="utf-8") as r, peer.makefile("w", encoding="utf-8") as w:
+            protocol._recv(r)
+            protocol._send(w, refusal)
+
+    stub_session = start(refuse)
+    with pytest.raises(HandshakeVersionMismatch):
+        finish(*start(client_loop, bot_client, stub.getsockname(), team="red"))
+    finish(*stub_session)
+    stub.close()
+
+
+def test_missing_reset_ack_forfeits():
+    scenario = dataclasses.replace(get_scenario("3m"), episode_step_limit=3)
+    server = BattleServer(scenario, episodes=2, bot_team=Team.BLUE, act_timeout=0.5)
+    session = start(server.run)
+    conn, rfile, wfile = raw_client(server.address)
+    protocol._send(wfile, {"type": "hello", "v": PROTOCOL_VERSION, "team": "red"})
+    assert protocol._recv(rfile)["type"] == "assign"
+    while True:
+        message = protocol._recv(rfile)
+        if message["type"] == "bye":
+            break
+        if not message["terminated"]:  # act at once, but never acknowledge the episode's end
+            masks = np.asarray(message["masks"], dtype=bool)
+            protocol._send(wfile, {"type": "act", "actions": [int(np.flatnonzero(m)[0]) for m in masks]})
+    protocol._close(rfile, wfile, conn)
+    assert message["reason"] == "act timeout forfeit"
+    assert finish(*session) == [ServedEpisode(outcome="blue_win_forfeit")]

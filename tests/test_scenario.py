@@ -14,7 +14,6 @@ from skirmish.scenario import (
     UnknownUnitName,
     builtin_scenarios,
     get_scenario,
-    parse_engine_overrides,
     parse_scenario_config,
     scenario_config,
     spawn_layout,
@@ -140,6 +139,8 @@ def test_parse_rejects_unknown_base_and_keys():
         parse_scenario_config("[scenario]\nbase = 3m\nfog = 1\n")
     with pytest.raises(ScenarioError):
         parse_scenario_config("[scenario]\nbase = 3m\n\n[weather]\nrain = 1\n")
+    with pytest.raises(ScenarioError):  # engine mechanics are not set from scenario files
+        parse_scenario_config("[scenario]\nbase = 3m\n\n[engine]\nstep_dt = 5.0\n")
 
 
 def test_parse_adds_new_unit_type():
@@ -158,10 +159,3 @@ def test_parse_scenario_overrides():
 def test_round_trip_all_builtins():
     for name, spec in builtin_scenarios().items():
         assert parse_scenario_config(scenario_config(spec)) == spec
-
-
-def test_engine_overrides_section():
-    text = "[scenario]\nbase = 3m\n\n[engine]\nstep_dt = 0.25\nallow_overlap = true\n"
-    assert parse_engine_overrides(text) == {"step_dt": 0.25, "allow_overlap": True}
-    with pytest.raises(ScenarioError):
-        parse_engine_overrides("[engine]\nwarp = 1\n")
