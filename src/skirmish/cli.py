@@ -176,6 +176,15 @@ def _build_section(cls, overrides: dict, key: str):
     return cls(**data) if data else cls()
 
 
+def _resolve_run(args, overrides: dict) -> tuple[ScenarioSpec, EngineConfig, RewardConfig]:
+    """The scenario, engine and reward settings a command runs with."""
+    return (
+        _resolve_scenario(args, overrides),
+        _build_section(EngineConfig, overrides, "engine"),
+        _build_section(RewardConfig, overrides, "reward"),
+    )
+
+
 def _policy(label: str, scenario: ScenarioSpec, team: Team, env: BattleEnv, seed: int) -> Learner:
     if label == "bot":
         return make_learner("bot", env.team_spec(team), scenario=scenario)
@@ -207,9 +216,7 @@ def _manifest(path: Path, args, extra: dict) -> None:
 def _train_one_seed(payload: tuple) -> list[str]:
     """Run one seed; returns written artifact paths (multiprocessing-safe)."""
     args, overrides, seed, out = payload
-    scenario = _resolve_scenario(args, overrides)
-    engine = _build_section(EngineConfig, overrides, "engine")
-    reward = _build_section(RewardConfig, overrides, "reward")
+    scenario, engine, reward = _resolve_run(args, overrides)
     learner_cfg = _build_section(LearnerConfig, overrides, "learner")
     config = TrainConfig(
         total_env_steps=args.steps,
@@ -294,16 +301,13 @@ def cmd_train(args) -> int:
         "median_win_rate": curve_to_json(median_win_rate(primary)),
     }
     (out / "aggregate.json").write_text(json.dumps(aggregate, indent=2, sort_keys=True), encoding="utf-8")
-    _manifest(out / "manifest.json", args, {"seeds": seeds, "config_file": _load_config_file(args.config)})
+    _manifest(out / "manifest.json", args, {"seeds": seeds, "config_file": overrides})
     print(f"wrote {len(seeds)} run(s) to {out}")
     return 0
 
 
 def _eval_common(args) -> tuple[ScenarioSpec, BattleEnv, Learner, Learner]:
-    overrides = _load_config_file(args.config)
-    scenario = _resolve_scenario(args, overrides)
-    engine = _build_section(EngineConfig, overrides, "engine")
-    reward = _build_section(RewardConfig, overrides, "reward")
+    scenario, engine, reward = _resolve_run(args, _load_config_file(args.config))
     env = BattleEnv(scenario, engine, reward)
     red = _policy(args.red, scenario, Team.RED, env, args.seed)
     blue = _policy(args.blue, scenario, Team.BLUE, env, args.seed)
@@ -398,10 +402,7 @@ def cmd_pool(args) -> int:
 def cmd_serve(args) -> int:
     from .protocol import serve
 
-    overrides = _load_config_file(args.config)
-    scenario = _resolve_scenario(args, overrides)
-    engine = _build_section(EngineConfig, overrides, "engine")
-    reward = _build_section(RewardConfig, overrides, "reward")
+    scenario, engine, reward = _resolve_run(args, _load_config_file(args.config))
     bot_team = Team[args.bot_team.upper()] if args.bot_team else None
     served = serve(
         scenario, host=args.host, port=args.port, seed=args.seed, episodes=args.episodes,
@@ -472,10 +473,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    overrides = _load_config_file(args.config)
-    scenario = _resolve_scenario(args, overrides)
-    engine = _build_section(EngineConfig, overrides, "engine")
-    reward = _build_section(RewardConfig, overrides, "reward")
+    scenario, engine, reward = _resolve_run(args, _load_config_file(args.config))
     env = BattleEnv(scenario, engine, reward)
     red = make_learner("random", env.team_spec(Team.RED))
     blue = make_learner("random", env.team_spec(Team.BLUE))

@@ -445,16 +445,15 @@ class BattleEnv:
         targets = np.zeros((A, layout.n_targets), dtype=bool)
         attackers = ~view.is_healer
         targets[attackers, :E] = (enemy_avail & alive_a[:, None])[attackers]
-        if view.has_healer and A > 1:
+        if A > 1:
             gather = view.ally_gather
             dx_aa = px[gather] - px[ag][:, None]
             dy_aa = py[gather] - py[ag][:, None]
             dist_aa = np.sqrt(dx_aa * dx_aa + dy_aa * dy_aa)
             ally_vis = alive[gather] & (dist_aa <= view.sight)
-            heal_avail = ally_vis & view.heal_ok & alive_a[:, None]
-            targets[view.is_healer, : A - 1] = heal_avail[view.is_healer]
-        else:
-            dist_aa = ally_vis = None
+            if view.has_healer:
+                heal_avail = ally_vis & view.heal_ok & alive_a[:, None]
+                targets[view.is_healer, : A - 1] = heal_avail[view.is_healer]
         mask[:, TARGET_OFFSET:] = targets
 
         # Observation blocks, zeroed wherever the subject is dead or unseen.
@@ -470,12 +469,6 @@ class BattleEnv:
         eb *= (enemy_avail & alive_a[:, None])[:, :, None]
 
         if A > 1:
-            gather = view.ally_gather
-            if dist_aa is None:
-                dx_aa = px[gather] - px[ag][:, None]
-                dy_aa = py[gather] - py[ag][:, None]
-                dist_aa = np.sqrt(dx_aa * dx_aa + dy_aa * dy_aa)
-                ally_vis = alive[gather] & (dist_aa <= view.sight)
             ab = np.empty((A, A - 1, layout.ally_width))
             ab[:, :, 0] = dist_aa * view.inv_sight
             ab[:, :, 1] = sign * dx_aa * view.inv_sight

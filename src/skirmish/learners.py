@@ -6,8 +6,11 @@ Q-learner with three mixing rules — independent per-agent TD (iql),
 additive team mixing (vdn) and monotonic state-conditioned mixing (qmix).
 The Q-learner shares one feed-forward network across a team's agents; each
 agent's input is its observation plus an agent-id one-hot and a
-last-action one-hot.  :func:`save_learner` and :func:`load_learner` are
-the one checkpoint format for all of them.
+last-action one-hot.  All three rules train through one update,
+:func:`team_td_train_step`: the mixing rule only decides how chosen-action
+values combine into the values that regress on the TD targets.
+:func:`save_learner` and :func:`load_learner` are the one checkpoint
+format for all of them.
 """
 
 from __future__ import annotations
@@ -308,46 +311,47 @@ def make_identity_mixer(state_dim: int, n_agents: int) -> QmixMixer:
 
 
 def _mixer_forward(mixer: QmixMixer, q: np.ndarray, state: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Batched mix with a cache for the backward pass; rows are samples."""
-    w1_pre = nn.forward(mixer.hyper_w1, state)
-    b1 = nn.forward(mixer.hyper_b1, state)
+    """Batched mix with a cache for the backward pass; rows are samples.
+
+    The cache keeps the hypernetwork traces, in ``mixer.nets()`` order.
+    """
+    w1_pre, w1_trace = nn.forward_trace(mixer.hyper_w1, state)
+    b1, b1_trace = nn.forward_trace(mixer.hyper_b1, state)
     if mixer.layers == 1:
         w = np.abs(w1_pre)
         qtot = (q * w).sum(axis=-1) + b1[:, 0]
-        return qtot, {"w1_pre": w1_pre, "w": w}
+        return qtot, {"q": q, "w1_pre": w1_pre, "w": w, "traces": [w1_trace, b1_trace]}
     w1 = np.abs(w1_pre).reshape(len(q), mixer.n_agents, mixer.embed)
     h_pre = np.einsum("na,nae->ne", q, w1) + b1
     h = _elu(h_pre)
-    w2_pre = nn.forward(mixer.hyper_w2, state)
+    w2_pre, w2_trace = nn.forward_trace(mixer.hyper_w2, state)
     w2 = np.abs(w2_pre)
-    v = nn.forward(mixer.hyper_v, state)
+    v, v_trace = nn.forward_trace(mixer.hyper_v, state)
     qtot = (h * w2).sum(axis=-1) + v[:, 0]
-    return qtot, {"w1_pre": w1_pre, "w1": w1, "h_pre": h_pre, "h": h, "w2_pre": w2_pre, "w2": w2}
+    return qtot, {
+        "q": q, "w1_pre": w1_pre, "w1": w1, "h_pre": h_pre, "h": h, "w2_pre": w2_pre, "w2": w2,
+        "traces": [w1_trace, b1_trace, w2_trace, v_trace],
+    }
 
 
-def _mixer_backward(
-    mixer: QmixMixer, q: np.ndarray, state: np.ndarray, cache: dict, d_qtot: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
+def _mixer_backward(mixer: QmixMixer, cache: dict, d_qtot: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Returns (d_q, gradient list aligned with mixer.params())."""
+    q = cache["q"]
     g = d_qtot[:, None]
     if mixer.layers == 1:
-        w = cache["w"]
-        d_q = g * w
-        d_w_pre = g * q * np.sign(cache["w1_pre"])
-        gw1 = nn.backward(mixer.hyper_w1, state, d_w_pre)
-        gb1 = nn.backward(mixer.hyper_b1, state, g)
-        return d_q, gw1.params() + gb1.params()
-    w1, w2 = cache["w1"], cache["w2"]
-    d_h = g * w2
-    d_w2_pre = g * cache["h"] * np.sign(cache["w2_pre"])
-    d_h_pre = d_h * _elu_grad(cache["h_pre"])
-    d_q = np.einsum("ne,nae->na", d_h_pre, w1)
-    d_w1 = np.einsum("na,ne->nae", q, d_h_pre).reshape(len(q), -1) * np.sign(cache["w1_pre"])
-    gw1 = nn.backward(mixer.hyper_w1, state, d_w1)
-    gb1 = nn.backward(mixer.hyper_b1, state, d_h_pre)
-    gw2 = nn.backward(mixer.hyper_w2, state, d_w2_pre)
-    gv = nn.backward(mixer.hyper_v, state, g)
-    return d_q, gw1.params() + gb1.params() + gw2.params() + gv.params()
+        d_q = g * cache["w"]
+        d_outputs = [g * q * np.sign(cache["w1_pre"]), g]
+    else:
+        d_h = g * cache["w2"]
+        d_w2_pre = g * cache["h"] * np.sign(cache["w2_pre"])
+        d_h_pre = d_h * _elu_grad(cache["h_pre"])
+        d_q = np.einsum("ne,nae->na", d_h_pre, cache["w1"])
+        d_w1 = np.einsum("na,ne->nae", q, d_h_pre).reshape(len(q), -1) * np.sign(cache["w1_pre"])
+        d_outputs = [d_w1, d_h_pre, d_w2_pre, g]
+    grads = []
+    for net, trace, d_out in zip(mixer.nets(), cache["traces"], d_outputs):
+        grads += nn.backward(net, trace, d_out).params()
+    return d_q, grads
 
 
 def qmix_mix(per_agent_q: np.ndarray, state: np.ndarray, mixer: QmixMixer) -> np.ndarray:
@@ -439,17 +443,7 @@ class ValueLearner(Learner):
     def train_step(self) -> float | None:
         if self.frozen or len(self.buffer) < self.config.batch_episodes:
             return None
-        episodes = self.buffer.sample(self._rng, self.config.batch_episodes)
-        if self.algo == "iql":
-            return iql_train_step(self, episodes)
-        return team_td_train_step(self, episodes)
-
-    def _sync_targets_if_due(self) -> None:
-        self.train_steps += 1
-        if self.train_steps % self.config.target_interval == 0:
-            self.target_net.copy_from(self.net)
-            if self.mixer is not None:
-                self.target_mixer.copy_from(self.mixer)
+        return team_td_train_step(self, self.buffer.sample(self._rng, self.config.batch_episodes))
 
     def extra_meta(self) -> dict:
         return {"config": self.config.to_json(), "train_steps": self.train_steps, "seed": self.seed}
@@ -499,8 +493,7 @@ def _q_values(learner: ValueLearner, batch: _Batch):
     """Online Q (with trace) on steps 0..T-1 and target max-Q on steps 1..T."""
     B, T1, A, D = batch.inputs.shape
     nA = learner.team_spec.n_actions
-    flat_now = batch.inputs[:, :-1].reshape(-1, D)
-    q_now, trace = nn.forward_trace(learner.net, flat_now)
+    q_now, trace = nn.forward_trace(learner.net, batch.inputs[:, :-1].reshape(-1, D))
     q_now = q_now.reshape(B, T1 - 1, A, nA)
     q_next = nn.forward(learner.target_net, batch.inputs[:, 1:].reshape(-1, D)).reshape(B, T1 - 1, A, nA)
     avail_next = batch.avail[:, 1:]
@@ -511,14 +504,52 @@ def _q_values(learner: ValueLearner, batch: _Batch):
     else:
         next_max = np.where(avail_next, q_next, -np.inf).max(axis=-1)
     chosen = np.take_along_axis(q_now, batch.actions[..., None], axis=-1)[..., 0]
-    return chosen, next_max, flat_now, trace
+    return chosen, next_max, trace
 
 
-def _apply_gradients(learner: ValueLearner, flat_now, trace, d_q_flat, mixer_grads=None) -> None:
-    g = nn.backward(learner.net, flat_now, d_q_flat)
-    grads = g.params()
-    if mixer_grads is not None:
-        grads = grads + mixer_grads
+def team_td_train_step(learner: ValueLearner, episodes: list[TeamEpisode], gamma: float | None = None) -> float:
+    """One TD update for every mixing rule; returns the batch loss.
+
+    iql keeps each agent's chosen-action value, ``(B, T, A)``; vdn sums and
+    qmix mixes them into one team value, ``(B, T, 1)``.  Terminal steps
+    regress straight to the reward; the loss averages live steps and that axis.
+    """
+    if not episodes:
+        raise LearnerError("empty batch")
+    gamma = learner.config.gamma if gamma is None else gamma
+    batch = _collate(learner, episodes)
+    chosen, next_max, trace = _q_values(learner, batch)
+    B, T, A = chosen.shape
+    S = learner.team_spec.state_len
+
+    if learner.algo == "iql":
+        q_tot, next_tot = chosen, next_max
+    elif learner.algo == "vdn":
+        q_tot = chosen.sum(axis=-1, keepdims=True)
+        next_tot = next_max.sum(axis=-1, keepdims=True)
+    else:
+        q_tot, mix_cache = _mixer_forward(learner.mixer, chosen.reshape(-1, A), batch.states[:, :-1].reshape(-1, S))
+        q_tot = q_tot.reshape(B, T, 1)
+        next_tot = _mixer_forward(
+            learner.target_mixer, next_max.reshape(-1, A), batch.states[:, 1:].reshape(-1, S)
+        )[0].reshape(B, T, 1)
+
+    y = batch.rewards[..., None] + gamma * batch.boot[..., None] * next_tot
+    diff = (q_tot - y) * batch.pad[..., None]
+    norm = batch.pad.sum() * q_tot.shape[-1]
+    loss = float((diff * diff).sum() / norm)
+    d_tot = 2.0 * diff / norm
+
+    if learner.mixer is None:
+        d_chosen = np.broadcast_to(d_tot, chosen.shape)
+        mixer_grads = []
+    else:
+        d_chosen_flat, mixer_grads = _mixer_backward(learner.mixer, mix_cache, d_tot.reshape(-1))
+        d_chosen = d_chosen_flat.reshape(chosen.shape)
+
+    d_q = np.zeros(chosen.shape + (learner.team_spec.n_actions,))
+    np.put_along_axis(d_q, batch.actions[..., None], d_chosen[..., None], axis=-1)
+    grads = nn.backward(learner.net, trace, d_q.reshape(B * T * A, -1)).params() + mixer_grads
     clip = learner.config.grad_clip
     if clip > 0:
         total = np.sqrt(sum(float((a * a).sum()) for a in grads))
@@ -526,74 +557,11 @@ def _apply_gradients(learner: ValueLearner, flat_now, trace, d_q_flat, mixer_gra
             scale = clip / total
             grads = [a * scale for a in grads]
     nn.adam_step(learner.parameter_arrays(), grads, learner.opt)
-    learner._sync_targets_if_due()
-
-
-def iql_train_step(learner: ValueLearner, episodes: list[TeamEpisode], gamma: float | None = None) -> float:
-    """Per-agent TD regression; terminal steps regress straight to the reward."""
-    if not episodes:
-        raise LearnerError("empty batch")
-    gamma = learner.config.gamma if gamma is None else gamma
-    batch = _collate(learner, episodes)
-    chosen, next_max, flat_now, trace = _q_values(learner, batch)
-    y = batch.rewards[..., None] + gamma * batch.boot[..., None] * next_max
-    diff = (chosen - y) * batch.pad[..., None]
-    norm = batch.pad.sum() * learner.team_spec.n_agents
-    loss = float((diff * diff).sum() / norm)
-    d_chosen = 2.0 * diff / norm
-    d_q = np.zeros(chosen.shape + (learner.team_spec.n_actions,))
-    np.put_along_axis(d_q, batch.actions[..., None], d_chosen[..., None], axis=-1)
-    _apply_gradients(learner, flat_now, trace, d_q.reshape(len(flat_now), -1))
-    return loss
-
-
-def team_td_train_step(learner: ValueLearner, episodes: list[TeamEpisode], gamma: float | None = None) -> float:
-    """Team TD with additive (vdn) or monotonic (qmix) mixing."""
-    if not episodes:
-        raise LearnerError("empty batch")
-    gamma = learner.config.gamma if gamma is None else gamma
-    batch = _collate(learner, episodes)
-    chosen, next_max, flat_now, trace = _q_values(learner, batch)
-    B, T = batch.rewards.shape
-    A = learner.team_spec.n_agents
-
-    if learner.mixer is None:
-        q_tot = chosen.sum(axis=-1)
-        next_tot = next_max.sum(axis=-1)
-        mix_cache = None
-    else:
-        flat_chosen = chosen.reshape(-1, A)
-        flat_state = batch.states[:, :-1].reshape(-1, learner.team_spec.state_len)
-        q_tot_flat, mix_cache = _mixer_forward(learner.mixer, flat_chosen, flat_state)
-        q_tot = q_tot_flat.reshape(B, T)
-        next_tot = _mixer_forward(
-            learner.target_mixer,
-            next_max.reshape(-1, A),
-            batch.states[:, 1:].reshape(-1, learner.team_spec.state_len),
-        )[0].reshape(B, T)
-
-    y = batch.rewards + gamma * batch.boot * next_tot
-    diff = (q_tot - y) * batch.pad
-    norm = batch.pad.sum()
-    loss = float((diff * diff).sum() / norm)
-    d_tot = 2.0 * diff / norm
-
-    mixer_grads = None
-    if learner.mixer is None:
-        d_chosen = np.broadcast_to(d_tot[..., None], chosen.shape)
-    else:
-        d_chosen_flat, mixer_grads = _mixer_backward(
-            learner.mixer,
-            chosen.reshape(-1, A),
-            batch.states[:, :-1].reshape(-1, learner.team_spec.state_len),
-            mix_cache,
-            d_tot.reshape(-1),
-        )
-        d_chosen = d_chosen_flat.reshape(chosen.shape)
-
-    d_q = np.zeros(chosen.shape + (learner.team_spec.n_actions,))
-    np.put_along_axis(d_q, batch.actions[..., None], d_chosen[..., None], axis=-1)
-    _apply_gradients(learner, flat_now, trace, d_q.reshape(len(flat_now), -1), mixer_grads)
+    learner.train_steps += 1
+    if learner.train_steps % learner.config.target_interval == 0:
+        learner.target_net.copy_from(learner.net)
+        if learner.mixer is not None:
+            learner.target_mixer.copy_from(learner.mixer)
     return loss
 
 

@@ -2,8 +2,10 @@
 
 float64 end to end.  Parameters live in plain numpy arrays inside explicit
 containers, so target-network copies, checkpointing (see
-``learners.save_learner``) and hashing stay trivial; forward and backward
-are pure functions of (net, input).
+``learners.save_learner``) and hashing stay trivial.  Forward is a pure
+function of (net, input); backward is a pure function of (net, trace,
+output gradient), where the trace is what :func:`forward_trace` returned,
+so a gradient never costs a second forward pass.
 """
 
 from __future__ import annotations
@@ -94,15 +96,16 @@ class Gradients:
         return out
 
 
-def backward(net: Mlp, x: np.ndarray, output_gradient: np.ndarray) -> Gradients:
-    """Exact reverse-mode gradients of ``sum(forward(net, x) * output_gradient)``.
+def backward(net: Mlp, trace: list[np.ndarray], output_gradient: np.ndarray) -> Gradients:
+    """Exact reverse-mode gradients of ``sum(y * output_gradient)``.
 
-    Batched inputs accumulate over rows, matching a sum-reduced loss.
+    ``trace`` comes from ``forward_trace(net, x)`` and ``y`` is that call's
+    output; a single-row ``output_gradient`` gives a single-row
+    ``wrt_input``.  Batched inputs accumulate over rows, matching a
+    sum-reduced loss.
     """
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    _, trace = forward_trace(net, x)
     g = np.asarray(output_gradient, dtype=float)
+    squeeze = g.ndim == 1
     if squeeze:
         g = g[None, :]
     if g.shape[-1] != net.widths[-1]:
@@ -183,7 +186,8 @@ def finite_diff_check(net: Mlp, x: np.ndarray, tolerance: float, h: float = 1e-4
         y = forward(net, x)
         return 0.5 * float(np.sum(y * y))
 
-    analytic = backward(net, x, forward(net, x)).params()
+    y, trace = forward_trace(net, x)
+    analytic = backward(net, trace, y).params()
     worst = 0.0
     for p, g in zip(net.params(), analytic):
         flat = p.reshape(-1)

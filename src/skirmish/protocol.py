@@ -12,11 +12,17 @@ crosses the wire.
 Messages (every one carries ``type``):
   hello      {v, team: "red"|"blue"|"any", name}
   assign     {v, team, scenario, n_agents, obs_len, n_actions, episodes}
+             scenario is the ``scenario.scenario_config`` text of the
+             served scenario; ``parse_scenario_config`` reads it back
   obs        {episode, step, obs, masks, reward, terminated, outcome}
-  act        {actions}
+  act        {actions}: one plain integer action code per agent
   reset_ack  {}
   error      {code, message}
   bye        {reason}
+
+A malformed or unavailable ``act`` gets an ``error`` reply
+(``MalformedMessage`` or ``UnavailableAction``) and the server waits for
+another ``act`` for the same step.
 """
 
 from __future__ import annotations
@@ -30,10 +36,10 @@ import numpy as np
 from .engine import EngineConfig, Team
 from .env import BattleEnv, RewardConfig
 from .learners import Learner, ScriptedBot
-from .scenario import CATALOG, ScenarioSpec, get_scenario
+from .scenario import ScenarioSpec, get_scenario, parse_scenario_config, scenario_config
 from .seeding import episode_seed
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 
 class ProtocolError(RuntimeError):
@@ -64,28 +70,6 @@ class ConnectionLost(ProtocolError):
 
 class ProtocolViolation(ProtocolError):
     pass
-
-
-def scenario_summary(spec: ScenarioSpec) -> dict:
-    return {
-        "name": spec.name,
-        "red": [[s.name, c] for s, c in spec.red_composition],
-        "blue": [[s.name, c] for s, c in spec.blue_composition],
-        "arena": [spec.arena[0], spec.arena[1]],
-        "episode_step_limit": spec.episode_step_limit,
-        "spawn_spread": spec.spawn_spread,
-    }
-
-
-def spec_from_summary(summary: dict) -> ScenarioSpec:
-    return ScenarioSpec(
-        name=summary["name"],
-        red_composition=tuple((CATALOG[n], c) for n, c in summary["red"]),
-        blue_composition=tuple((CATALOG[n], c) for n, c in summary["blue"]),
-        arena=(summary["arena"][0], summary["arena"][1]),
-        episode_step_limit=summary["episode_step_limit"],
-        spawn_spread=summary["spawn_spread"],
-    )
 
 
 def _send(fh, message: dict) -> None:
@@ -201,7 +185,7 @@ class BattleServer:
                 "type": "assign",
                 "v": PROTOCOL_VERSION,
                 "team": team.name.lower(),
-                "scenario": scenario_summary(self.scenario),
+                "scenario": scenario_config(self.scenario),
                 "n_agents": view.n_agents,
                 "obs_len": view.obs_len,
                 "n_actions": view.n_actions,
@@ -273,18 +257,18 @@ class BattleServer:
             if message["type"] != "act":
                 raise ProtocolViolation(f"expected act, got {message['type']!r}")
             actions = message.get("actions")
-            if not isinstance(actions, list) or len(actions) != view.n_agents:
+            if (not isinstance(actions, list) or len(actions) != view.n_agents
+                    or not all(type(a) is int for a in actions)):  # bool is an int subclass: refused
                 _send(slot.wfile, {"type": "error", "code": "MalformedMessage",
-                                   "message": f"actions must be a list of {view.n_agents} codes"})
+                                   "message": f"actions must be a list of {view.n_agents} integer codes"})
                 continue
-            arr = np.asarray(actions, dtype=np.int64)
             mask = self.env.available_actions(slot.team)
-            bad = [a for a in range(view.n_agents) if arr[a] < 0 or arr[a] >= view.n_actions or not mask[a, arr[a]]]
+            bad = [a for a, code in enumerate(actions) if not 0 <= code < view.n_actions or not mask[a, code]]
             if bad:
                 _send(slot.wfile, {"type": "error", "code": "UnavailableAction",
-                                   "message": f"agent {bad[0]} cannot take action {int(arr[bad[0]])}"})
+                                   "message": f"agent {bad[0]} cannot take action {actions[bad[0]]}"})
                 continue
-            return arr
+            return np.asarray(actions, dtype=np.int64)
 
     def _run_episode(self, episode: int, slots) -> ServedEpisode:
         if self._bot is not None:
@@ -406,4 +390,4 @@ def client_loop(
 
 def bot_client(assign: dict) -> ScriptedBot:
     """Client-side factory: rebuild the scripted bot from the assign message."""
-    return ScriptedBot(spec_from_summary(assign["scenario"]), Team[assign["team"].upper()])
+    return ScriptedBot(parse_scenario_config(assign["scenario"]), Team[assign["team"].upper()])

@@ -14,7 +14,6 @@ from skirmish.learners import (
     TeamEpisode,
     ValueLearner,
     epsilon_greedy,
-    iql_train_step,
     load_learner,
     make_identity_mixer,
     make_learner,
@@ -309,8 +308,8 @@ def test_iql_terminal_target_ignores_target_net():
     b = ValueLearner("iql", spec, cfg, seed=2)
     for w in b.target_net.weights:
         w += 100.0  # garbage target network
-    la = iql_train_step(a, [ep])
-    lb = iql_train_step(b, [ep])
+    la = team_td_train_step(a, [ep])
+    lb = team_td_train_step(b, [ep])
     assert la == lb  # terminal step bootstraps nothing
     q = chosen_q(a, ep)
     assert la == pytest.approx(((q - 1.0) ** 2).mean())
@@ -322,7 +321,7 @@ def test_iql_gamma_zero_targets_are_rewards():
     rng = np.random.default_rng(3)
     ep = toy_episode(spec, 5, rng)
     learner = ValueLearner("iql", spec, cfg, seed=7)
-    loss = iql_train_step(learner, [ep], gamma=0.0)
+    loss = team_td_train_step(learner, [ep], gamma=0.0)
     q = chosen_q(learner, ep)
     expected = ((q - ep.rewards[:, None]) ** 2).mean()
     assert loss == pytest.approx(expected)
@@ -346,7 +345,7 @@ def test_iql_overfits_one_batch():
     rng = np.random.default_rng(0)
     eps = [toy_episode(spec, 6, rng), toy_episode(spec, 4, rng)]
     learner = ValueLearner("iql", spec, cfg, seed=1)
-    losses = [iql_train_step(learner, eps) for _ in range(50)]
+    losses = [team_td_train_step(learner, eps) for _ in range(50)]
     assert losses[-1] < losses[0] * 0.1
     assert np.median(losses[-10:]) < np.median(losses[:10])
 
@@ -362,11 +361,45 @@ def test_team_td_overfits_four_transitions(algo):
 
 
 def test_empty_batch_rejected():
-    learner = ValueLearner("iql", toy_spec(), LearnerConfig(hidden=(8,)), seed=0)
-    with pytest.raises(ValueError):
-        iql_train_step(learner, [])
-    with pytest.raises(ValueError):
-        team_td_train_step(learner, [])
+    for algo in ("iql", "vdn", "qmix"):
+        learner = ValueLearner(algo, toy_spec(), LearnerConfig(hidden=(8,)), seed=0)
+        with pytest.raises(ValueError):
+            team_td_train_step(learner, [])
+
+
+@pytest.mark.parametrize("algo", ["iql", "vdn", "qmix"])
+def test_td_gradient_matches_finite_differences(algo, monkeypatch):
+    """The gradient handed to Adam is the gradient of the returned loss."""
+    spec = toy_spec(A=3)
+    cfg = LearnerConfig(hidden=(8,), grad_clip=0.0, target_interval=10_000, mixer_embed=4)
+    rng = np.random.default_rng(21)
+    episodes = [toy_episode(spec, 5, rng), toy_episode(spec, 3, rng)]
+    learner = ValueLearner(algo, spec, cfg, seed=5)
+    for p in learner.target_net.params():  # targets that differ from the online values
+        p += rng.normal(scale=0.1, size=p.shape)
+    captured = []
+    monkeypatch.setattr(nn, "adam_step", lambda params, grads, state: captured.append(grads))
+
+    team_td_train_step(learner, episodes)  # no update: Adam only records the gradient
+    analytic = captured[0]
+    params = learner.parameter_arrays()
+    assert [g.shape for g in analytic] == [p.shape for p in params]
+    h = 1e-5
+    numeric, expected = [], []
+    for p, g in zip(params, analytic):
+        flat, gflat = p.reshape(-1), g.reshape(-1)
+        for k in rng.choice(flat.size, size=min(flat.size, 4), replace=False):
+            keep = flat[k]
+            flat[k] = keep + h
+            hi = team_td_train_step(learner, episodes)
+            flat[k] = keep - h
+            lo = team_td_train_step(learner, episodes)
+            flat[k] = keep
+            numeric.append((hi - lo) / (2.0 * h))
+            expected.append(gflat[k])
+    assert learner.train_steps < cfg.target_interval
+    assert np.abs(expected).max() > 1e-3
+    np.testing.assert_allclose(numeric, expected, rtol=1e-5, atol=1e-8)
 
 
 # -- reduction identities -----------------------------------------------------------
@@ -380,7 +413,7 @@ def test_vdn_single_agent_equals_iql_exactly():
     iql = ValueLearner("iql", spec, cfg, seed=4)
     vdn = ValueLearner("vdn", spec, cfg, seed=4)
     for _ in range(5):
-        assert iql_train_step(iql, episodes) == team_td_train_step(vdn, episodes)
+        assert team_td_train_step(iql, episodes) == team_td_train_step(vdn, episodes)
     for a, b in zip(iql.parameter_arrays(), vdn.parameter_arrays()):
         assert np.array_equal(a, b)
 

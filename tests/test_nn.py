@@ -79,7 +79,8 @@ def test_forward_shape_mismatch():
 
 def test_backward_zero_output_gradient():
     net = nn.init_params((4, 8, 3), seed=3)
-    g = nn.backward(net, np.ones(4), np.zeros(3))
+    _, trace = nn.forward_trace(net, np.ones(4))
+    g = nn.backward(net, trace, np.zeros(3))
     assert all((p == 0).all() for p in g.params())
     assert (g.wrt_input == 0).all()
 
@@ -88,18 +89,26 @@ def test_backward_single_linear_layer_outer_product():
     net = nn.init_params((3, 2), seed=0)
     x = np.array([1.0, -2.0, 0.5])
     gy = np.array([2.0, -1.0])
-    g = nn.backward(net, x, gy)
+    _, trace = nn.forward_trace(net, x)
+    g = nn.backward(net, trace, gy)
     assert np.array_equal(g.weights[0], np.outer(gy, x))
     assert np.array_equal(g.biases[0], gy)
     assert np.array_equal(g.wrt_input, gy @ net.weights[0])
 
 
-def test_backward_purity():
+def test_backward_purity(monkeypatch):
     net = nn.init_params((4, 8, 3), seed=4)
     snapshot = [p.copy() for p in net.params()]
-    nn.forward(net, np.ones(4))
-    nn.backward(net, np.ones(4), np.ones(3))
-    for before, after in zip(snapshot, net.params()):
+    _, trace = nn.forward_trace(net, np.ones(4))
+    trace_snapshot = [a.copy() for a in trace]
+
+    def no_forward(*args):
+        raise AssertionError("backward must reuse the trace, not run forward again")
+
+    monkeypatch.setattr(nn, "forward_trace", no_forward)
+    monkeypatch.setattr(nn, "forward", no_forward)
+    nn.backward(net, trace, np.ones(3))
+    for before, after in zip(snapshot + trace_snapshot, net.params() + trace):
         assert np.array_equal(before, after)
 
 
@@ -119,8 +128,8 @@ def test_gradcheck_detects_corruption():
 
     original = nn.backward
 
-    def corrupted(n, xx, gy):
-        g = original(n, xx, gy)
+    def corrupted(n, trace, gy):
+        g = original(n, trace, gy)
         g.biases[-1][0] += 0.5
         return g
 

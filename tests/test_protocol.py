@@ -119,3 +119,41 @@ def test_missing_reset_ack_forfeits():
     protocol._close(rfile, wfile, conn)
     assert message["reason"] == "act timeout forfeit"
     assert finish(*session) == [ServedEpisode(outcome="blue_win_forfeit")]
+
+
+def test_malformed_act_gets_an_error_and_play_goes_on():
+    scenario = dataclasses.replace(get_scenario("3m"), episode_step_limit=3)
+    server = BattleServer(scenario, episodes=1, bot_team=Team.BLUE)
+    session = start(server.run)
+    conn, rfile, wfile = raw_client(server.address)
+    protocol._send(wfile, {"type": "hello", "v": PROTOCOL_VERSION, "team": "red"})
+    assert protocol._recv(rfile)["type"] == "assign"
+    message = protocol._recv(rfile)
+    assert message["step"] == 0
+    refusals = [
+        (["x", "y", "z"], "MalformedMessage"),
+        ([True, False, True], "MalformedMessage"),
+        ([1.0, 1, 1], "MalformedMessage"),
+        ([1, 1], "MalformedMessage"),
+        ([2**70, 1, 1], "UnavailableAction"),  # too large for int64: refused, not converted
+        ([-1, 1, 1], "UnavailableAction"),
+    ]
+    for actions, code in refusals:
+        protocol._send(wfile, {"type": "act", "actions": actions})
+        reply = protocol._recv(rfile)
+        assert (reply["type"], reply["code"]) == ("error", code)
+
+    steps = []
+    while message["type"] != "bye":
+        if message["terminated"]:
+            protocol._send(wfile, {"type": "reset_ack"})
+        else:
+            masks = np.asarray(message["masks"], dtype=bool)
+            protocol._send(wfile, {"type": "act", "actions": [int(np.flatnonzero(m)[0]) for m in masks]})
+        message = protocol._recv(rfile)
+        if message["type"] == "obs":
+            steps.append(message["step"])
+    protocol._close(rfile, wfile, conn)
+    served = finish(*session)
+    assert len(served) == 1
+    assert steps == list(range(1, served[0].length + 1))
