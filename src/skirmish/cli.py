@@ -25,12 +25,12 @@ import numpy as np
 from . import __version__
 from .engine import EngineConfig, Team
 from .env import BattleEnv, ReplayWriter, RewardConfig
-from .learners import Learner, LearnerConfig, load_learner, make_learner
+from .learners import Learner, LearnerConfig, load_learner, make_learner, save_learner
 from .scenario import ScenarioError, ScenarioSpec, builtin_scenarios, get_scenario, parse_scenario_config
 from .seeding import STREAM_BENCH, STREAM_INIT, derive_seed
 from .training import (
     OpponentPool,
-    PoolRecipe,
+    RunMetrics,
     TrainConfig,
     build_opponent_pool,
     curve_to_json,
@@ -213,8 +213,11 @@ def _manifest(path: Path, args, extra: dict) -> None:
 # -- subcommand bodies ---------------------------------------------------------
 
 
-def _train_one_seed(payload: tuple) -> list[str]:
-    """Run one seed; returns written artifact paths (multiprocessing-safe)."""
+def _train_one_seed(payload: tuple) -> list[RunMetrics]:
+    """Run one seed and write its metrics and checkpoints; returns the metrics, red first.
+
+    Picklable both ways, so seeds can run in worker processes.
+    """
     args, overrides, seed, out = payload
     scenario, engine, reward = _resolve_run(args, overrides)
     learner_cfg = _build_section(LearnerConfig, overrides, "learner")
@@ -227,41 +230,26 @@ def _train_one_seed(payload: tuple) -> list[str]:
         reward=reward,
     )
     env = BattleEnv(scenario, engine, reward)
-    out = Path(out)
-    written: list[str] = []
-    from .learners import save_learner
-
+    sides = [(Team.RED, args.algo), (Team.BLUE, args.algo_b)] if args.mode == "paired" else [(Team.RED, args.algo)]
+    learners = [
+        # Paired sides' seeds carry a side index; a lone learner's seed does not.
+        make_learner(algo, env.team_spec(team), learner_cfg,
+                     seed=derive_seed(STREAM_INIT, seed, *([i] if len(sides) > 1 else [])))
+        for i, (team, algo) in enumerate(sides)
+    ]
     if args.mode == "bot":
-        red = make_learner(args.algo, env.team_spec(Team.RED), learner_cfg, seed=derive_seed(STREAM_INIT, seed))
-        metrics = train_vs_bot(red, scenario, config, seed=seed)
-        runs = [metrics]
-        ckpts = [(red, out / f"checkpoint_seed{seed}_{args.algo}_red.npz")]
+        runs = [train_vs_bot(learners[0], scenario, config, seed=seed)]
     elif args.mode == "paired":
-        algo_b = args.algo_b or args.algo
-        red = make_learner(args.algo, env.team_spec(Team.RED), learner_cfg, seed=derive_seed(STREAM_INIT, seed, 0))
-        blue = make_learner(algo_b, env.team_spec(Team.BLUE), learner_cfg, seed=derive_seed(STREAM_INIT, seed, 1))
-        ma, mb = train_paired(red, blue, scenario, config, seed=seed)
-        runs = [ma, mb]
-        ckpts = [
-            (red, out / f"checkpoint_seed{seed}_{args.algo}_red.npz"),
-            (blue, out / f"checkpoint_seed{seed}_{algo_b}_blue.npz"),
-        ]
+        runs = list(train_paired(*learners, scenario, config, seed=seed))
     else:
-        pool = _load_pool(Path(args.pool))
-        red = make_learner(args.algo, env.team_spec(Team.RED), learner_cfg, seed=derive_seed(STREAM_INIT, seed))
-        metrics = train_mixed(red, pool, scenario, config, seed=seed)
-        runs = [metrics]
-        ckpts = [(red, out / f"checkpoint_seed{seed}_{args.algo}_red.npz")]
+        runs = [train_mixed(learners[0], _load_pool(Path(args.pool)), scenario, config, seed=seed)]
 
-    for i, metrics in enumerate(runs):
-        suffix = "" if len(runs) == 1 else ("_red" if i == 0 else "_blue")
-        path = out / f"metrics_seed{seed}{suffix}.csv"
-        write_metrics_csv(metrics, path)
-        written.append(str(path))
-    for learner, path in ckpts:
-        save_learner(path, learner, {"train_seed": seed, "mode": args.mode})
-        written.append(str(path))
-    return written
+    out = Path(out)
+    for metrics, learner, (team, algo) in zip(runs, learners, sides):
+        side = team.name.lower()
+        write_metrics_csv(metrics, out / f"metrics_seed{seed}{'' if len(sides) == 1 else '_' + side}.csv")
+        save_learner(out / f"checkpoint_seed{seed}_{algo}_{side}.npz", learner, {"train_seed": seed, "mode": args.mode})
+    return runs
 
 
 def cmd_train(args) -> int:
@@ -280,18 +268,10 @@ def cmd_train(args) -> int:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for _ in pool.map(_train_one_seed, payloads):
-                pass
+            primary = [runs[0] for runs in pool.map(_train_one_seed, payloads)]
     else:
-        for payload in payloads:
-            _train_one_seed(payload)
+        primary = [_train_one_seed(payload)[0] for payload in payloads]
 
-    from .training import read_metrics_csv
-
-    primary = [read_metrics_csv(out / f"metrics_seed{s}.csv")
-               if (out / f"metrics_seed{s}.csv").exists()
-               else read_metrics_csv(out / f"metrics_seed{s}_red.csv")
-               for s in seeds]
     aggregate = {
         "scenario": primary[0].scenario,
         "mode": primary[0].mode,
@@ -368,20 +348,17 @@ def _load_pool(directory: Path) -> OpponentPool:
 
 def cmd_pool(args) -> int:
     overrides = _load_config_file(args.config)
-    scenario = _resolve_scenario(args, overrides)
-    learner_cfg = _build_section(LearnerConfig, overrides, "learner")
-    algos = tuple(a for a in args.algos.split(",") if a)
-    recipe = PoolRecipe(
-        algos=algos,
-        steps_per_member=args.steps_per_member,
-        include_bot=not args.no_bot,
-        learner=learner_cfg,
+    scenario, engine, reward = _resolve_run(args, overrides)
+    config = TrainConfig(
+        total_env_steps=args.steps_per_member,
+        learner=_build_section(LearnerConfig, overrides, "learner"),
+        engine=engine,
+        reward=reward,
     )
-    pool = build_opponent_pool(scenario, recipe, seed=args.seed)
+    algos = [a for a in args.algos.split(",") if a]
+    pool = build_opponent_pool(scenario, algos, not args.no_bot, config, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    from .learners import save_learner
-
     entries = []
     for name, member in zip(pool.names, pool.members):
         filename = f"member_{len(entries)}_{name}.npz"

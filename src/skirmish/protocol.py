@@ -20,9 +20,12 @@ Messages (every one carries ``type``):
   error      {code, message}
   bye        {reason}
 
-A malformed or unavailable ``act`` gets an ``error`` reply
-(``MalformedMessage`` or ``UnavailableAction``) and the server waits for
-another ``act`` for the same step.
+While the server waits for an ``act``, a line that is not a JSON object
+with a ``type``, any other message type, or a malformed ``act`` gets an
+``error`` reply with code ``MalformedMessage``; an ``act`` naming an
+unavailable action gets ``UnavailableAction``.  Either way the server
+keeps waiting for an ``act`` for the same step.  A hang-up still ends the
+session with :class:`ConnectionLost`.
 """
 
 from __future__ import annotations
@@ -253,14 +256,16 @@ class BattleServer:
         """Blocks until this team sends a mask-consistent act."""
         view = self.env.team_spec(slot.team)
         while True:
-            message = self._recv_in_time(slot)
-            if message["type"] != "act":
-                raise ProtocolViolation(f"expected act, got {message['type']!r}")
-            actions = message.get("actions")
-            if (not isinstance(actions, list) or len(actions) != view.n_agents
-                    or not all(type(a) is int for a in actions)):  # bool is an int subclass: refused
-                _send(slot.wfile, {"type": "error", "code": "MalformedMessage",
-                                   "message": f"actions must be a list of {view.n_agents} integer codes"})
+            try:
+                message = self._recv_in_time(slot)
+                if message["type"] != "act":
+                    raise MalformedMessage(f"expected act, got {message['type']!r}")
+                actions = message.get("actions")
+                if (not isinstance(actions, list) or len(actions) != view.n_agents
+                        or not all(type(a) is int for a in actions)):  # bool is an int subclass: refused
+                    raise MalformedMessage(f"actions must be a list of {view.n_agents} integer codes")
+            except MalformedMessage as exc:
+                _send(slot.wfile, {"type": "error", "code": "MalformedMessage", "message": str(exc)})
                 continue
             mask = self.env.available_actions(slot.team)
             bad = [a for a, code in enumerate(actions) if not 0 <= code < view.n_actions or not mask[a, code]]

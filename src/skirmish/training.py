@@ -1,24 +1,36 @@
 """Training controllers and evaluation.
 
-Three ways to train a team: against the scripted bot, paired against a
-second learner that trains simultaneously, or against a frozen pool of
-opponents with one member drawn per episode.  Evaluation periodically runs
-a fixed number of greedy episodes; every run is reproducible from its seed
-because episode seeds, exploration, opponent sampling and evaluation each
-use an independent derived stream.
+One loop, ``_train``, trains every mode.  It plays one episode with a red
+learner against blue, which is a fixed learner or a draw from a frozen
+:class:`OpponentPool`.  Each side that learns observes its half of the
+episode and takes one update.  At scheduled env-step counts red plays a
+greedy :func:`evaluate` set, and the caller records the result.
+
+* :func:`train_vs_bot`: red learns, the scripted bot plays blue;
+* :func:`train_paired`: red and blue learn from the same episodes, and one
+  evaluation set is reported from both sides;
+* :func:`train_mixed`: red learns against a per-episode pool draw, and
+  evaluation draws from the pool too;
+* :func:`build_opponent_pool`: each member learns as blue against the red
+  bot, unevaluated, and is then frozen.
+
+Every run is reproducible from its seed, because episode seeds,
+exploration, opponent draws and evaluation each use their own derived
+stream.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .engine import EngineConfig, Outcome, Team
 from .env import BattleEnv, ReplayWriter, RewardConfig, replay_record
-from .learners import Learner, LearnerConfig, TeamEpisode
+from .learners import Learner, LearnerConfig, ScriptedBot, TeamEpisode, make_learner
 from .seeding import STREAM_EVAL, STREAM_EXPLORE, STREAM_POOL, derive_seed, episode_seed
 
 
@@ -217,7 +229,7 @@ def evaluate(
     ret_r = 0.0
     ret_b = 0.0
     for i in range(n_episodes):
-        opponent = blue if opponent_pool is None else opponent_pool.draw(pool_rng, record=False)
+        opponent = blue if opponent_pool is None else opponent_pool.draw(pool_rng)
         ep = run_episode(
             env, red, opponent, seed=episode_seed(seed, i), rng_red=rng_red, rng_blue=rng_blue,
             replay=replay, episode_id=i,
@@ -240,87 +252,95 @@ def _eval_schedule(total: int, interval: int) -> list[int]:
     return points
 
 
-class _TrainLoop:
-    """Shared skeleton: collect one episode, train, evaluate on schedule."""
+@dataclass
+class OpponentPool:
+    """Frozen opponents for the mixed mode; one is drawn per episode."""
 
-    def __init__(self, scenario, config: TrainConfig, seed: int):
-        self.scenario = scenario
-        self.config = config
-        self.seed = seed
-        self.env = BattleEnv(scenario, config.engine, config.reward)
-        self.rng_red = np.random.default_rng(derive_seed(STREAM_EXPLORE, seed, 0))
-        self.rng_blue = np.random.default_rng(derive_seed(STREAM_EXPLORE, seed, 1))
-        self.steps_done = 0
-        self.episode_index = 0
-        self.pending = _eval_schedule(config.total_env_steps, config.test_interval)
+    members: list[Learner]
+    names: list[str]
 
-    def epsilon(self, learner: Learner) -> float:
-        if not learner.trainable or learner.frozen:
-            return 0.0
-        cfg = getattr(learner, "config", None) or LearnerConfig()
-        return cfg.epsilon_at(self.steps_done)
+    def __post_init__(self):
+        if not self.members:
+            raise TrainingError("opponent pool must not be empty")
+        for name, member in zip(self.names, self.members):
+            if not member.frozen:
+                raise MutablePoolMember(f"pool member {name!r} is not frozen")
 
-    def collect(self, red: Learner, blue: Learner) -> EpisodeResult:
+    def draw(self, rng) -> Learner:
+        return self.members[int(rng.integers(0, len(self.members)))]
+
+    def hashes(self) -> list[str]:
+        return [m.checkpoint_hash() for m in self.members]
+
+
+def _learning(learner: Learner) -> bool:
+    return learner.trainable and not learner.frozen
+
+
+def _train(
+    red: Learner,
+    blue: Learner | OpponentPool,
+    scenario,
+    config: TrainConfig,
+    seed: int,
+    record: Callable[[EvalPoint], None] | None = None,
+) -> None:
+    """The one training loop: collect an episode, let each learning side train, evaluate on schedule.
+
+    ``blue`` is a fixed learner or a pool that is drawn from once per
+    episode.  Each side that recorded its episode (a trainable, unfrozen
+    learner) observes it, takes one ``train_step`` and has its
+    ``env_steps`` set.  At every scheduled point, red plays a greedy
+    :func:`evaluate` set against blue (or the whole pool), and ``record``
+    receives the result; with ``record`` unset, nothing is evaluated.
+    """
+    env = BattleEnv(scenario, config.engine, config.reward)
+    rng_red = np.random.default_rng(derive_seed(STREAM_EXPLORE, seed, 0))
+    rng_blue = np.random.default_rng(derive_seed(STREAM_EXPLORE, seed, 1))
+    pool = blue if isinstance(blue, OpponentPool) else None
+    pool_rng = np.random.default_rng(derive_seed(STREAM_POOL, seed))
+    pending = _eval_schedule(config.total_env_steps, config.test_interval)
+    steps = episodes = point_idx = 0
+    while True:
+        while pending and steps >= pending[0]:
+            nominal = pending.pop(0)
+            if record is not None:
+                res = evaluate(
+                    red, None if pool is not None else blue, scenario,
+                    n_episodes=config.test_episodes,
+                    seed=derive_seed(STREAM_EVAL, seed, point_idx),
+                    engine_config=config.engine,
+                    reward_config=config.reward,
+                    opponent_pool=pool,
+                )
+                record(EvalPoint(nominal, res.wins, res.draws, res.losses, res.mean_return_red, res.mean_return_blue))
+            point_idx += 1
+        if not pending:  # the last scheduled point is the budget itself
+            return
+        opponent = pool.draw(pool_rng) if pool is not None else blue
         ep = run_episode(
-            self.env,
-            red,
-            blue,
-            seed=episode_seed(self.seed, self.episode_index),
-            epsilon_red=self.epsilon(red),
-            epsilon_blue=self.epsilon(blue),
-            rng_red=self.rng_red,
-            rng_blue=self.rng_blue,
-            collect_red=red.trainable and not red.frozen,
-            collect_blue=blue.trainable and not blue.frozen,
+            env, red, opponent,
+            seed=episode_seed(seed, episodes),
+            epsilon_red=red.config.epsilon_at(steps) if _learning(red) else 0.0,
+            epsilon_blue=opponent.config.epsilon_at(steps) if _learning(opponent) else 0.0,
+            rng_red=rng_red,
+            rng_blue=rng_blue,
+            collect_red=_learning(red),
+            collect_blue=_learning(opponent),
         )
-        self.episode_index += 1
-        self.steps_done += ep.length
-        return ep
-
-    def due_evals(self) -> list[int]:
-        due = []
-        while self.pending and self.steps_done >= self.pending[0]:
-            due.append(self.pending.pop(0))
-        return due
-
-    @property
-    def finished(self) -> bool:
-        return self.steps_done >= self.config.total_env_steps and not self.pending
-
-
-def _eval_point(loop: _TrainLoop, nominal: int, point_idx: int, red, blue, pool=None) -> EvalPoint:
-    res = evaluate(
-        red,
-        blue,
-        loop.scenario,
-        n_episodes=loop.config.test_episodes,
-        seed=derive_seed(STREAM_EVAL, loop.seed, point_idx),
-        engine_config=loop.config.engine,
-        reward_config=loop.config.reward,
-        opponent_pool=pool,
-    )
-    return EvalPoint(nominal, res.wins, res.draws, res.losses, res.mean_return_red, res.mean_return_blue)
+        episodes += 1
+        steps += ep.length
+        for learner, episode in ((red, ep.red_episode), (opponent, ep.blue_episode)):
+            if episode is not None:
+                learner.observe(episode)
+                learner.train_step()
+                learner.env_steps = steps
 
 
 def train_vs_bot(algo: Learner, scenario, config: TrainConfig, seed: int = 0) -> RunMetrics:
     """Red trains against the frozen scripted bot on blue."""
-    from .learners import ScriptedBot
-
-    blue = ScriptedBot(scenario, Team.BLUE)
-    loop = _TrainLoop(scenario, config, seed)
     metrics = RunMetrics(scenario.name, "bot", algo.algo, "bot", seed)
-    point_idx = 0
-    for nominal in loop.due_evals():  # the untouched-network baseline point
-        metrics.points.append(_eval_point(loop, nominal, point_idx, algo, blue))
-        point_idx += 1
-    while not loop.finished:
-        ep = loop.collect(algo, blue)
-        algo.observe(ep.red_episode)
-        algo.train_step()
-        algo.env_steps = loop.steps_done
-        for nominal in loop.due_evals():
-            metrics.points.append(_eval_point(loop, nominal, point_idx, algo, blue))
-            point_idx += 1
+    _train(algo, ScriptedBot(scenario, Team.BLUE), scenario, config, seed, metrics.points.append)
     return metrics
 
 
@@ -336,63 +356,17 @@ def train_paired(
         warnings.warn(
             f"paired training on asymmetric scenario {scenario.name!r}", AsymmetricScenarioWarning
         )
-    loop = _TrainLoop(scenario, config, seed)
     metrics_a = RunMetrics(scenario.name, "paired", algo_a.algo, algo_b.algo, seed)
     metrics_b = RunMetrics(scenario.name, "paired", algo_b.algo, algo_a.algo, seed)
 
-    def both(nominal: int, point_idx: int) -> None:
-        point = _eval_point(loop, nominal, point_idx, algo_a, algo_b)
-        metrics_a.points.append(point)
+    def both(p: EvalPoint) -> None:
+        metrics_a.points.append(p)
         metrics_b.points.append(
-            EvalPoint(nominal, point.losses, point.draws, point.wins, point.mean_return_blue, point.mean_return_red)
+            EvalPoint(p.env_step, p.losses, p.draws, p.wins, p.mean_return_blue, p.mean_return_red)
         )
 
-    point_idx = 0
-    for nominal in loop.due_evals():
-        both(nominal, point_idx)
-        point_idx += 1
-    while not loop.finished:
-        ep = loop.collect(algo_a, algo_b)
-        algo_a.observe(ep.red_episode)
-        algo_b.observe(ep.blue_episode)
-        algo_a.train_step()
-        algo_b.train_step()
-        algo_a.env_steps = loop.steps_done
-        algo_b.env_steps = loop.steps_done
-        for nominal in loop.due_evals():
-            both(nominal, point_idx)
-            point_idx += 1
+    _train(algo_a, algo_b, scenario, config, seed, both)
     return metrics_a, metrics_b
-
-
-@dataclass
-class OpponentPool:
-    """Frozen opponents for the mixed mode; one is drawn per episode."""
-
-    members: list[Learner]
-    names: list[str]
-    weights: np.ndarray | None = None
-    draw_counts: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if not self.members:
-            raise TrainingError("opponent pool must not be empty")
-        for name, member in zip(self.names, self.members):
-            if not member.frozen:
-                raise MutablePoolMember(f"pool member {name!r} is not frozen")
-        self.draw_counts = np.zeros(len(self.members), dtype=np.int64)
-
-    def draw(self, rng, record: bool = True) -> Learner:
-        if self.weights is None:
-            idx = int(rng.integers(0, len(self.members)))
-        else:
-            idx = int(rng.choice(len(self.members), p=self.weights))
-        if record:
-            self.draw_counts[idx] += 1
-        return self.members[idx]
-
-    def hashes(self) -> list[str]:
-        return [m.checkpoint_hash() for m in self.members]
 
 
 def train_mixed(
@@ -400,83 +374,39 @@ def train_mixed(
 ) -> RunMetrics:
     """Red trains against a per-episode draw from the frozen pool."""
     before = pool.hashes()
-    loop = _TrainLoop(scenario, config, seed)
-    pool_rng = np.random.default_rng(derive_seed(STREAM_POOL, seed))
     metrics = RunMetrics(scenario.name, "mixed", algo.algo, "pool", seed)
-    point_idx = 0
-    for nominal in loop.due_evals():
-        metrics.points.append(_eval_point(loop, nominal, point_idx, algo, None, pool=pool))
-        point_idx += 1
-    while not loop.finished:
-        opponent = pool.draw(pool_rng)
-        ep = loop.collect(algo, opponent)
-        algo.observe(ep.red_episode)
-        algo.train_step()
-        algo.env_steps = loop.steps_done
-        for nominal in loop.due_evals():
-            metrics.points.append(_eval_point(loop, nominal, point_idx, algo, None, pool=pool))
-            point_idx += 1
+    _train(algo, pool, scenario, config, seed, metrics.points.append)
     if pool.hashes() != before:
         raise MutablePoolMember("a pool member's parameters changed during the run")
     return metrics
 
 
-@dataclass(frozen=True)
-class PoolRecipe:
-    """How to build an opponent pool: which algorithms, how long, plus the bot."""
+def build_opponent_pool(
+    scenario, algos: Sequence[str], include_bot: bool, config: TrainConfig, seed: int = 0
+) -> OpponentPool:
+    """Train one blue member per algorithm against the red bot, then freeze it.
 
-    algos: tuple[str, ...] = ("iql", "vdn", "qmix")
-    steps_per_member: int = 150_000
-    include_bot: bool = True
-    learner: LearnerConfig = field(default_factory=LearnerConfig)
-
-
-def build_opponent_pool(scenario, recipe: PoolRecipe, seed: int = 0, config: TrainConfig | None = None) -> OpponentPool:
-    """Train each member on the opponent side against the bot, then freeze.
-
-    Members are trained as blue so their shapes fit the opponent slot even
-    on asymmetric scenarios.
+    Each member trains for ``config.total_env_steps`` with ``config``'s
+    learner, engine and reward settings, and is not evaluated.  Members
+    are trained as blue so their shapes fit the opponent slot even on
+    asymmetric scenarios.  With ``include_bot``, the blue scripted bot
+    joins the pool last.
     """
-    from .learners import ScriptedBot, make_learner
-
-    if not recipe.algos and not recipe.include_bot:
+    if not algos and not include_bot:
         raise TrainingError("empty pool recipe")
+    spec = BattleEnv(scenario, config.engine, config.reward).team_spec(Team.BLUE)
     members: list[Learner] = []
-    names: list[str] = []
-    base = config or TrainConfig(
-        total_env_steps=recipe.steps_per_member,
-        test_interval=max(1, recipe.steps_per_member),  # endpoints only
-        learner=recipe.learner,
-    )
-    for k, algo_name in enumerate(recipe.algos):
+    for k, algo_name in enumerate(algos):
         member_seed = derive_seed(STREAM_POOL, seed, k)
-        learner = make_learner(
-            algo_name,
-            BattleEnv(scenario, base.engine, base.reward).team_spec(Team.BLUE),
-            recipe.learner,
-            seed=member_seed,
-        )
-        _train_blue_vs_bot(learner, scenario, base, member_seed)
+        learner = make_learner(algo_name, spec, config.learner, seed=member_seed)
+        _train(ScriptedBot(scenario, Team.RED), learner, scenario, config, member_seed)
         learner.freeze()
         members.append(learner)
-        names.append(algo_name)
-    if recipe.include_bot:
+    names = list(algos)
+    if include_bot:
         members.append(ScriptedBot(scenario, Team.BLUE))
         names.append("bot")
     return OpponentPool(members=members, names=names)
-
-
-def _train_blue_vs_bot(learner: Learner, scenario, config: TrainConfig, seed: int) -> None:
-    """Pool-building loop: red is the bot, blue is the member in training."""
-    from .learners import ScriptedBot
-
-    red = ScriptedBot(scenario, Team.RED)
-    loop = _TrainLoop(scenario, config, seed)
-    while loop.steps_done < config.total_env_steps:
-        ep = loop.collect(red, learner)
-        learner.observe(ep.blue_episode)
-        learner.train_step()
-        learner.env_steps = loop.steps_done
 
 
 # -- aggregation and persistence ----------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from skirmish import cli
 from skirmish.engine import Team
 from skirmish.env import UnavailableAction
+from skirmish.learners import load_learner
 
 
 def test_train_then_analyze(tmp_path):
@@ -68,3 +69,53 @@ def test_scenario_errors_exit_2(tmp_path):
     scenario = tmp_path / "slow.ini"
     scenario.write_text("[scenario]\nbase = 3m\n\n[engine]\nstep_dt = 5.0\n")
     assert cli.main(["bench", "--scenario", str(scenario), "--steps", "10"]) == 2
+
+
+def test_pool_resolves_the_whole_config(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"engine": {"bogus": 1}}))
+    assert cli.main(["pool", "--algos", "", "--config", str(bad), "--out", str(tmp_path / "bad")]) == 2
+
+    # A [reward] override reaches the members: the same seed trains a different network.
+    learner = {"hidden": [8], "batch_episodes": 1}
+    hashes = []
+    for name, config in (("plain", {"learner": learner}),
+                         ("scaled", {"learner": learner, "reward": {"scale_target": 1.0}})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / name
+        assert cli.main(["pool", "--algos", "iql", "--no-bot", "--steps-per-member", "60",
+                         "--config", str(path), "--out", str(out)]) == 0
+        hashes.append(json.loads((out / "pool_manifest.json").read_text())["members"][0]["hash"])
+    assert hashes[0] != hashes[1]
+
+
+def _pipeline(root, config):
+    """train (2 seeds) -> analyze --metrics-dir -> pit --replay-out -> analyze --replays."""
+    train = root / "train"
+    assert cli.main(["train", "--scenario", "3m", "--steps", "300", "--seeds", "2", "--test-interval", "150",
+                     "--test-episodes", "2", "--config", str(config), "--out", str(train)]) == 0
+    assert cli.main(["analyze", "--metrics-dir", str(train), "--out", str(root / "curves")]) == 0
+    replay = root / "pit.jsonl"
+    assert cli.main(["pit", "--scenario", "3m", "--red", str(train / "checkpoint_seed1_iql_red.npz"),
+                     "--blue", "bot", "--episodes", "3", "--seed", "4", "--replay-out", str(replay)]) == 0
+    assert cli.main(["analyze", "--replays", str(replay), "--out", str(root / "diversity")]) == 0
+    outputs = {path.relative_to(root).as_posix(): path.read_bytes()
+               for path in sorted(root.rglob("*")) if path.is_file() and path.suffix != ".npz"
+               and path.name != "manifest.json"}  # manifests record the output paths
+    hashes = {path.name: load_learner(path).checkpoint_hash() for path in sorted(train.glob("*.npz"))}
+    return outputs, hashes
+
+
+@pytest.mark.slow
+def test_pipeline_outputs_are_byte_identical_across_runs(tmp_path):
+    config = tmp_path / "learner.json"
+    config.write_text(json.dumps({"learner": {"hidden": [16], "batch_episodes": 2, "epsilon_anneal_steps": 300}}))
+    first = _pipeline(tmp_path / "a", config)
+    assert sorted(first[0]) == [
+        "curves/curves.csv", "curves/summary.json", "diversity/pit_diversity.json", "pit.jsonl",
+        "train/aggregate.json", "train/metrics_seed0.csv", "train/metrics_seed1.csv",
+    ]
+    assert sorted(first[1]) == ["checkpoint_seed0_iql_red.npz", "checkpoint_seed1_iql_red.npz"]
+    assert len(set(first[1].values())) == 2  # the seeds train different networks
+    assert _pipeline(tmp_path / "b", config) == first

@@ -16,6 +16,7 @@ from skirmish.protocol import (
     BattleServer,
     HandshakeVersionMismatch,
     ServedEpisode,
+    TeamSlotTaken,
     bot_client,
     client_loop,
 )
@@ -157,3 +158,63 @@ def test_malformed_act_gets_an_error_and_play_goes_on():
     served = finish(*session)
     assert len(served) == 1
     assert steps == list(range(1, served[0].length + 1))
+
+
+def test_bad_lines_while_waiting_for_an_act_get_errors_and_play_goes_on():
+    scenario = dataclasses.replace(get_scenario("3m"), episode_step_limit=3)
+    server = BattleServer(scenario, episodes=1, bot_team=Team.BLUE)
+    session = start(server.run)
+    conn, rfile, wfile = raw_client(server.address)
+    protocol._send(wfile, {"type": "hello", "v": PROTOCOL_VERSION, "team": "red"})
+    assert protocol._recv(rfile)["type"] == "assign"
+    message = protocol._recv(rfile)
+    assert message["step"] == 0
+    wfile.write("not json\n")
+    wfile.flush()
+    assert protocol._recv(rfile)["code"] == "MalformedMessage"
+    protocol._send(wfile, {"type": "hello", "v": PROTOCOL_VERSION, "team": "red"})
+    reply = protocol._recv(rfile)
+    assert (reply["type"], reply["code"]) == ("error", "MalformedMessage")
+    assert "hello" in reply["message"]
+
+    while message["type"] != "bye":
+        if message["terminated"]:
+            protocol._send(wfile, {"type": "reset_ack"})
+        else:
+            masks = np.asarray(message["masks"], dtype=bool)
+            protocol._send(wfile, {"type": "act", "actions": [int(np.flatnonzero(m)[0]) for m in masks]})
+        message = protocol._recv(rfile)
+    protocol._close(rfile, wfile, conn)
+    assert message["reason"] == "session complete"
+    assert len(finish(*session)) == 1
+
+
+def test_second_client_for_a_taken_slot_is_refused():
+    server = BattleServer(get_scenario("3m"), seed=2, episodes=1)
+    session = start(server.run)
+    red_assigned = threading.Event()
+
+    def red_policy(assign):
+        red_assigned.set()
+        return bot_client(assign)
+
+    red = start(client_loop, red_policy, server.address, team="red")
+    assert red_assigned.wait(JOIN_S)
+    with pytest.raises(TeamSlotTaken):
+        client_loop(bot_client, server.address, team="red")
+    blue = start(client_loop, bot_client, server.address, team="blue")
+    assert len(finish(*session)) == 1
+    assert len(finish(*red)) == len(finish(*blue)) == 1
+
+
+def test_missed_act_deadline_forfeits():
+    server = BattleServer(get_scenario("3m"), episodes=2, bot_team=Team.BLUE, act_timeout=0.3)
+    session = start(server.run)
+    conn, rfile, wfile = raw_client(server.address)
+    protocol._send(wfile, {"type": "hello", "v": PROTOCOL_VERSION, "team": "red"})
+    assert protocol._recv(rfile)["type"] == "assign"
+    assert protocol._recv(rfile)["step"] == 0  # then never act
+    bye = protocol._recv(rfile)
+    protocol._close(rfile, wfile, conn)
+    assert (bye["type"], bye["reason"]) == ("bye", "act timeout forfeit")
+    assert finish(*session) == [ServedEpisode(outcome="blue_win_forfeit")]

@@ -1,0 +1,113 @@
+"""Training controllers: bot, paired and mixed runs and pool building share one loop."""
+
+import pytest
+
+from skirmish.engine import Team
+from skirmish.env import BattleEnv
+from skirmish.learners import LearnerConfig, ScriptedBot, make_learner
+from skirmish.scenario import get_scenario
+from skirmish.training import (
+    MutablePoolMember,
+    OpponentPool,
+    TrainConfig,
+    TrainingError,
+    build_opponent_pool,
+    train_mixed,
+    train_paired,
+    train_vs_bot,
+)
+
+SCENARIO = get_scenario("3m")
+LEARNER = LearnerConfig(hidden=(16,), batch_episodes=2, buffer_episodes=16, epsilon_anneal_steps=300, target_interval=3)
+CONFIG = TrainConfig(total_env_steps=300, test_interval=150, test_episodes=2, learner=LEARNER)
+
+
+def learner(algo, team=Team.RED, seed=0):
+    return make_learner(algo, BattleEnv(SCENARIO).team_spec(team), LEARNER, seed=seed)
+
+
+def small_pool(algos=("vdn",), include_bot=True, seed=0):
+    return build_opponent_pool(SCENARIO, algos, include_bot, TrainConfig(total_env_steps=120, learner=LEARNER), seed)
+
+
+def points(metrics):
+    return [(p.env_step, p.wins, p.draws, p.losses, p.mean_return_red, p.mean_return_blue) for p in metrics.points]
+
+
+def test_paired_reports_one_evaluation_from_both_sides():
+    a, b = learner("iql", Team.RED, 1), learner("qmix", Team.BLUE, 2)
+    before = a.checkpoint_hash(), b.checkpoint_hash()
+    ma, mb = train_paired(a, b, SCENARIO, CONFIG, seed=3)
+    assert (ma.algo_red, ma.algo_blue, mb.algo_red, mb.algo_blue) == ("iql", "qmix", "qmix", "iql")
+    assert [p.env_step for p in ma.points] == [p.env_step for p in mb.points] == [0, 150, 300]
+    for pa, pb in zip(ma.points, mb.points):
+        assert (pa.wins, pa.draws, pa.losses) == (pb.losses, pb.draws, pb.wins)
+        assert (pa.mean_return_red, pa.mean_return_blue) == (pb.mean_return_blue, pb.mean_return_red)
+    assert a.checkpoint_hash() != before[0] and b.checkpoint_hash() != before[1]
+    assert a.env_steps == b.env_steps >= CONFIG.total_env_steps
+
+
+def test_mixed_trains_red_and_leaves_the_pool_unchanged():
+    pool = small_pool()
+    before = pool.hashes()
+    red = learner("vdn", seed=4)
+    start = red.checkpoint_hash()
+    metrics = train_mixed(red, pool, SCENARIO, CONFIG, seed=5)
+    assert (metrics.mode, metrics.algo_blue) == ("mixed", "pool")
+    assert [p.env_step for p in metrics.points] == [0, 150, 300]
+    assert all(p.episodes == CONFIG.test_episodes for p in metrics.points)
+    assert pool.hashes() == before
+    assert red.checkpoint_hash() != start
+
+
+def test_mixed_rejects_a_member_that_changes():
+    pool = small_pool(include_bot=False)
+    member = pool.members[0]
+    act = member.act
+
+    def drifting_act(obs, masks, epsilon=0.0, rng=None):
+        member.parameter_arrays()[0].flat[0] += 1.0
+        return act(obs, masks, epsilon, rng)
+
+    member.act = drifting_act
+    with pytest.raises(MutablePoolMember):
+        train_mixed(learner("iql"), pool, SCENARIO, CONFIG, seed=0)
+    with pytest.raises(MutablePoolMember):
+        OpponentPool(members=[learner("iql", Team.BLUE)], names=["iql"])
+
+
+def test_build_opponent_pool_trains_frozen_blue_members():
+    with pytest.raises(TrainingError):
+        build_opponent_pool(SCENARIO, (), False, CONFIG)
+    budget = 120
+    pool = small_pool(("iql", "qmix"))
+    assert pool.names == ["iql", "qmix", "bot"]
+    assert isinstance(pool.members[-1], ScriptedBot)
+    fresh = [learner(algo, Team.BLUE).checkpoint_hash() for algo in ("iql", "qmix")]
+    for member, untrained in zip(pool.members[:2], fresh):
+        assert member.frozen
+        assert member.team_spec.team is Team.BLUE
+        assert budget <= member.env_steps < budget + SCENARIO.episode_step_limit
+        assert member.train_steps > 0
+        assert member.checkpoint_hash() != untrained
+    assert pool.members[-1].frozen and pool.members[-1].team_spec.team is Team.BLUE
+
+
+def test_same_seed_gives_identical_runs():
+    def run():
+        bot_red = learner("qmix", seed=6)
+        bot = train_vs_bot(bot_red, SCENARIO, CONFIG, seed=7)
+        a, b = learner("vdn", Team.RED, 8), learner("iql", Team.BLUE, 9)
+        paired = train_paired(a, b, SCENARIO, CONFIG, seed=10)
+        pool = small_pool(("iql",), seed=11)
+        mixed_red = learner("iql", seed=12)
+        mixed = train_mixed(mixed_red, pool, SCENARIO, CONFIG, seed=13)
+        return (
+            [points(m) for m in (bot, *paired, mixed)],
+            [x.checkpoint_hash() for x in (bot_red, a, b, mixed_red)],
+            pool.hashes(),
+        )
+
+    first = run()
+    assert run() == first
+    assert [len(p) for p in first[0]] == [3, 3, 3, 3]
