@@ -51,6 +51,22 @@ class CheckpointScenarioMismatch(CliError):
     pass
 
 
+def count(text: str) -> int:
+    """argparse type of the counts and budgets: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def seconds(text: str) -> float:
+    """argparse type of a deadline: a finite number of seconds above 0 (sockets refuse inf)."""
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", default="3m", help="built-in scenario name or a scenario config file")
     p.add_argument("--spawn-spread", type=float, default=None, help="override spawn jitter half-width")
@@ -74,19 +90,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", default="iql", choices=("iql", "vdn", "qmix"), help="learning algorithm")
     p.add_argument("--algo-b", default=None, choices=("iql", "vdn", "qmix"), help="second learner (paired mode)")
     p.add_argument("--pool", default=None, help="opponent pool directory (mixed mode)")
-    p.add_argument("--steps", type=int, default=300_000, help="training env steps per seed")
-    p.add_argument("--seeds", type=int, default=5, help="number of seeded runs")
+    p.add_argument("--steps", type=count, default=300_000, help="training env steps per seed")
+    p.add_argument("--seeds", type=count, default=5, help="number of seeded runs")
     p.add_argument("--seed-base", type=int, default=0, help="first seed value")
-    p.add_argument("--test-interval", type=int, default=10_000, help="env steps between evaluations")
-    p.add_argument("--test-episodes", type=int, default=32, help="greedy episodes per evaluation point")
-    p.add_argument("--jobs", type=int, default=1, help="seeds trained in parallel processes")
+    p.add_argument("--test-interval", type=count, default=10_000, help="env steps between evaluations")
+    p.add_argument("--test-episodes", type=count, default=32, help="greedy episodes per evaluation point")
+    p.add_argument("--jobs", type=count, default=1, help="seeds trained in parallel processes")
     p.add_argument("--out", default="runs/train", help="output directory")
 
     p = sub.add_parser("eval", help="evaluate two policies head to head", formatter_class=fmt)
     _add_common(p)
     p.add_argument("--red", default="bot", help="checkpoint path, 'bot' or 'random'")
     p.add_argument("--blue", default="random", help="checkpoint path, 'bot' or 'random'")
-    p.add_argument("--episodes", type=int, default=32, help="evaluation episodes")
+    p.add_argument("--episodes", type=count, default=32, help="evaluation episodes")
     p.add_argument("--seed", type=int, default=0, help="evaluation seed")
     p.add_argument("--out", default=None, help="write the result as JSON here")
 
@@ -94,14 +110,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--red", default="bot", help="checkpoint path, 'bot' or 'random'")
     p.add_argument("--blue", default="random", help="checkpoint path, 'bot' or 'random'")
-    p.add_argument("--episodes", type=int, default=32, help="episodes to play")
+    p.add_argument("--episodes", type=count, default=32, help="episodes to play")
     p.add_argument("--seed", type=int, default=0, help="evaluation seed")
     p.add_argument("--replay-out", default=None, help="write replay JSONL here")
 
     p = sub.add_parser("pool", help="build a frozen opponent pool", formatter_class=fmt)
     _add_common(p)
     p.add_argument("--algos", default="iql,vdn,qmix", help="comma-separated member algorithms")
-    p.add_argument("--steps-per-member", type=int, default=150_000, help="training env steps per member")
+    p.add_argument("--steps-per-member", type=count, default=150_000, help="training env steps per member")
     p.add_argument("--no-bot", action="store_true", help="leave the scripted bot out of the pool")
     p.add_argument("--seed", type=int, default=0, help="pool build seed")
     p.add_argument("--out", default="runs/pool", help="output directory")
@@ -110,10 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--host", default="127.0.0.1", help="bind address")
     p.add_argument("--port", type=int, default=7777, help="bind port (0 picks a free one)")
-    p.add_argument("--episodes", type=int, default=100, help="episodes per session")
+    p.add_argument("--episodes", type=count, default=100, help="episodes per session")
     p.add_argument("--seed", type=int, default=0, help="episode seed base")
     p.add_argument("--bot-team", choices=("red", "blue"), default=None, help="play this side in-process")
-    p.add_argument("--timeout", type=float, default=None, help="act deadline in seconds (forfeit on miss)")
+    p.add_argument("--timeout", type=seconds, default=None, help="act deadline in seconds (forfeit on miss)")
 
     p = sub.add_parser("analyze", help="aggregate metrics and analyze replays", formatter_class=fmt)
     p.add_argument("--metrics-dir", default=None, help="directory of metrics CSV files")
@@ -128,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="measure env steps per second with random policies", formatter_class=fmt)
     _add_common(p)
-    p.add_argument("--steps", type=int, default=30_000, help="env steps to run")
+    p.add_argument("--steps", type=count, default=30_000, help="env steps to run")
     p.add_argument("--seed", type=int, default=0, help="benchmark seed")
     return parser
 
@@ -377,14 +393,17 @@ def cmd_pool(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from .protocol import serve
+    from .protocol import BattleServer
 
     scenario, engine, reward = _resolve_run(args, _load_config_file(args.config))
-    bot_team = Team[args.bot_team.upper()] if args.bot_team else None
-    served = serve(
+    server = BattleServer(
         scenario, host=args.host, port=args.port, seed=args.seed, episodes=args.episodes,
-        engine_config=engine, reward_config=reward, bot_team=bot_team, act_timeout=args.timeout,
+        engine_config=engine, reward_config=reward,
+        bot_team=Team[args.bot_team.upper()] if args.bot_team else None, act_timeout=args.timeout,
     )
+    host, port = server.address[:2]
+    print(f"listening on {host}:{port}", flush=True)
+    served = server.run()
     outcomes = [ep.outcome for ep in served]
     print(f"served {len(served)} episodes: "
           f"{outcomes.count('red_win')} red wins, {outcomes.count('blue_win')} blue wins, "
@@ -436,6 +455,8 @@ def cmd_replay(args) -> int:
     from .env import read_replay
 
     records = read_replay(args.file)
+    if not records:
+        raise CliError(f"{args.file} holds no replay records")
     episodes: dict[int, dict] = {}
     for rec in records:
         ep = episodes.setdefault(rec["episode"], {"steps": 0, "outcome": None})

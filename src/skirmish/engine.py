@@ -1,12 +1,19 @@
 """Deterministic fixed-timestep combat engine.
 
 Two teams of units fight on a rectangular arena.  One call to
-:func:`step_world` advances the whole world by ``step_dt`` time units:
-movement first, then the approach leg of attack-move macros, then every
-ready attack resolved against the state captured at the start of the step,
-then heals, cooldowns, shield regeneration and the clock.  Because damage
-lands simultaneously, mutual kills are possible and mirrored set-ups stay
-exactly mirrored.
+:func:`step_world_arrays` advances the whole world by ``step_dt`` time
+units under one command per unit, given as flat arrays: a code (0 stop,
+1 move, 2 attack, 3 heal), a world-frame move direction and the global
+index of the victim or patient.  Movement comes first, then the approach
+leg of attack-move macros, then every ready attack resolved against the
+state captured at the start of the step, then heals, cooldowns, shield
+regeneration and the clock.  Because damage lands simultaneously, mutual
+kills are possible and mirrored set-ups stay exactly mirrored.
+
+The engine trusts its commands: :class:`~skirmish.env.BattleEnv` checks
+every action against the agent's available-action mask before it builds
+them, so a dead unit, an attack on an ally or a heal on an enemy or a
+healer never reaches this module.
 
 Positions are stored relative to the arena centre.  Point reflection of a
 world is then plain negation of coordinates, which IEEE arithmetic carries
@@ -29,18 +36,6 @@ class EngineError(ValueError):
 
 class NotAnAttacker(EngineError):
     """Raised when damage is requested from a unit without a weapon."""
-
-
-class CommandForDeadUnit(EngineError):
-    """Raised when a command addresses a unit that is no longer alive."""
-
-
-class MalformedTarget(EngineError):
-    """Raised when a command's target index is out of range or on the wrong team."""
-
-
-class InvalidHealTarget(EngineError):
-    """Raised when a heal addresses an enemy, a corpse or another healer."""
 
 
 class ArmorClass(enum.Enum):
@@ -132,27 +127,6 @@ class Unit:
     weapon_cooldown: float
     alive: bool
     last_damaged_at: float
-
-
-class CommandKind(enum.Enum):
-    STOP = "stop"
-    MOVE = "move"
-    ATTACK = "attack"
-    HEAL = "heal"
-
-
-@dataclass(frozen=True)
-class Command:
-    """One order for one living unit, addressed by global unit index.
-
-    ``direction`` is a world-frame unit vector for MOVE; ``target`` is the
-    global index of the victim (ATTACK) or patient (HEAL).
-    """
-
-    unit: int
-    kind: CommandKind
-    direction: tuple[float, float] = (0.0, 0.0)
-    target: int = -1
 
 
 @dataclass
@@ -254,9 +228,10 @@ def _spec_arrays(specs: tuple[UnitSpec, ...]) -> SpecArrays:
 class WorldState:
     """Full simulation snapshot.
 
-    Treated as immutable: :func:`step_world` returns a fresh value and never
-    mutates its input, so snapshots can be kept, compared and shipped across
-    contexts.  Coordinates are centre-origin; ``center`` restores map space.
+    Treated as immutable: :func:`step_world_arrays` returns a fresh value and
+    never mutates its input, so snapshots can be kept, compared and shipped
+    across contexts.  Coordinates are centre-origin; adding
+    ``(half_w, half_h)`` restores map space.
     """
 
     config: EngineConfig
@@ -275,21 +250,13 @@ class WorldState:
     step_count: int
     half_w: float
     half_h: float
-    center: tuple[float, float]
 
     @property
     def n_units(self) -> int:
         return len(self.specs)
 
-    @property
-    def n_blue(self) -> int:
-        return self.n_units - self.n_red
-
     def team_slice(self, team: Team) -> slice:
         return slice(0, self.n_red) if team is Team.RED else slice(self.n_red, self.n_units)
-
-    def global_index(self, team: Team, slot: int) -> int:
-        return slot if team is Team.RED else self.n_red + slot
 
     def unit(self, index: int) -> Unit:
         """Materialise a value view of one unit, in map coordinates."""
@@ -299,7 +266,7 @@ class WorldState:
             unit_id=slot,
             team=team,
             spec=self.specs[index],
-            pos=(float(self.pos_x[index]) + self.center[0], float(self.pos_y[index]) + self.center[1]),
+            pos=(float(self.pos_x[index]) + self.half_w, float(self.pos_y[index]) + self.half_h),
             health=float(self.health[index]),
             shield=float(self.shield[index]),
             weapon_cooldown=float(self.cooldown[index]),
@@ -350,7 +317,6 @@ def new_world(
         step_count=0,
         half_w=cx,
         half_h=cy,
-        center=(cx, cy),
     )
     out_x = np.abs(world.pos_x) > world.half_w
     out_y = np.abs(world.pos_y) > world.half_h
@@ -359,79 +325,27 @@ def new_world(
     return world
 
 
-_KIND_CODE = {CommandKind.STOP: 0, CommandKind.MOVE: 1, CommandKind.ATTACK: 2, CommandKind.HEAL: 3}
-
-
-def step_world(world: WorldState, commands: list[Command]) -> tuple[WorldState, StepEvents]:
-    """Advance the world one step under exactly one command per living unit.
-
-    Resolution order: (1) movement, (2) attack-move approach for attackers
-    out of range, (3) ready attacks decided against the start-of-step
-    snapshot, (4) damage and heals applied together, (5) cooldowns,
-    (6) shield regeneration, (7) clock.
-    """
-    n = world.n_units
-    kind = np.zeros(n, dtype=np.int8)
-    dir_x = np.zeros(n)
-    dir_y = np.zeros(n)
-    target = np.full(n, -1, dtype=np.int64)
-    seen = [False] * n
-    for cmd in commands:
-        if not 0 <= cmd.unit < n:
-            raise MalformedTarget(f"no unit {cmd.unit}")
-        if seen[cmd.unit]:
-            raise EngineError(f"duplicate command for unit {cmd.unit}")
-        seen[cmd.unit] = True
-        if not world.alive[cmd.unit]:
-            raise CommandForDeadUnit(f"unit {cmd.unit} is dead")
-        kind[cmd.unit] = _KIND_CODE[cmd.kind]
-        if cmd.kind is CommandKind.MOVE:
-            dir_x[cmd.unit] = cmd.direction[0]
-            dir_y[cmd.unit] = cmd.direction[1]
-        elif cmd.kind is not CommandKind.STOP:
-            target[cmd.unit] = cmd.target
-    for i in range(n):
-        if world.alive[i] and not seen[i]:
-            raise EngineError(f"missing command for living unit {i}")
-    return step_world_arrays(world, kind, dir_x, dir_y, target)
-
-
 def step_world_arrays(
     world: WorldState,
     kind: np.ndarray,
     dir_x: np.ndarray,
     dir_y: np.ndarray,
     target: np.ndarray,
-    validate: bool = True,
 ) -> tuple[WorldState, StepEvents]:
-    """Array-form of :func:`step_world`: per-unit command codes 0 stop,
-    1 move, 2 attack, 3 heal.  ``validate=False`` skips target sanity checks
-    for callers that already enforced the action masks.
+    """Advance the world one step; returns the successor and what happened.
+
+    ``kind[i]`` is unit ``i``'s command code (0 stop, 1 move, 2 attack,
+    3 heal; dead units must stop), ``dir_x``/``dir_y`` its world-frame move
+    direction and ``target[i]`` the global index of its victim (an enemy)
+    or patient (an ally that is not a healer).  Resolution order:
+    (1) movement, (2) attack-move approach for units out of range,
+    (3) ready attacks decided against the start-of-step snapshot,
+    (4) damage and heals applied together, (5) cooldowns, (6) shield
+    regeneration, (7) clock.
     """
     stats = world.stats
     team_of = world.team_of
     n = world.n_units
-    if validate:
-        for i in range(n):
-            k = kind[i]
-            if k < 2:
-                continue
-            t = target[i]
-            if not 0 <= t < n:
-                raise MalformedTarget(f"target {t} out of range")
-            if k == 2:
-                if team_of[t] == team_of[i]:
-                    raise MalformedTarget("attack target must be an enemy")
-                if stats.is_healer[i]:
-                    raise NotAnAttacker(f"unit {i} has no weapon")
-            else:
-                if team_of[t] != team_of[i]:
-                    raise InvalidHealTarget("heal target must be an ally")
-                if not stats.is_healer[i]:
-                    raise InvalidHealTarget(f"unit {i} is not a healer")
-                if stats.is_healer[t]:
-                    raise InvalidHealTarget("healers cannot heal each other")
-
     dt = world.config.step_dt
     half_w, half_h, now = world.half_w, world.half_h, world.time
     move_speed, attack_range, max_health = stats.move_speed, stats.attack_range, stats.max_health
@@ -550,7 +464,6 @@ def step_world_arrays(
         step_count=world.step_count + 1,
         half_w=half_w,
         half_h=half_h,
-        center=world.center,
     )
     return nxt, StepEvents(red=tallies[Team.RED], blue=tallies[Team.BLUE])
 

@@ -340,7 +340,7 @@ class BattleEnv:
         target = np.full(n, -1, dtype=np.int64)
         self._fill_commands(Team.RED, np.asarray(red_actions), kind, dir_x, dir_y, target)
         self._fill_commands(Team.BLUE, np.asarray(blue_actions), kind, dir_x, dir_y, target)
-        world, events = step_world_arrays(self._world, kind, dir_x, dir_y, target, validate=False)
+        world, events = step_world_arrays(self._world, kind, dir_x, dir_y, target)
         self._world = world
         outcome = terminal_status(world, self.scenario.episode_step_limit)
         self._outcome = outcome

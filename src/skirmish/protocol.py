@@ -39,7 +39,7 @@ import numpy as np
 from .engine import EngineConfig, Team
 from .env import BattleEnv, RewardConfig
 from .learners import Learner, ScriptedBot
-from .scenario import ScenarioSpec, get_scenario, parse_scenario_config, scenario_config
+from .scenario import ScenarioSpec, parse_scenario_config, scenario_config
 from .seeding import episode_seed
 
 PROTOCOL_VERSION = 2
@@ -300,29 +300,6 @@ class BattleServer:
             if message["type"] != "reset_ack":
                 raise ProtocolViolation(f"expected reset_ack, got {message['type']!r}")
         return ServedEpisode(outcome=results[0].outcome.value, rewards=rewards, length=step)
-
-
-def serve(
-    scenario: ScenarioSpec | str,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    seed: int = 0,
-    episodes: int = 100,
-    engine_config: EngineConfig | None = None,
-    reward_config: RewardConfig | None = None,
-    bot_team: Team | None = None,
-    act_timeout: float | None = None,
-) -> list[ServedEpisode]:
-    """Run one blocking session to completion; returns per-episode records."""
-    if isinstance(scenario, str):
-        scenario = get_scenario(scenario)
-    server = BattleServer(
-        scenario, host=host, port=port, seed=seed, episodes=episodes,
-        engine_config=engine_config, reward_config=reward_config,
-        bot_team=bot_team, act_timeout=act_timeout,
-    )
-    return server.run()
 
 
 @dataclass

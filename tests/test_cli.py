@@ -1,13 +1,20 @@
 """Command-line paths end to end on tiny budgets, and the exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import skirmish
 from skirmish import cli
 from skirmish.engine import Team
 from skirmish.env import UnavailableAction
 from skirmish.learners import load_learner
+from skirmish.protocol import bot_client, client_loop
 
 
 def test_train_then_analyze(tmp_path):
@@ -62,6 +69,26 @@ def test_config_errors_exit_2(tmp_path, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert cli.main(["bench", "--scenario", "3m", "--steps", "10", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--steps", "-5"], ["train", "--seeds", "0"], ["train", "--test-interval", "0"],
+        ["train", "--test-episodes", "0"], ["train", "--jobs", "0"], ["eval", "--episodes", "0"],
+        ["pit", "--episodes", "0"], ["pool", "--steps-per-member", "0"], ["serve", "--episodes", "0"],
+        ["serve", "--timeout", "0"], ["serve", "--timeout", "-1.5"], ["serve", "--timeout", "inf"],
+        ["bench", "--steps", "0"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_numbers_are_usage_errors(argv, capsys):
+    parser = cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}" in capsys.readouterr().err
+    parser.parse_args([argv[0], argv[1], "1"])  # the smallest valid value parses
 
 
 def test_scenario_errors_exit_2(tmp_path):
@@ -119,3 +146,59 @@ def test_pipeline_outputs_are_byte_identical_across_runs(tmp_path):
     assert sorted(first[1]) == ["checkpoint_seed0_iql_red.npz", "checkpoint_seed1_iql_red.npz"]
     assert len(set(first[1].values())) == 2  # the seeds train different networks
     assert _pipeline(tmp_path / "b", config) == first
+
+
+def test_replay_prints_one_line_per_episode(tmp_path, capsys):
+    replay = tmp_path / "pit.jsonl"
+    assert cli.main(["pit", "--scenario", "3m", "--red", "bot", "--blue", "random", "--episodes", "3",
+                     "--replay-out", str(replay)]) == 0
+    wins = _pit_counts(capsys.readouterr().out)[0]
+    assert cli.main(["replay", "--file", str(replay)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[1:]] == [f"  episode {k}" for k in range(3)]
+    assert sum(line.endswith("outcome red_win") for line in lines) == wins
+
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert cli.main(["replay", "--file", str(empty)]) == 2
+    assert str(empty) in capsys.readouterr().err
+
+
+def test_serve_on_port_0_prints_its_address_and_serves(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(skirmish.__file__).parents[1]))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "skirmish.cli", "serve", "--scenario", "3m", "--port", "0",
+         "--bot-team", "blue", "--episodes", "2"],
+        stdout=subprocess.PIPE, text=True, env=env, cwd=tmp_path,
+    )
+    watchdog = threading.Timer(60, server.kill)  # a server that never listens closes stdout this way
+    watchdog.start()
+    try:
+        first = server.stdout.readline()
+        assert first.startswith("listening on "), first
+        host, port = first.split()[-1].rsplit(":", 1)
+        episodes = client_loop(bot_client, (host, int(port)), team="red")
+        rest = server.stdout.read()
+        assert server.wait() == 0
+    finally:
+        watchdog.cancel()
+        server.kill()
+        server.stdout.close()
+    assert len(episodes) == 2
+    assert rest.startswith("served 2 episodes")
+
+
+def _train_outputs(out, jobs):
+    assert cli.main(["train", "--scenario", "3m", "--steps", "300", "--seeds", "2", "--test-interval", "150",
+                     "--test-episodes", "2", "--jobs", str(jobs), "--out", str(out)]) == 0
+    files = {path.name: path.read_bytes() for path in sorted(out.glob("*")) if path.suffix in (".csv", ".json")
+             and path.name != "manifest.json"}  # the manifest records --jobs and --out
+    hashes = {path.name: load_learner(path).checkpoint_hash() for path in sorted(out.glob("*.npz"))}
+    return files, hashes
+
+
+def test_train_jobs_2_matches_jobs_1(tmp_path):
+    serial = _train_outputs(tmp_path / "serial", 1)
+    assert sorted(serial[0]) == ["aggregate.json", "metrics_seed0.csv", "metrics_seed1.csv"]
+    assert len(serial[1]) == 2
+    assert _train_outputs(tmp_path / "parallel", 2) == serial

@@ -1,6 +1,7 @@
 """Combat-rule unit tests plus the independent re-simulation check."""
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -14,37 +15,52 @@ from skirmish.engine import (
     STALKER,
     ZEALOT,
     ArmorClass,
-    Command,
-    CommandKind,
-    CommandForDeadUnit,
     EngineConfig,
-    InvalidHealTarget,
-    MalformedTarget,
     NotAnAttacker,
     Outcome,
     Team,
     compute_damage,
-    step_world,
+    step_world_arrays,
     terminal_status,
 )
 
 from conftest import make_world
 
 
+# One order for one unit: the engine's command code, a world-frame move
+# direction and the global index of the victim or patient.
+Cmd = namedtuple("Cmd", "unit kind direction target", defaults=((0.0, 0.0), -1))
+STOP, MOVE, ATTACK, HEAL = range(4)
+
+
 def attack(unit, target):
-    return Command(unit, CommandKind.ATTACK, target=target)
+    return Cmd(unit, ATTACK, target=target)
 
 
 def move(unit, dx, dy):
-    return Command(unit, CommandKind.MOVE, direction=(dx, dy))
+    return Cmd(unit, MOVE, (dx, dy))
 
 
 def stop(unit):
-    return Command(unit, CommandKind.STOP)
+    return Cmd(unit, STOP)
 
 
-def stops_for_living(world, exclude=()):
-    return [stop(i) for i in range(world.n_units) if world.alive[i] and i not in exclude]
+def heal(unit, target):
+    return Cmd(unit, HEAL, target=target)
+
+
+def step(world, commands):
+    """Lay ``commands`` out as the engine's arrays and advance one step; unlisted units stop."""
+    n = world.n_units
+    kind = np.zeros(n, dtype=np.int8)
+    dir_x = np.zeros(n)
+    dir_y = np.zeros(n)
+    target = np.full(n, -1, dtype=np.int64)
+    for cmd in commands:
+        kind[cmd.unit] = cmd.kind
+        dir_x[cmd.unit], dir_y[cmd.unit] = cmd.direction
+        target[cmd.unit] = cmd.target
+    return step_world_arrays(world, kind, dir_x, dir_y, target)
 
 
 # -- damage table --------------------------------------------------------------
@@ -92,7 +108,7 @@ def test_roster_invariants():
 def test_apply_damage_shield_first():
     world = make_world([("marine", Team.RED, (10.0, 16.0)), ("zealot", Team.BLUE, (14.0, 16.0))])
     world.time = 3.0
-    nxt, events = step_world(world, [attack(0, 1), stop(1)])
+    nxt, events = step(world, [attack(0, 1), stop(1)])
     assert (nxt.health[1], nxt.shield[1]) == (100.0, 44.0)
     assert nxt.last_damaged[1] == 3.0
     assert events.red.damage_dealt == 6.0 and events.blue.damage_taken == 6.0
@@ -101,7 +117,7 @@ def test_apply_damage_shield_first():
 def test_apply_damage_overflow():
     world = make_world([("stalker", Team.RED, (10.0, 16.0)), ("stalker", Team.BLUE, (14.0, 16.0))])
     world.shield[1] = 10.0
-    nxt, events = step_world(world, [attack(0, 1), stop(1)])
+    nxt, events = step(world, [attack(0, 1), stop(1)])
     assert (nxt.health[1], nxt.shield[1]) == (72.0, 0.0)  # 18 bonus damage, 10 absorbed
     assert events.red.damage_dealt == 18.0
 
@@ -109,14 +125,10 @@ def test_apply_damage_overflow():
 def test_apply_damage_clamps_and_kills():
     world = make_world([("marine", Team.RED, (10.0, 16.0)), ("marine", Team.BLUE, (14.0, 16.0))])
     world.health[1] = 5.0
-    nxt, events = step_world(world, [attack(0, 1), stop(1)])
+    nxt, events = step(world, [attack(0, 1), stop(1)])
     assert nxt.health[1] == 0.0 and not nxt.alive[1]
     assert events.red.damage_dealt == 5.0  # only the health that was there counts
     assert events.red.kills == 1 and events.blue.deaths == 1
-
-
-def heal(unit, target):
-    return Command(unit, CommandKind.HEAL, target=target)
 
 
 def _medivac_world():
@@ -135,36 +147,31 @@ def _medivac_world():
 
 def test_apply_heal():
     world = _medivac_world()
-    nxt, events = step_world(world, [heal(0, 1)] + stops_for_living(world, exclude=(0,)))
+    nxt, events = step(world, [heal(0, 1)])
     assert nxt.health[1] == 37.0
     assert events.red.heals == 7.0
-    nxt, events = step_world(world, [heal(0, 2)] + stops_for_living(world, exclude=(0,)))
+    nxt, events = step(world, [heal(0, 2)])
     assert nxt.health[2] == 45.0  # clamped at max
     assert events.red.heals == 0.0
 
 
 def test_apply_heal_rejects_bad_targets():
+    # Enemies, healers and heals by non-healers are masked out by the env
+    # (test_env::test_masks_keep_heals_among_allies_and_attacks_on_enemies).
     world = _medivac_world()
-    others = stops_for_living(world, exclude=(0,))
-    with pytest.raises(InvalidHealTarget):  # an enemy
-        step_world(world, [heal(0, 4)] + others)
-    with pytest.raises(InvalidHealTarget):  # another healer
-        step_world(world, [heal(0, 3)] + others)
-    with pytest.raises(InvalidHealTarget):  # a unit that cannot heal
-        step_world(world, [heal(1, 2)] + stops_for_living(world, exclude=(1,)))
     world.alive[1] = False
     world.health[1] = 0.0
-    nxt, events = step_world(world, [heal(0, 1)] + stops_for_living(world, exclude=(0,)))
+    nxt, events = step(world, [heal(0, 1)])
     assert nxt.health[1] == 0.0 and not nxt.alive[1]  # the dead are not healed
     assert events.red.heals == 0.0
 
 
-# -- step_world ----------------------------------------------------------------
+# -- one step ----------------------------------------------------------------
 
 
 def test_move_displacement():
     world = make_world([("marine", Team.RED, (10.0, 10.0)), ("marine", Team.BLUE, (30.0, 30.0))])
-    nxt, _ = step_world(world, [move(0, 1.0, 0.0), stop(1)])
+    nxt, _ = step(world, [move(0, 1.0, 0.0), stop(1)])
     assert nxt.unit(0).pos == (11.125, 10.0)  # 2.25 speed x 0.5 dt
     assert nxt.time == 0.5 and nxt.step_count == 1
 
@@ -172,7 +179,7 @@ def test_move_displacement():
 def test_mutual_kill_same_step():
     world = make_world([("marine", Team.RED, (10.0, 16.0)), ("marine", Team.BLUE, (14.0, 16.0))])
     world.health[:] = 6.0
-    nxt, events = step_world(world, [attack(0, 1), attack(1, 0)])
+    nxt, events = step(world, [attack(0, 1), attack(1, 0)])
     assert not nxt.alive.any()
     assert events.red.kills == 1 and events.blue.kills == 1
     assert terminal_status(nxt, 100) is Outcome.DRAW
@@ -180,11 +187,11 @@ def test_mutual_kill_same_step():
 
 def test_cooldown_set_on_fire():
     world = make_world([("marine", Team.RED, (10.0, 16.0)), ("marine", Team.BLUE, (14.0, 16.0))])
-    nxt, events = step_world(world, [attack(0, 1), stop(1)])
+    nxt, events = step(world, [attack(0, 1), stop(1)])
     assert nxt.unit(0).weapon_cooldown == 0.86
     assert events.red.damage_dealt == 6.0
     # waiting in range: cooldown ticks down, no second shot until ready
-    nxt2, ev2 = step_world(nxt, [attack(0, 1), stop(1)])
+    nxt2, ev2 = step(nxt, [attack(0, 1), stop(1)])
     assert ev2.red.damage_dealt == 0.0
     assert nxt2.unit(0).weapon_cooldown == pytest.approx(0.36)
 
@@ -192,10 +199,10 @@ def test_cooldown_set_on_fire():
 def test_no_double_damage_within_period():
     world = make_world([("stalker", Team.RED, (10.0, 16.0)), ("zealot", Team.BLUE, (14.0, 16.0))])
     fire_times = []
-    for step in range(12):
-        world, events = step_world(world, [attack(0, 1), stop(1)])
+    for k in range(12):
+        world, events = step(world, [attack(0, 1), stop(1)])
         if events.red.damage_dealt > 0:
-            fire_times.append(step * 0.5)
+            fire_times.append(k * 0.5)
     assert fire_times, "never fired"
     gaps = np.diff(fire_times)
     assert (gaps >= STALKER.attack_period).all()
@@ -204,13 +211,13 @@ def test_no_double_damage_within_period():
 def test_attack_move_approach_then_fire():
     # out of range: approach along the line, no damage
     world = make_world([("marine", Team.RED, (0.0, 0.0)), ("marine", Team.BLUE, (8.0, 0.0))], arena=(64, 64))
-    nxt, events = step_world(world, [attack(0, 1), stop(1)])
+    nxt, events = step(world, [attack(0, 1), stop(1)])
     assert nxt.unit(0).pos == (1.125, 0.0)
     assert events.red.damage_dealt == 0.0
 
     # in range and ready: fires immediately without moving
     world = make_world([("marine", Team.RED, (0.0, 0.0)), ("marine", Team.BLUE, (5.0, 0.0))], arena=(64, 64))
-    nxt, events = step_world(world, [attack(0, 1), stop(1)])
+    nxt, events = step(world, [attack(0, 1), stop(1)])
     assert nxt.unit(0).pos == (0.0, 0.0)
     assert events.red.damage_dealt == 6.0
 
@@ -218,11 +225,11 @@ def test_attack_move_approach_then_fire():
 def test_attack_move_two_step_trace():
     # 6.5 away: one approach step to 5.375, then fire on the next step
     world = make_world([("marine", Team.RED, (0.0, 0.0)), ("marine", Team.BLUE, (6.5, 0.0))], arena=(64, 64))
-    mid, events = step_world(world, [attack(0, 1), stop(1)])
+    mid, events = step(world, [attack(0, 1), stop(1)])
     assert events.red.damage_dealt == 0.0
     assert mid.unit(0).pos == (1.125, 0.0)
     assert math.dist(mid.unit(0).pos, mid.unit(1).pos) == 5.375
-    nxt, events = step_world(mid, [attack(0, 1), stop(1)])
+    nxt, events = step(mid, [attack(0, 1), stop(1)])
     assert events.red.damage_dealt == 6.0
     assert nxt.unit(0).pos == (1.125, 0.0)
 
@@ -237,13 +244,12 @@ def test_resolve_attack_move_cases():
     world = make_world(units, arena=(64, 64))
     world.alive[3] = False
     world.health[3] = 0.0
-    others = stops_for_living(world, exclude=(0,))
-    approach, events = step_world(world, [attack(0, 1)] + others)
+    approach, events = step(world, [attack(0, 1)])
     assert approach.unit(0).pos == (1.125, 0.0) and events.red.damage_dealt == 0.0
-    fire, events = step_world(world, [attack(0, 2)] + others)
+    fire, events = step(world, [attack(0, 2)])
     assert fire.unit(0).pos == (0.0, 0.0) and events.red.damage_dealt == 6.0
     assert fire.cooldown[0] == MARINE.attack_period
-    dissolved, events = step_world(world, [attack(0, 3)] + others)
+    dissolved, events = step(world, [attack(0, 3)])
     assert dissolved.unit(0).pos == (0.0, 0.0) and events.red.damage_dealt == 0.0
     assert dissolved.cooldown[0] == 0.0  # no shot: the macro became a stop
 
@@ -257,7 +263,7 @@ def test_colossus_splash_hits_clustered_enemies():
             ("marine", Team.BLUE, (15.0, 20.0)),   # outside radius
         ]
     )
-    nxt, events = step_world(world, [attack(0, 1)] + stops_for_living(world, exclude=(0,)))
+    nxt, events = step(world, [attack(0, 1)])
     assert events.red.damage_dealt == 60.0  # 30 to each clustered light target
     assert nxt.health[1] == 15.0 and nxt.health[2] == 15.0 and nxt.health[3] == 45.0
 
@@ -271,7 +277,7 @@ def test_heal_applies_in_range_and_not_to_dead():
         ]
     )
     world.health[1] = 30.0
-    nxt, events = step_world(world, [Command(0, CommandKind.HEAL, target=1), stop(1), stop(2)])
+    nxt, events = step(world, [heal(0, 1), stop(1), stop(2)])
     assert nxt.health[1] == 37.0
     assert events.red.heals == 7.0
 
@@ -286,7 +292,7 @@ def test_heal_approaches_out_of_range_patient():
         arena=(64, 64),
     )
     world.health[1] = 30.0
-    nxt, events = step_world(world, [Command(0, CommandKind.HEAL, target=1), stop(1), stop(2)])
+    nxt, events = step(world, [heal(0, 1), stop(1), stop(2)])
     assert events.red.heals == 0.0
     assert nxt.unit(0).pos == (1.125, 0.0)
 
@@ -297,10 +303,10 @@ def test_shield_regen_delay_and_clamp():
     world.shield[0] = 44.0
     world.last_damaged[0] = 0.0
     # not yet eligible: damaged at t=0, delay 10
-    nxt, _ = step_world(world, stops_for_living(world))
+    nxt, _ = step(world, [])
     assert nxt.shield[0] == 44.0
     world.time = 10.0  # now - last_damaged reaches the delay
-    nxt, _ = step_world(world, stops_for_living(world))
+    nxt, _ = step(world, [])
     assert nxt.shield[0] == 45.0  # rate 2 x dt 0.5
     assert nxt.shield[1] == ZEALOT.max_shield  # full stays clamped
 
@@ -309,7 +315,7 @@ def test_regen_shields_operation():
     world = make_world([("zealot", Team.RED, (10.0, 16.0)), ("marine", Team.BLUE, (30.0, 16.0))])
     world.shield[0] = 44.0
     world.last_damaged[0] = -20.0
-    regen, _ = step_world(world, stops_for_living(world))
+    regen, _ = step(world, [])
     assert regen.shield[0] == 45.0
     assert world.shield[0] == 44.0  # purity
     assert regen.shield[1] == 0.0   # no shield to regenerate
@@ -328,28 +334,6 @@ def test_terminal_status_cases():
     assert terminal_status(world, 100) is Outcome.ONGOING
 
 
-def test_command_errors():
-    world = make_world([("marine", Team.RED, (10.0, 16.0)), ("marine", Team.BLUE, (30.0, 16.0))])
-    world.alive[0] = False
-    world.health[0] = 0.0
-    with pytest.raises(CommandForDeadUnit):
-        step_world(world, [stop(0), stop(1)])
-    world.alive[0] = True
-    world.health[0] = 45.0
-    with pytest.raises(MalformedTarget):
-        step_world(world, [attack(0, 5), stop(1)])
-    with pytest.raises(MalformedTarget):  # attack aimed at an ally
-        step_world(world, [attack(0, 0), stop(1)])
-
-
-def test_step_requires_one_command_per_living_unit():
-    world = make_world([("marine", Team.RED, (10.0, 16.0)), ("marine", Team.BLUE, (30.0, 16.0))])
-    with pytest.raises(ValueError):
-        step_world(world, [stop(0)])
-    with pytest.raises(ValueError):
-        step_world(world, [stop(0), stop(0), stop(1)])
-
-
 # -- properties ----------------------------------------------------------------
 
 
@@ -364,7 +348,7 @@ def _random_commands(world, rng):
                 if world.team_of[j] == world.team_of[i] and world.alive[j] and not world.stats.is_healer[j]
             ]
             if patients and rng.integers(0, 2):
-                cmds.append(Command(i, CommandKind.HEAL, target=patients[rng.integers(0, len(patients))]))
+                cmds.append(heal(i, patients[rng.integers(0, len(patients))]))
             else:
                 cmds.append(stop(i))
             continue
@@ -401,7 +385,7 @@ def test_conservation_and_bounds_over_random_battles():
         for _ in range(25):
             if terminal_status(world, 1000) is not Outcome.ONGOING:
                 break
-            world, events = step_world(world, _random_commands(world, rng))
+            world, events = step(world, _random_commands(world, rng))
             assert events.red.damage_dealt == events.blue.damage_taken
             assert events.blue.damage_dealt == events.red.damage_taken
             assert events.red.kills == events.blue.deaths
@@ -422,8 +406,8 @@ def test_step_world_determinism_and_purity():
     world = _random_world(rng)
     cmds = _random_commands(world, rng)
     before = world.pos_x.copy()
-    a, _ = step_world(world, cmds)
-    b, _ = step_world(world, cmds)
+    a, _ = step(world, cmds)
+    b, _ = step(world, cmds)
     assert np.array_equal(world.pos_x, before)  # input untouched
     for field in ("pos_x", "pos_y", "health", "shield", "cooldown", "alive", "last_damaged"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
@@ -457,7 +441,7 @@ def test_engine_mirror_symmetry():
                 else:
                     k = int(rng.integers(0, n_per))
                     cmds += [attack(i, n_per + k), attack(n_per + i, k)]
-            world, _ = step_world(world, cmds)
+            world, _ = step(world, cmds)
             assert np.array_equal(world.pos_x[n_per:], -world.pos_x[:n_per])
             assert np.array_equal(world.pos_y[n_per:], -world.pos_y[:n_per])
             assert np.array_equal(world.health[n_per:], world.health[:n_per])
@@ -489,9 +473,9 @@ def naive_step(world, commands):
     for cmd in commands:
         u = units[cmd.unit]
         s = start[cmd.unit]
-        if cmd.kind is CommandKind.STOP:
+        if cmd.kind == STOP:
             continue
-        if cmd.kind is CommandKind.MOVE:
+        if cmd.kind == MOVE:
             step_len = s["spec"].move_speed * dt
             nx = s["x"] + cmd.direction[0] * step_len
             ny = s["y"] + cmd.direction[1] * step_len
@@ -513,7 +497,7 @@ def naive_step(world, commands):
                 ny = s["y"] + dy / dist * step_len
             u["x"] = min(world.half_w, max(-world.half_w, nx))
             u["y"] = min(world.half_h, max(-world.half_h, ny))
-        elif cmd.kind is CommandKind.ATTACK:
+        elif cmd.kind == ATTACK:
             if s["cd"] <= 0.0:
                 fired.add(cmd.unit)
                 dmg = compute_damage(s["spec"], tgt["spec"])
@@ -561,7 +545,7 @@ def test_brute_force_equivalence():
                 break
             cmds = _random_commands(world, rng)
             expected = naive_step(world, cmds)
-            world, _ = step_world(world, cmds)
+            world, _ = step(world, cmds)
             for i, exp in enumerate(expected):
                 assert world.pos_x[i] == exp["x"], f"unit {i} x"
                 assert world.pos_y[i] == exp["y"], f"unit {i} y"

@@ -227,6 +227,42 @@ def test_healer_mask_targets_allies():
     assert not r.masks[1, TARGET_OFFSET:].any()
 
 
+def test_masks_keep_heals_among_allies_and_attacks_on_enemies():
+    """The masks are the only check on targets: the engine trusts the commands the env builds."""
+    comp = ((CATALOG["medivac"], 2), (CATALOG["marine"], 2))
+    env = BattleEnv(dataclasses.replace(tiny_scenario(), red_composition=comp, blue_composition=comp))
+    units = [
+        ("medivac", Team.RED, (10.0, 15.0)), ("medivac", Team.RED, (10.0, 17.0)),
+        ("marine", Team.RED, (12.0, 15.0)), ("marine", Team.RED, (12.0, 17.0)),
+        ("medivac", Team.BLUE, (17.0, 15.0)), ("medivac", Team.BLUE, (17.0, 17.0)),
+        ("marine", Team.BLUE, (15.0, 15.0)), ("marine", Team.BLUE, (15.0, 17.0)),
+    ]
+    for team, res in zip(Team, restore_world(env, units)):
+        view = env.views[team]
+        for a in (0, 1):  # medivacs: both marines are patients, the other medivac never is
+            offered = view.ally_gather[a][res.masks[a, TARGET_OFFSET : TARGET_OFFSET + 3]]
+            assert sorted(offered) == list(view.agents[2:])
+        assert res.masks[2:, TARGET_OFFSET:].all()  # marines: every enemy is in sight
+    red = all_stop(env, Team.RED)
+    red[0] = TARGET_OFFSET  # medivac 0's slot 0 is the other medivac
+    with pytest.raises(UnavailableAction) as err:
+        env.step(red, all_stop(env, Team.BLUE))
+    assert (err.value.agent, err.value.code) == (0, TARGET_OFFSET)
+    n_actions = env.team_spec(Team.RED).n_actions
+    for codes in ([1, 1, 1, n_actions], [1, -1, 1, 1]):  # outside the action range
+        with pytest.raises(UnavailableAction):
+            env.step(np.array(codes), all_stop(env, Team.BLUE))
+    with pytest.raises(EnvError):  # one code per agent, none missing
+        env.step(all_stop(env, Team.RED)[:3], all_stop(env, Team.BLUE))
+    for k in range(4):  # a marine's slot k attacks enemy k and nobody else
+        restore_world(env, units)
+        red = all_stop(env, Team.RED)
+        red[2] = TARGET_OFFSET + k
+        env.step(red, all_stop(env, Team.BLUE))
+        damaged = np.flatnonzero(env.world.health < env.world.stats.max_health)
+        assert list(damaged) == [env.views[Team.RED].enemies[k]]
+
+
 # -- step lifecycle ----------------------------------------------------------------
 
 
