@@ -6,9 +6,10 @@ command-line flags; every run directory gets a manifest with the fully
 resolved configuration so it can be reproduced bit-for-bit.
 
 Exit codes: 0 success; 2 usage or configuration error (bad flags, a
-:class:`CliError` such as an unknown ``--config`` key, or a
-:class:`~skirmish.scenario.ScenarioError`); 1 any other failure while
-running, domain ``ValueError`` subclasses included.
+missing input file, a :class:`CliError` such as an unknown ``--config``
+key, or a :class:`~skirmish.scenario.ScenarioError`); 1 any other failure
+while running, domain ``ValueError`` subclasses included.  Commands create
+the directories they write to, so a missing file is always an input.
 """
 
 from __future__ import annotations
@@ -332,7 +333,10 @@ def cmd_eval(args) -> int:
 def cmd_pit(args) -> int:
     """``eval`` with a human-readable report and an optional replay log."""
     scenario, env, red, blue = _eval_common(args)
-    writer = ReplayWriter(args.replay_out) if args.replay_out else None
+    writer = None
+    if args.replay_out:
+        Path(args.replay_out).parent.mkdir(parents=True, exist_ok=True)
+        writer = ReplayWriter(args.replay_out)
     try:
         result = evaluate(red, blue, scenario, n_episodes=args.episodes, seed=args.seed,
                           engine_config=env.engine_config, reward_config=env.reward_config, replay=writer)
@@ -518,6 +522,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (CliError, ScenarioError) as exc:
         print(f"skirmish {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except FileNotFoundError as exc:
+        print(f"skirmish {args.command}: no such file: {exc.filename}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures
         print(f"skirmish {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -227,11 +227,6 @@ class ScriptedBot(Learner):
 # -- value mixing -----------------------------------------------------------
 
 
-def vdn_mix(per_agent_q: np.ndarray) -> np.ndarray:
-    """Additive decomposition: the team value is the sum of agent values."""
-    return np.asarray(per_agent_q).sum(axis=-1)
-
-
 def _elu(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x, np.expm1(np.minimum(x, 0.0)))
 
@@ -300,16 +295,6 @@ def make_mixer(state_dim: int, n_agents: int, embed: int = 32, layers: int = 2, 
     )
 
 
-def make_identity_mixer(state_dim: int, n_agents: int) -> QmixMixer:
-    """Single mixing layer pinned to unit weights and zero bias."""
-    mixer = make_mixer(state_dim, n_agents, layers=1, seed=0)
-    mixer.hyper_w1.weights[0][:] = 0.0
-    mixer.hyper_w1.biases[0][:] = 1.0
-    mixer.hyper_b1.weights[0][:] = 0.0
-    mixer.hyper_b1.biases[0][:] = 0.0
-    return mixer
-
-
 def _mixer_forward(mixer: QmixMixer, q: np.ndarray, state: np.ndarray) -> tuple[np.ndarray, dict]:
     """Batched mix with a cache for the backward pass; rows are samples.
 
@@ -350,22 +335,8 @@ def _mixer_backward(mixer: QmixMixer, cache: dict, d_qtot: np.ndarray) -> tuple[
         d_outputs = [d_w1, d_h_pre, d_w2_pre, g]
     grads = []
     for net, trace, d_out in zip(mixer.nets(), cache["traces"], d_outputs):
-        grads += nn.backward(net, trace, d_out).params()
+        grads += nn.backward(net, trace, d_out)
     return d_q, grads
-
-
-def qmix_mix(per_agent_q: np.ndarray, state: np.ndarray, mixer: QmixMixer) -> np.ndarray:
-    """Monotonic team value from per-agent chosen-action values."""
-    q = np.asarray(per_agent_q, dtype=float)
-    s = np.asarray(state, dtype=float)
-    squeeze = q.ndim == 1
-    if squeeze:
-        q = q[None, :]
-        s = s[None, :]
-    if q.shape[-1] != mixer.n_agents or s.shape[-1] != mixer.state_dim:
-        raise nn.ShapeMismatch("mixer shapes do not match inputs")
-    qtot, _ = _mixer_forward(mixer, q, s)
-    return qtot[0] if squeeze else qtot
 
 
 # -- episodic replay ---------------------------------------------------------
@@ -451,76 +422,67 @@ class ValueLearner(Learner):
 
 @dataclass
 class _Batch:
-    inputs: np.ndarray     # (B, T+1, A, D)
-    states: np.ndarray     # (B, T+1, S)
-    avail: np.ndarray      # (B, T+1, A, nA) bool
-    actions: np.ndarray    # (B, T, A)
-    rewards: np.ndarray    # (B, T)
-    pad: np.ndarray        # (B, T) 1.0 while the episode is live
-    boot: np.ndarray       # (B, T) 1.0 where a next-state bootstrap applies
+    """Every sampled episode's rows 0..T, back to back; ``R`` is the sum of T+1.
+
+    ``now`` holds the row of every live step t < T, so row ``now + 1`` is
+    that step's next step; the per-step fields have one entry per ``now``.
+    """
+
+    inputs: np.ndarray     # (R, A, D) observation, agent id and last action
+    states: np.ndarray     # (R, S)
+    avail: np.ndarray      # (R, A, nA) bool
+    now: np.ndarray        # (N,) row of each live step
+    actions: np.ndarray    # (N, A) taken at row now
+    rewards: np.ndarray    # (N,)
+    boot: np.ndarray       # (N,) True where row now + 1 is not its episode's last row
 
 
 def _collate(learner: ValueLearner, episodes: list[TeamEpisode]) -> _Batch:
     spec = learner.team_spec
-    B = len(episodes)
-    Tm = max(ep.length for ep in episodes)
-    A, nA, D = spec.n_agents, spec.n_actions, learner.input_dim
-    inputs = np.zeros((B, Tm + 1, A, D))
-    states = np.zeros((B, Tm + 1, spec.state_len))
-    avail = np.zeros((B, Tm + 1, A, nA), dtype=bool)
-    actions = np.zeros((B, Tm, A), dtype=np.int64)
-    rewards = np.zeros((B, Tm))
-    pad = np.zeros((B, Tm))
-    boot = np.zeros((B, Tm))
-    eye_a = learner._agent_eye
-    eye_u = learner._action_eye
-    for b, ep in enumerate(episodes):
-        T = ep.length
-        inputs[b, : T + 1, :, : spec.obs_len] = ep.obs
-        inputs[b, : T + 1, :, spec.obs_len : spec.obs_len + A] = eye_a
-        inputs[b, 1 : T + 1, :, spec.obs_len + A :] = eye_u[ep.actions]
-        states[b, : T + 1] = ep.state
-        avail[b, : T + 1] = ep.masks
-        actions[b, :T] = ep.actions
-        rewards[b, :T] = ep.rewards
-        pad[b, :T] = 1.0
-        boot[b, : T - 1] = 1.0
-    avail[..., ACTION_NOOP] |= ~avail.any(axis=-1)  # padding rows stay maskable
-    return _Batch(inputs, states, avail, actions, rewards, pad, boot)
-
-
-def _q_values(learner: ValueLearner, batch: _Batch):
-    """Online Q (with trace) on steps 0..T-1 and target max-Q on steps 1..T."""
-    B, T1, A, D = batch.inputs.shape
-    nA = learner.team_spec.n_actions
-    q_now, trace = nn.forward_trace(learner.net, batch.inputs[:, :-1].reshape(-1, D))
-    q_now = q_now.reshape(B, T1 - 1, A, nA)
-    q_next = nn.forward(learner.target_net, batch.inputs[:, 1:].reshape(-1, D)).reshape(B, T1 - 1, A, nA)
-    avail_next = batch.avail[:, 1:]
-    if learner.config.double_q:
-        online_next = nn.forward(learner.net, batch.inputs[:, 1:].reshape(-1, D)).reshape(B, T1 - 1, A, nA)
-        pick = np.where(avail_next, online_next, -np.inf).argmax(axis=-1)
-        next_max = np.take_along_axis(q_next, pick[..., None], axis=-1)[..., 0]
-    else:
-        next_max = np.where(avail_next, q_next, -np.inf).max(axis=-1)
-    chosen = np.take_along_axis(q_now, batch.actions[..., None], axis=-1)[..., 0]
-    return chosen, next_max, trace
+    L, A = spec.obs_len, spec.n_agents
+    obs = np.concatenate([ep.obs for ep in episodes])
+    last = np.zeros(len(obs), dtype=bool)
+    last[np.cumsum([ep.length + 1 for ep in episodes]) - 1] = True
+    now = np.flatnonzero(~last)
+    actions = np.concatenate([ep.actions for ep in episodes]).astype(np.int64)
+    inputs = np.zeros((len(obs), A, learner.input_dim))
+    inputs[..., :L] = obs
+    inputs[..., L : L + A] = learner._agent_eye
+    inputs[now + 1, :, L + A :] = learner._action_eye[actions]
+    return _Batch(
+        inputs, np.concatenate([ep.state for ep in episodes]), np.concatenate([ep.masks for ep in episodes]),
+        now, actions, np.concatenate([ep.rewards for ep in episodes]), ~last[now + 1],
+    )
 
 
 def team_td_train_step(learner: ValueLearner, episodes: list[TeamEpisode], gamma: float | None = None) -> float:
     """One TD update for every mixing rule; returns the batch loss.
 
-    iql keeps each agent's chosen-action value, ``(B, T, A)``; vdn sums and
-    qmix mixes them into one team value, ``(B, T, 1)``.  Terminal steps
-    regress straight to the reward; the loss averages live steps and that axis.
+    iql keeps each live step's per-agent chosen-action values, ``(N, A)``;
+    vdn sums and qmix mixes them into one team value, ``(N, 1)``.  Terminal
+    steps regress straight to the reward; the loss averages every entry.
+    One online and one target pass cover all rows; the online pass serves
+    both the chosen values and, with ``double_q``, the next-step argmax.
     """
     if not episodes:
         raise LearnerError("empty batch")
     gamma = learner.config.gamma if gamma is None else gamma
     batch = _collate(learner, episodes)
-    chosen, next_max, trace = _q_values(learner, batch)
-    B, T, A = chosen.shape
-    S = learner.team_spec.state_len
+    now, nxt = batch.now, batch.now + 1
+    R, A, D = batch.inputs.shape
+    nA = learner.team_spec.n_actions
+    rows = batch.inputs.reshape(R * A, D)
+    q, trace = nn.forward_trace(learner.net, rows)
+    q = q.reshape(R, A, nA)
+    q_next = nn.forward(learner.target_net, rows).reshape(R, A, nA)[nxt]
+    avail_next = batch.avail[nxt]
+    if learner.config.double_q:
+        pick = np.where(avail_next, q[nxt], -np.inf).argmax(axis=-1)
+        next_max = np.take_along_axis(q_next, pick[..., None], axis=-1)[..., 0]
+    else:
+        next_max = np.where(avail_next, q_next, -np.inf).max(axis=-1)
+    taken = (now[:, None], np.arange(A), batch.actions)
+    chosen = q[taken]
 
     if learner.algo == "iql":
         q_tot, next_tot = chosen, next_max
@@ -528,28 +490,24 @@ def team_td_train_step(learner: ValueLearner, episodes: list[TeamEpisode], gamma
         q_tot = chosen.sum(axis=-1, keepdims=True)
         next_tot = next_max.sum(axis=-1, keepdims=True)
     else:
-        q_tot, mix_cache = _mixer_forward(learner.mixer, chosen.reshape(-1, A), batch.states[:, :-1].reshape(-1, S))
-        q_tot = q_tot.reshape(B, T, 1)
-        next_tot = _mixer_forward(
-            learner.target_mixer, next_max.reshape(-1, A), batch.states[:, 1:].reshape(-1, S)
-        )[0].reshape(B, T, 1)
+        q_tot, mix_cache = _mixer_forward(learner.mixer, chosen, batch.states[now])
+        q_tot = q_tot[:, None]
+        next_tot = _mixer_forward(learner.target_mixer, next_max, batch.states[nxt])[0][:, None]
 
-    y = batch.rewards[..., None] + gamma * batch.boot[..., None] * next_tot
-    diff = (q_tot - y) * batch.pad[..., None]
-    norm = batch.pad.sum() * q_tot.shape[-1]
-    loss = float((diff * diff).sum() / norm)
-    d_tot = 2.0 * diff / norm
+    y = batch.rewards[:, None] + gamma * batch.boot[:, None] * next_tot
+    diff = q_tot - y
+    loss = float((diff * diff).sum() / diff.size)
+    d_tot = 2.0 * diff / diff.size
 
     if learner.mixer is None:
         d_chosen = np.broadcast_to(d_tot, chosen.shape)
         mixer_grads = []
     else:
-        d_chosen_flat, mixer_grads = _mixer_backward(learner.mixer, mix_cache, d_tot.reshape(-1))
-        d_chosen = d_chosen_flat.reshape(chosen.shape)
+        d_chosen, mixer_grads = _mixer_backward(learner.mixer, mix_cache, d_tot[:, 0])
 
-    d_q = np.zeros(chosen.shape + (learner.team_spec.n_actions,))
-    np.put_along_axis(d_q, batch.actions[..., None], d_chosen[..., None], axis=-1)
-    grads = nn.backward(learner.net, trace, d_q.reshape(B * T * A, -1)).params() + mixer_grads
+    d_q = np.zeros((R, A, nA))
+    d_q[taken] = d_chosen
+    grads = nn.backward(learner.net, trace, d_q.reshape(R * A, nA)) + mixer_grads
     clip = learner.config.grad_clip
     if clip > 0:
         total = np.sqrt(sum(float((a * a).sum()) for a in grads))

@@ -82,47 +82,28 @@ def forward_trace(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]
     return y, trace
 
 
-@dataclass
-class Gradients:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    wrt_input: np.ndarray
-
-    def params(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-
-def backward(net: Mlp, trace: list[np.ndarray], output_gradient: np.ndarray) -> Gradients:
-    """Exact reverse-mode gradients of ``sum(y * output_gradient)``.
+def backward(net: Mlp, trace: list[np.ndarray], output_gradient: np.ndarray) -> list[np.ndarray]:
+    """Parameter gradients of ``sum(y * output_gradient)``, aligned with ``net.params()``.
 
     ``trace`` comes from ``forward_trace(net, x)`` and ``y`` is that call's
-    output; a single-row ``output_gradient`` gives a single-row
-    ``wrt_input``.  Batched inputs accumulate over rows, matching a
-    sum-reduced loss.
+    output.  Batched inputs accumulate over rows, matching a sum-reduced
+    loss.  The pass stops at layer 0's weights: no caller reads the
+    gradient with respect to the input, so it is never formed.
     """
     g = np.asarray(output_gradient, dtype=float)
-    squeeze = g.ndim == 1
-    if squeeze:
+    if g.ndim == 1:
         g = g[None, :]
     if g.shape[-1] != net.widths[-1]:
         raise ShapeMismatch(f"output gradient width {g.shape[-1]} != {net.widths[-1]}")
-    n_layers = len(net.weights)
-    gw: list[np.ndarray | None] = [None] * n_layers
-    gb: list[np.ndarray | None] = [None] * n_layers
-    for l in range(n_layers - 1, -1, -1):
-        a_in = trace[2 * l]
-        z = trace[2 * l + 1]
-        if l != n_layers - 1:
-            g = g * (z > 0.0)
-        gw[l] = g.T @ a_in
-        gb[l] = g.sum(axis=0)
-        g = g @ net.weights[l]
-    wrt_input = g[0] if squeeze else g
-    return Gradients(gw, gb, wrt_input)
+    last = len(net.weights) - 1
+    grads: list[np.ndarray] = []
+    for l in range(last, -1, -1):
+        if l != last:
+            g = g * (trace[2 * l + 1] > 0.0)
+        grads[:0] = [g.T @ trace[2 * l], g.sum(axis=0)]
+        if l:
+            g = g @ net.weights[l]
+    return grads
 
 
 @dataclass
@@ -160,50 +141,6 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: OptimSta
         v_hat = v / correction2
         p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
     return state
-
-
-@dataclass(frozen=True)
-class GradCheckReport:
-    max_rel_error: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error < self.tolerance
-
-
-def finite_diff_check(net: Mlp, x: np.ndarray, tolerance: float, h: float = 1e-4) -> GradCheckReport:
-    """Compare backward against central differences over every parameter.
-
-    Uses the scalar loss ``0.5 * sum(y^2)``, whose output gradient is the
-    forward value itself.
-    """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    x = np.asarray(x, dtype=float)
-
-    def loss() -> float:
-        y = forward(net, x)
-        return 0.5 * float(np.sum(y * y))
-
-    y, trace = forward_trace(net, x)
-    analytic = backward(net, trace, y).params()
-    worst = 0.0
-    for p, g in zip(net.params(), analytic):
-        flat = p.reshape(-1)
-        gflat = np.asarray(g).reshape(-1)
-        for k in range(flat.size):
-            keep = flat[k]
-            flat[k] = keep + h
-            hi = loss()
-            flat[k] = keep - h
-            lo = loss()
-            flat[k] = keep
-            numeric = (hi - lo) / (2.0 * h)
-            err = abs(numeric - gflat[k]) / max(abs(numeric), abs(gflat[k]), 1.0)
-            if err > worst:
-                worst = err
-    return GradCheckReport(max_rel_error=worst, tolerance=tolerance)
 
 
 def params_hash(arrays: list[np.ndarray]) -> str:

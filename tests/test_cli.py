@@ -91,6 +91,29 @@ def test_out_of_range_numbers_are_usage_errors(argv, capsys):
     parser.parse_args([argv[0], argv[1], "1"])  # the smallest valid value parses
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["replay", "--file", "MISSING.jsonl"],
+        ["eval", "--red", "MISSING.npz"],
+        ["bench", "--config", "MISSING.json"],
+        ["analyze", "--replays", "MISSING.jsonl"],
+        ["pit", "--red", "MISSING.npz"],
+    ],
+    ids=" ".join,
+)
+def test_missing_input_file_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # analyze writes its default --out here
+    assert cli.main(argv) == 2
+    assert f"no such file: {argv[-1]}" in capsys.readouterr().err
+
+
+def test_pit_creates_the_replay_directory(tmp_path):
+    replay = tmp_path / "nodir" / "x.jsonl"
+    assert cli.main(["pit", "--scenario", "3m", "--episodes", "1", "--replay-out", str(replay)]) == 0
+    assert replay.read_text().count("\n") >= 1
+
+
 def test_scenario_errors_exit_2(tmp_path):
     assert cli.main(["bench", "--scenario", "99m", "--steps", "10"]) == 2
     scenario = tmp_path / "slow.ini"

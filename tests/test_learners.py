@@ -13,15 +13,14 @@ from skirmish.learners import (
     ScriptedBot,
     TeamEpisode,
     ValueLearner,
+    _mixer_backward,
+    _mixer_forward,
     epsilon_greedy,
     load_learner,
-    make_identity_mixer,
     make_learner,
     make_mixer,
-    qmix_mix,
     save_learner,
     team_td_train_step,
-    vdn_mix,
 )
 
 from conftest import tiny_scenario
@@ -225,6 +224,24 @@ def test_bot_heals_lowest_damaged_ally():
 # -- mixing -----------------------------------------------------------------------
 
 
+def vdn_mix(per_agent_q):
+    """Additive decomposition: the team value is the sum of agent values."""
+    return np.asarray(per_agent_q).sum(axis=-1)
+
+
+def qmix_mix(per_agent_q, state, mixer):
+    """Monotonic team value of each row of per-agent chosen-action values."""
+    return _mixer_forward(mixer, np.atleast_2d(per_agent_q), np.atleast_2d(state))[0]
+
+
+def force_identity_mixer(learner):
+    for mix in (learner.mixer, learner.target_mixer):
+        mix.hyper_w1.weights[0][:] = 0.0
+        mix.hyper_w1.biases[0][:] = 1.0
+        mix.hyper_b1.weights[0][:] = 0.0
+        mix.hyper_b1.biases[0][:] = 0.0
+
+
 def test_vdn_mix_sums():
     assert vdn_mix(np.array([1.0, 2.0, -0.5])) == 2.5
     assert vdn_mix(np.array([3.25])) == 3.25
@@ -235,11 +252,12 @@ def test_vdn_mix_sums():
 
 
 def test_identity_mixer_reduces_to_vdn():
-    mixer = make_identity_mixer(state_dim=4, n_agents=3)
+    learner = ValueLearner("qmix", toy_spec(A=3, S=4), LearnerConfig(hidden=(8,), mixer_layers=1), seed=0)
+    force_identity_mixer(learner)
     rng = np.random.default_rng(0)
     q = rng.normal(size=(10, 3))
     s = rng.normal(size=(10, 4))
-    assert np.array_equal(qmix_mix(q, s, mixer), vdn_mix(q))
+    assert np.array_equal(qmix_mix(q, s, learner.mixer), vdn_mix(q))
 
 
 def test_mixer_hand_computed_value():
@@ -256,31 +274,27 @@ def test_mixer_hand_computed_value():
     q = np.array([1.0, 2.0])
     s = np.zeros(3)
     # hidden = elu(1*0.5 + 2*1.5 + 0.25) = 3.75; total = 3.75*2 + 0.7
-    assert qmix_mix(q, s, mixer) == pytest.approx(8.2)
+    assert qmix_mix(q, s, mixer)[0] == pytest.approx(8.2)
 
 
 def test_mixer_monotone_partials():
     rng = np.random.default_rng(4)
     mixer = make_mixer(state_dim=5, n_agents=3, embed=8, layers=2, seed=3)
     h = 1e-6
-    for _ in range(200):
-        q = rng.normal(size=3)
-        s = rng.normal(size=5)
-        for i in range(3):
-            up = q.copy()
-            up[i] += h
-            down = q.copy()
-            down[i] -= h
-            partial = (qmix_mix(up, s, mixer) - qmix_mix(down, s, mixer)) / (2 * h)
-            assert partial >= -1e-9
+    q = rng.normal(size=(200, 3))
+    s = rng.normal(size=(200, 5))
+    for i in range(3):
+        step = np.zeros(3)
+        step[i] = h
+        partial = (qmix_mix(q + step, s, mixer) - qmix_mix(q - step, s, mixer)) / (2 * h)
+        assert (partial >= -1e-9).all()
 
 
 def test_mixer_shape_mismatch():
-    from skirmish.nn import ShapeMismatch
-
     mixer = make_mixer(state_dim=4, n_agents=2, seed=0)
-    with pytest.raises(ShapeMismatch):
-        qmix_mix(np.zeros(3), np.zeros(4), mixer)
+    assert qmix_mix(np.zeros(2), np.zeros(4), mixer).shape == (1,)
+    with pytest.raises(nn.ShapeMismatch):
+        _mixer_forward(mixer, np.zeros((1, 2)), np.zeros((1, 3)))
 
 
 # -- training steps ---------------------------------------------------------------
@@ -402,6 +416,104 @@ def test_td_gradient_matches_finite_differences(algo, monkeypatch):
     np.testing.assert_allclose(numeric, expected, rtol=1e-5, atol=1e-8)
 
 
+def padded_update(learner, episodes, gamma):
+    """The update as it ran on a padded batch: every episode padded to the longest, padding masked out.
+
+    Returns the loss and the clipped gradients handed to Adam.
+    """
+    spec = learner.team_spec
+    B, Tm = len(episodes), max(ep.length for ep in episodes)
+    A, nA, L, S, D = spec.n_agents, spec.n_actions, spec.obs_len, spec.state_len, learner.input_dim
+    inputs, states = np.zeros((B, Tm + 1, A, D)), np.zeros((B, Tm + 1, S))
+    avail, actions = np.zeros((B, Tm + 1, A, nA), dtype=bool), np.zeros((B, Tm, A), dtype=np.int64)
+    rewards, pad, boot = np.zeros((B, Tm)), np.zeros((B, Tm)), np.zeros((B, Tm))
+    for b, ep in enumerate(episodes):
+        T = ep.length
+        inputs[b, : T + 1, :, :L] = ep.obs
+        inputs[b, : T + 1, :, L : L + A] = np.eye(A)
+        inputs[b, 1 : T + 1, :, L + A :] = np.eye(nA)[ep.actions]
+        states[b, : T + 1], avail[b, : T + 1], actions[b, :T], rewards[b, :T] = ep.state, ep.masks, ep.actions, ep.rewards
+        pad[b, :T], boot[b, : T - 1] = 1.0, 1.0
+    avail[..., ACTION_NOOP] |= ~avail.any(axis=-1)  # padding rows stay maskable
+    q_now, trace = nn.forward_trace(learner.net, inputs[:, :-1].reshape(-1, D))
+    q_next = nn.forward(learner.target_net, inputs[:, 1:].reshape(-1, D)).reshape(B, Tm, A, nA)
+    if learner.config.double_q:
+        online_next = nn.forward(learner.net, inputs[:, 1:].reshape(-1, D)).reshape(B, Tm, A, nA)
+        pick = np.where(avail[:, 1:], online_next, -np.inf).argmax(axis=-1)
+        next_max = np.take_along_axis(q_next, pick[..., None], axis=-1)[..., 0]
+    else:
+        next_max = np.where(avail[:, 1:], q_next, -np.inf).max(axis=-1)
+    chosen = np.take_along_axis(q_now.reshape(B, Tm, A, nA), actions[..., None], axis=-1)[..., 0]
+    if learner.algo == "iql":
+        q_tot, next_tot = chosen, next_max
+    elif learner.algo == "vdn":
+        q_tot, next_tot = chosen.sum(axis=-1, keepdims=True), next_max.sum(axis=-1, keepdims=True)
+    else:
+        q_tot, cache = _mixer_forward(learner.mixer, chosen.reshape(-1, A), states[:, :-1].reshape(-1, S))
+        q_tot = q_tot.reshape(B, Tm, 1)
+        next_tot = _mixer_forward(learner.target_mixer, next_max.reshape(-1, A), states[:, 1:].reshape(-1, S))[0]
+        next_tot = next_tot.reshape(B, Tm, 1)
+    diff = (q_tot - rewards[..., None] - gamma * boot[..., None] * next_tot) * pad[..., None]
+    norm = pad.sum() * q_tot.shape[-1]
+    d_tot, mixer_grads = 2.0 * diff / norm, []
+    d_chosen = np.broadcast_to(d_tot, chosen.shape)
+    if learner.mixer is not None:
+        d_chosen, mixer_grads = _mixer_backward(learner.mixer, cache, d_tot.reshape(-1))
+    d_q = np.zeros(chosen.shape + (nA,))
+    np.put_along_axis(d_q, actions[..., None], d_chosen.reshape(chosen.shape)[..., None], axis=-1)
+    grads = nn.backward(learner.net, trace, d_q.reshape(-1, nA)) + mixer_grads
+    total = np.sqrt(sum(float((g * g).sum()) for g in grads))
+    scale = min(1.0, learner.config.grad_clip / total)
+    return float((diff * diff).sum() / norm), [g * scale for g in grads]
+
+
+@pytest.mark.parametrize("double_q", [False, True], ids=["max", "double_q"])
+@pytest.mark.parametrize("mixer_layers", [1, 2])
+@pytest.mark.parametrize("algo", ["iql", "vdn", "qmix"])
+def test_live_row_update_matches_padded_reference(algo, mixer_layers, double_q, monkeypatch):
+    """The live-row update agrees with the padded one to float64 rounding (rtol 1e-9, atol 1e-12)."""
+    spec = toy_spec(A=3)
+    cfg = LearnerConfig(hidden=(8, 8), double_q=double_q, mixer_layers=mixer_layers, mixer_embed=4, grad_clip=0.5)
+    rng = np.random.default_rng(31)
+    episodes = []
+    for T in (1, 3, 6):
+        masks = rng.random((T + 1, 3, spec.n_actions)) < 0.6
+        masks[..., ACTION_NOOP] |= ~masks.any(axis=-1)
+        actions = np.array([[rng.choice(np.flatnonzero(m)) for m in step] for step in masks[:-1]], dtype=np.int16)
+        episodes.append(toy_episode(spec, T, rng, masks=masks, actions=actions))
+    learner = ValueLearner(algo, spec, cfg, seed=3)
+    for p in learner.target_net.params():  # targets that differ from the online values
+        p += rng.normal(scale=0.3, size=p.shape)
+    captured = []
+    monkeypatch.setattr(nn, "adam_step", lambda params, grads, state: captured.append(grads))
+
+    loss = team_td_train_step(learner, episodes, gamma=0.9)
+    ref_loss, ref_grads = padded_update(learner, episodes, gamma=0.9)
+    np.testing.assert_allclose(loss, ref_loss, rtol=1e-9, atol=1e-12)
+    assert len(captured[0]) == len(ref_grads) == len(learner.parameter_arrays())
+    for got, want in zip(captured[0], ref_grads):
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("algo", ["iql", "qmix"])
+def test_double_q_runs_each_network_forward_once(algo, monkeypatch):
+    spec = toy_spec()
+    learner = ValueLearner(algo, spec, LearnerConfig(hidden=(8,), double_q=True), seed=0)
+    rng = np.random.default_rng(1)
+    episodes = [toy_episode(spec, 4, rng), toy_episode(spec, 2, rng)]
+    calls = []
+    original = nn.forward_trace
+
+    def counting(net, x):
+        calls.append(net)
+        return original(net, x)
+
+    monkeypatch.setattr(nn, "forward_trace", counting)
+    team_td_train_step(learner, episodes)
+    assert sum(net is learner.net for net in calls) == 1
+    assert sum(net is learner.target_net for net in calls) == 1
+
+
 # -- reduction identities -----------------------------------------------------------
 
 
@@ -416,14 +528,6 @@ def test_vdn_single_agent_equals_iql_exactly():
         assert team_td_train_step(iql, episodes) == team_td_train_step(vdn, episodes)
     for a, b in zip(iql.parameter_arrays(), vdn.parameter_arrays()):
         assert np.array_equal(a, b)
-
-
-def force_identity_mixer(learner):
-    for mix in (learner.mixer, learner.target_mixer):
-        mix.hyper_w1.weights[0][:] = 0.0
-        mix.hyper_w1.biases[0][:] = 1.0
-        mix.hyper_b1.weights[0][:] = 0.0
-        mix.hyper_b1.biases[0][:] = 0.0
 
 
 def test_qmix_identity_mixer_equals_vdn_loss():
