@@ -9,7 +9,6 @@ from .engine import (
     Outcome,
     Team,
     UnitSpec,
-    compute_damage,
 )
 from .env import BattleEnv, RewardConfig, TeamStepResult
 from .scenario import ScenarioSpec, builtin_scenarios, get_scenario, parse_scenario_config, spawn_layout
@@ -30,7 +29,6 @@ __all__ = [
     "TrainConfig",
     "UnitSpec",
     "builtin_scenarios",
-    "compute_damage",
     "evaluate",
     "get_scenario",
     "make_learner",

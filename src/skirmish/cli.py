@@ -9,7 +9,9 @@ Exit codes: 0 success; 2 usage or configuration error (bad flags, a
 missing input file, a :class:`CliError` such as an unknown ``--config``
 key, or a :class:`~skirmish.scenario.ScenarioError`); 1 any other failure
 while running, domain ``ValueError`` subclasses included.  Commands create
-the directories they write to, so a missing file is always an input.
+the directories they write to, so a missing file is always an input, and
+only once their inputs have loaded, so a failed command leaves no output
+directory behind.
 """
 
 from __future__ import annotations
@@ -52,12 +54,24 @@ class CheckpointScenarioMismatch(CliError):
     pass
 
 
+ALGOS = ("iql", "vdn", "qmix")
+
+
 def count(text: str) -> int:
     """argparse type of the counts and budgets: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def algo_list(text: str) -> list[str]:
+    """argparse type of a comma-separated list of learner algorithms, possibly empty."""
+    algos = [a for a in text.split(",") if a]
+    unknown = sorted(set(algos) - set(ALGOS))
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown algorithm(s) {', '.join(unknown)} (expected {', '.join(ALGOS)})")
+    return algos
 
 
 def seconds(text: str) -> float:
@@ -88,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one side in bot, paired or mixed mode", formatter_class=fmt)
     _add_common(p)
     p.add_argument("--mode", choices=("bot", "paired", "mixed"), default="bot", help="training controller")
-    p.add_argument("--algo", default="iql", choices=("iql", "vdn", "qmix"), help="learning algorithm")
-    p.add_argument("--algo-b", default=None, choices=("iql", "vdn", "qmix"), help="second learner (paired mode)")
+    p.add_argument("--algo", default="iql", choices=ALGOS, help="learning algorithm")
+    p.add_argument("--algo-b", default=None, choices=ALGOS, help="second learner (paired mode)")
     p.add_argument("--pool", default=None, help="opponent pool directory (mixed mode)")
     p.add_argument("--steps", type=count, default=300_000, help="training env steps per seed")
     p.add_argument("--seeds", type=count, default=5, help="number of seeded runs")
@@ -117,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pool", help="build a frozen opponent pool", formatter_class=fmt)
     _add_common(p)
-    p.add_argument("--algos", default="iql,vdn,qmix", help="comma-separated member algorithms")
+    p.add_argument("--algos", type=algo_list, default="iql,vdn,qmix", help="comma-separated member algorithms")
     p.add_argument("--steps-per-member", type=count, default=150_000, help="training env steps per member")
     p.add_argument("--no-bot", action="store_true", help="leave the scripted bot out of the pool")
     p.add_argument("--seed", type=int, default=0, help="pool build seed")
@@ -235,22 +249,12 @@ def _train_one_seed(payload: tuple) -> list[RunMetrics]:
 
     Picklable both ways, so seeds can run in worker processes.
     """
-    args, overrides, seed, out = payload
-    scenario, engine, reward = _resolve_run(args, overrides)
-    learner_cfg = _build_section(LearnerConfig, overrides, "learner")
-    config = TrainConfig(
-        total_env_steps=args.steps,
-        test_interval=args.test_interval,
-        test_episodes=args.test_episodes,
-        learner=learner_cfg,
-        engine=engine,
-        reward=reward,
-    )
-    env = BattleEnv(scenario, engine, reward)
+    args, scenario, config, pool, seed, out = payload
+    env = BattleEnv(scenario, config.engine, config.reward)
     sides = [(Team.RED, args.algo), (Team.BLUE, args.algo_b)] if args.mode == "paired" else [(Team.RED, args.algo)]
     learners = [
         # Paired sides' seeds carry a side index; a lone learner's seed does not.
-        make_learner(algo, env.team_spec(team), learner_cfg,
+        make_learner(algo, env.team_spec(team), config.learner,
                      seed=derive_seed(STREAM_INIT, seed, *([i] if len(sides) > 1 else [])))
         for i, (team, algo) in enumerate(sides)
     ]
@@ -259,7 +263,7 @@ def _train_one_seed(payload: tuple) -> list[RunMetrics]:
     elif args.mode == "paired":
         runs = list(train_paired(*learners, scenario, config, seed=seed))
     else:
-        runs = [train_mixed(learners[0], _load_pool(Path(args.pool)), scenario, config, seed=seed)]
+        runs = [train_mixed(learners[0], pool, scenario, config, seed=seed)]
 
     out = Path(out)
     for metrics, learner, (team, algo) in zip(runs, learners, sides):
@@ -277,10 +281,20 @@ def cmd_train(args) -> int:
         print("train: --mode mixed requires --pool", file=sys.stderr)
         return 2
     overrides = _load_config_file(args.config)
+    scenario, engine, reward = _resolve_run(args, overrides)
+    config = TrainConfig(
+        total_env_steps=args.steps,
+        test_interval=args.test_interval,
+        test_episodes=args.test_episodes,
+        learner=_build_section(LearnerConfig, overrides, "learner"),
+        engine=engine,
+        reward=reward,
+    )
+    pool = _load_pool(Path(args.pool)) if args.mode == "mixed" else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seeds = [args.seed_base + k for k in range(args.seeds)]
-    payloads = [(args, overrides, seed, str(out)) for seed in seeds]
+    payloads = [(args, scenario, config, pool, seed, str(out)) for seed in seeds]
     if args.jobs > 1:
         import concurrent.futures
 
@@ -375,8 +389,9 @@ def cmd_pool(args) -> int:
         engine=engine,
         reward=reward,
     )
-    algos = [a for a in args.algos.split(",") if a]
-    pool = build_opponent_pool(scenario, algos, not args.no_bot, config, seed=args.seed)
+    if not args.algos and args.no_bot:
+        raise CliError("empty pool: pass --algos or leave out --no-bot")
+    pool = build_opponent_pool(scenario, args.algos, not args.no_bot, config, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -416,31 +431,30 @@ def cmd_serve(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .analysis import NoInputFiles, action_diversity, aggregate_runs, log_from_replay, write_summary
+    from .analysis import action_diversity, aggregate_runs, log_from_replay, write_summary
     from .env import read_replay
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    did_anything = False
+    if not args.metrics_dir and not args.replays:
+        raise CliError("nothing to analyze: pass --metrics-dir and/or --replays")
+    summary = None
     if args.metrics_dir:
         files = sorted(Path(args.metrics_dir).glob("*.csv"))
         if not files:
-            raise NoInputFiles(f"no metrics CSV files in {args.metrics_dir}")
+            raise CliError(f"no metrics CSV files in {args.metrics_dir}")
         summary = aggregate_runs(files)
+    reports = [(path, action_diversity(log_from_replay(read_replay(path)), args.diversity_bandwidth))
+               for path in args.replays]
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if summary is not None:
         write_summary(summary, out)
         print(f"aggregated {len(files)} metrics files into {out}")
-        did_anything = True
-    for replay_path in args.replays:
-        records = read_replay(replay_path)
-        log = log_from_replay(records)
-        report = action_diversity(log, args.diversity_bandwidth)
+    for replay_path, report in reports:
         dest = out / (Path(replay_path).stem + "_diversity.json")
         dest.write_text(json.dumps(report.to_json(), indent=2), encoding="utf-8")
         print(f"{replay_path}: {report.n_clusters} joint-action clusters "
               f"(explained variance {report.explained_variance[0]:.3f}/{report.explained_variance[1]:.3f})")
-        did_anything = True
-    if not did_anything:
-        raise NoInputFiles("nothing to analyze: pass --metrics-dir and/or --replays")
     return 0
 
 

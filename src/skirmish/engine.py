@@ -34,10 +34,6 @@ class EngineError(ValueError):
     """Base class for combat-rule violations."""
 
 
-class NotAnAttacker(EngineError):
-    """Raised when damage is requested from a unit without a weapon."""
-
-
 class ArmorClass(enum.Enum):
     LIGHT = "light"
     ARMORED = "armored"
@@ -147,19 +143,6 @@ class StepEvents:
 
     def for_team(self, team: Team) -> TeamEvents:
         return self.red if team is Team.RED else self.blue
-
-
-def compute_damage(attacker: UnitSpec, target: UnitSpec) -> float:
-    """Damage one attack by ``attacker`` inflicts on ``target``.
-
-    The bonus figure replaces the base damage outright when the target's
-    armor class matches.
-    """
-    if attacker.base_damage is None:
-        raise NotAnAttacker(f"{attacker.name} has no weapon")
-    if attacker.bonus_vs is not None and target.armor_class is attacker.bonus_vs[0]:
-        return attacker.bonus_vs[1]
-    return attacker.base_damage
 
 
 def _split_damage(health: float, shield: float, amount: float) -> tuple[float, float, float]:

@@ -10,8 +10,8 @@ observations, which keeps self-play exactly fair.
 Action codes: 0 no-op (dead only), 1 stop, 2-5 move north/south/east/west
 in the canonical frame, ``6+k`` target action on slot ``k`` — enemies for
 armed units, own-team patients (self excluded) for healers.
-:func:`team_layout` is the one place that derives the action count and the
-position and width of every observation and state block.
+:func:`team_layout` is the one place that derives the action count, the
+position and width of every observation block and the state length.
 """
 
 from __future__ import annotations
@@ -152,19 +152,20 @@ class TeamSpec:
 
 @dataclass(frozen=True)
 class TeamLayout:
-    """Where each block of one team's observation and state vectors sits.
+    """Shapes and block offsets of one team's observation and state vectors.
 
-    Observation: 4 move flags; one row per enemy (id, distance, dx, dy,
-    health, shield, type one-hot); one row per other ally (distance, dx, dy,
-    health, shield, type one-hot); then the agent's own health, shield and
-    type one-hot.  State: one row per enemy (health, weapon cooldown, x, y,
-    shield, type one-hot), then one per ally (the same without cooldown).
+    An agent's observation is 4 move flags, then one row per enemy (id,
+    distance, dx, dy, health, shield, type one-hot) from ``enemy_off``, one
+    row per other ally (the same without the id) from ``ally_off``, and the
+    agent's own health, shield and type one-hot from ``own_off``.  Distances
+    and offsets are in units of the agent's sight range; a row the agent
+    cannot see, and every row of a dead agent, is zero.  The state is one row per enemy (health, weapon
+    cooldown, x, y, shield, type one-hot), then one per ally (the same
+    without cooldown), over every unit regardless of sight.
     """
 
     n_agents: int
     n_enemies: int
-    n_types: int
-    n_targets: int
     n_actions: int
     enemy_off: int
     enemy_width: int
@@ -172,8 +173,6 @@ class TeamLayout:
     ally_width: int
     own_off: int
     obs_len: int
-    state_enemy_width: int
-    state_ally_width: int
     state_len: int
 
     def team_spec(self, team: Team, scenario_name: str) -> TeamSpec:
@@ -199,8 +198,6 @@ def team_layout(scenario: ScenarioSpec, team: Team) -> TeamLayout:
     return TeamLayout(
         n_agents=A,
         n_enemies=E,
-        n_types=T,
-        n_targets=n_targets,
         n_actions=TARGET_OFFSET + n_targets,
         enemy_off=enemy_off,
         enemy_width=enemy_width,
@@ -208,55 +205,46 @@ def team_layout(scenario: ScenarioSpec, team: Team) -> TeamLayout:
         ally_width=ally_width,
         own_off=own_off,
         obs_len=own_off + 2 + T,
-        state_enemy_width=5 + T,
-        state_ally_width=4 + T,
         state_len=E * (5 + T) + A * (4 + T),
     )
 
 
 class _TeamView:
-    """Per-team constants precomputed once per environment."""
+    """One team's constants, precomputed once per environment."""
 
     def __init__(self, env: "BattleEnv", team: Team):
         world = env._proto_world
-        self.layout = team_layout(env.scenario, team)
+        self.layout = layout = team_layout(env.scenario, team)
+        A = layout.n_agents
         self.sign = 1.0 if team is Team.RED else -1.0
-        self.agents = np.arange(world.n_units)[world.team_slice(team)]
-        self.enemies = np.arange(world.n_units)[world.team_slice(team.other)]
-        A, E = len(self.agents), len(self.enemies)
-        self.n_agents = A
-        self.n_enemies = E
-        type_col = {s.spec_id: k for k, s in enumerate(env.scenario.unit_types())}
-        onehot_all = np.zeros((world.n_units, len(type_col)))
-        for i, s in enumerate(world.specs):
-            onehot_all[i, type_col[s.spec_id]] = 1.0
-        self.onehot_self = onehot_all[self.agents]
-        self.onehot_enemy = onehot_all[self.enemies]
-        self.onehot_all = onehot_all
-        self.is_healer = world.stats.is_healer[self.agents]
-        self.has_healer = bool(self.is_healer.any())
-
-        # Own-team slots with self excluded, in unit-id order: row a lists the
-        # global indices of agent a's potential heal patients / visible allies.
-        gather = np.empty((A, A - 1), dtype=np.intp)
-        for a in range(A):
-            gather[a] = np.concatenate([self.agents[:a], self.agents[a + 1 :]])
-        self.ally_gather = gather
-        self.heal_ok = ~world.stats.is_healer[gather]
-
-        self.enemy_id_norm = np.arange(E, dtype=float) / E
-        self.sight = world.stats.sight_range[self.agents][:, None]
+        self.own = world.team_slice(team)
+        self.other = world.team_slice(team.other)
+        self.agents = np.arange(world.n_units)[self.own]
+        self.enemies = np.arange(world.n_units)[self.other]
+        self.is_healer = world.stats.is_healer[self.own]
+        self.enemy_id_norm = np.arange(layout.n_enemies, dtype=float) / layout.n_enemies
+        self.sight = world.stats.sight_range[self.own][:, None]
         self.inv_sight = 1.0 / self.sight
-        self.step_len = world.stats.move_speed[self.agents] * env.engine_config.step_dt
+        self.step_len = world.stats.move_speed[self.own] * env.engine_config.step_dt
 
-        stats = world.stats
-        with np.errstate(divide="ignore"):
-            inv_h = 1.0 / stats.max_health
-            inv_s = np.where(stats.max_shield > 0, 1.0 / np.where(stats.max_shield > 0, stats.max_shield, 1.0), 0.0)
-            inv_p = np.where(stats.attack_period > 0, 1.0 / np.where(stats.attack_period > 0, stats.attack_period, 1.0), 0.0)
-        self.inv_h_all = inv_h
-        self.inv_s_all = inv_s
-        self.inv_p_all = inv_p
+        # Row a of ally_gather lists agent a's allies (itself excluded) in
+        # unit-id order, as do its ally rows.
+        self.ally_gather = np.broadcast_to(self.agents, (A, A))[~np.eye(A, dtype=bool)].reshape(A, A - 1)
+
+        # Target code TARGET_OFFSET + k of agent a addresses unit
+        # slot_unit[a, k]: enemy k for an armed agent, ally k for a healer.
+        # slot_ok is False on padding slots and where a healer meets a healer.
+        n_targets = layout.n_actions - TARGET_OFFSET
+        self.slot_unit = np.zeros((A, n_targets), dtype=np.intp)
+        self.slot_ok = np.zeros((A, n_targets), dtype=bool)
+        for a in range(A):
+            slots = self.ally_gather[a] if self.is_healer[a] else self.enemies
+            self.slot_unit[a, : len(slots)] = slots
+            self.slot_ok[a, : len(slots)] = ~(self.is_healer[a] & world.stats.is_healer[slots])
+
+        # The same, as flat indices into a per-agent (A, n_units) table.
+        self.ally_flat = np.arange(A)[:, None] * world.n_units + self.ally_gather
+        self.slot_flat = np.arange(A)[:, None] * world.n_units + self.slot_unit
 
 
 class BattleEnv:
@@ -275,8 +263,16 @@ class BattleEnv:
         self.scenario = scenario
         self.engine_config = engine_config or EngineConfig()
         self.reward_config = reward_config or RewardConfig()
-        self._proto_world = self._build_world(spawn_layout(scenario, seed=0, spread=0.0))
+        self._proto_world = world = self._build_world(spawn_layout(scenario, seed=0, spread=0.0))
         self.views = {Team.RED: _TeamView(self, Team.RED), Team.BLUE: _TeamView(self, Team.BLUE)}
+        # Per-unit constants shared by both teams' encodings.
+        type_col = {s.spec_id: k for k, s in enumerate(scenario.unit_types())}
+        self._onehot = np.zeros((world.n_units, len(type_col)))
+        self._onehot[np.arange(world.n_units), [type_col[s.spec_id] for s in world.specs]] = 1.0
+        stats = world.stats
+        self._inv_h = 1.0 / stats.max_health
+        self._inv_s = np.divide(1.0, stats.max_shield, out=np.zeros(world.n_units), where=stats.max_shield > 0)
+        self._inv_p = np.divide(1.0, stats.attack_period, out=np.zeros(world.n_units), where=stats.attack_period > 0)
         self._scale = {t: reward_scale(scenario, t, self.reward_config) for t in Team}
         self._world: WorldState | None = None
         self._terminated = True
@@ -307,10 +303,7 @@ class BattleEnv:
         self._outcome = terminal_status(world, self.scenario.episode_step_limit)
         self._terminated = self._outcome is not Outcome.ONGOING
         outcome = self._outcome if self._terminated else None
-        return (
-            self._result(Team.RED, 0.0, self._terminated, outcome, {}),
-            self._result(Team.BLUE, 0.0, self._terminated, outcome, {}),
-        )
+        return self._results(dict.fromkeys(Team, 0.0), outcome, {t: {} for t in Team})
 
     @property
     def world(self) -> WorldState:
@@ -347,11 +340,7 @@ class BattleEnv:
         self._terminated = outcome is not Outcome.ONGOING
         rewards = {t: compute_reward(events, outcome, t, self.reward_config, self._scale[t]) for t in Team}
         reported = self._outcome if self._terminated else None
-        info = {t: self._info(events, t) for t in Team}
-        return (
-            self._result(Team.RED, rewards[Team.RED], self._terminated, reported, info[Team.RED]),
-            self._result(Team.BLUE, rewards[Team.BLUE], self._terminated, reported, info[Team.BLUE]),
-        )
+        return self._results(rewards, reported, {t: self._info(events, t) for t in Team})
 
     @staticmethod
     def _info(events: StepEvents, team: Team) -> dict:
@@ -366,12 +355,13 @@ class BattleEnv:
 
     def _fill_commands(self, team: Team, actions: np.ndarray, kind, dir_x, dir_y, target) -> None:
         view = self.views[team]
-        if actions.shape != (view.n_agents,):
-            raise EnvError(f"{team.name.lower()} actions must have shape ({view.n_agents},)")
+        A = view.layout.n_agents
+        if actions.shape != (A,):
+            raise EnvError(f"{team.name.lower()} actions must have shape ({A},)")
         mask = self._masks[team]
         sign = view.sign
         agents = view.agents
-        for a in range(view.n_agents):
+        for a in range(A):
             code = int(actions[a])
             if code < 0 or code >= view.layout.n_actions or not mask[a, code]:
                 raise UnavailableAction(team, a, code)
@@ -384,142 +374,107 @@ class BattleEnv:
                 dir_x[g] = sign * dx
                 dir_y[g] = sign * dy
             else:
-                k = code - TARGET_OFFSET
-                if view.is_healer[a]:
-                    kind[g] = 3
-                    target[g] = view.ally_gather[a, k]
-                else:
-                    kind[g] = 2
-                    target[g] = view.enemies[k]
+                kind[g] = 3 if view.is_healer[a] else 2
+                target[g] = view.slot_unit[a, code - TARGET_OFFSET]
 
     # -- encoding ----------------------------------------------------------
 
-    def _result(self, team: Team, reward: float, terminated: bool, outcome, info) -> TeamStepResult:
-        obs, mask = self._encode_team(team)
-        self._masks[team] = mask
+    def _results(self, rewards: dict, outcome, info: dict) -> tuple[TeamStepResult, TeamStepResult]:
+        """Both teams' results for the current world, from one geometry pass.
+
+        ``dx[i, j]``, ``dy[i, j]`` and ``dist[i, j]`` run from unit ``i`` to
+        unit ``j`` in world coordinates; ``units`` holds every unit's health
+        fraction, shield fraction and type one-hot.
+        """
         world = self._world
-        return TeamStepResult(
-            observations=obs,
-            masks=mask,
-            reward=reward,
-            terminated=terminated,
-            outcome=outcome,
-            info=info,
-            state_fn=lambda: self.encode_state(team, world),
-        )
+        px, py = world.pos_x, world.pos_y
+        dx = px[None, :] - px[:, None]
+        dy = py[None, :] - py[:, None]
+        geometry = (dx, dy, np.sqrt(dx * dx + dy * dy))
+        units = np.empty((world.n_units, 2 + self._onehot.shape[1]))
+        units[:, 0] = world.health * self._inv_h
+        units[:, 1] = world.shield * self._inv_s
+        units[:, 2:] = self._onehot
+        results = []
+        for team in Team:
+            obs, mask = self._encode_team(team, geometry, units)
+            self._masks[team] = mask
+            results.append(
+                TeamStepResult(
+                    observations=obs,
+                    masks=mask,
+                    reward=rewards[team],
+                    terminated=self._terminated,
+                    outcome=outcome,
+                    info=info[team],
+                    state_fn=lambda team=team: self.encode_state(team, world),
+                )
+            )
+        return tuple(results)
 
-    def _move_avail(self, view: _TeamView, world: WorldState) -> np.ndarray:
-        sx = view.sign * world.pos_x[view.agents]
-        sy = view.sign * world.pos_y[view.agents]
-        d = view.step_len
-        avail = np.empty((view.n_agents, 4), dtype=bool)
-        avail[:, 0] = sy + d <= world.half_h
-        avail[:, 1] = sy - d >= -world.half_h
-        avail[:, 2] = sx + d <= world.half_w
-        avail[:, 3] = sx - d >= -world.half_w
-        return avail
-
-    def _encode_team(self, team: Team) -> tuple[np.ndarray, np.ndarray]:
-        """Per-agent observations and action masks of one team."""
+    def _encode_team(self, team: Team, geometry, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-agent observations and action masks of one team (see :class:`TeamLayout`)."""
         view = self.views[team]
         layout = view.layout
         world = self._world
-        obs = np.zeros((view.n_agents, layout.obs_len))
-        mask = np.zeros((view.n_agents, layout.n_actions), dtype=bool)
-        A, E, T = view.n_agents, view.n_enemies, layout.n_types
-        ag, en = view.agents, view.enemies
-
-        px, py, alive = world.pos_x, world.pos_y, world.alive
-        alive_a = alive[ag]
-        dx_ae = px[en][None, :] - px[ag][:, None]
-        dy_ae = py[en][None, :] - py[ag][:, None]
-        dist_ae = np.sqrt(dx_ae * dx_ae + dy_ae * dy_ae)
-        enemy_avail = alive[en][None, :] & (dist_ae <= view.sight)
-
-        move_avail = self._move_avail(view, world)
+        own, other, sign = view.own, view.other, view.sign
+        A, E = layout.n_agents, layout.n_enemies
+        dx, dy, dist = (g[own] for g in geometry)
+        alive_a = world.alive[own]
+        seen = world.alive[None, :] & (dist <= view.sight) & alive_a[:, None]
+        sx = sign * world.pos_x[own]
+        sy = sign * world.pos_y[own]
+        d = view.step_len
+        moves = np.stack([sy + d <= world.half_h, sy - d >= -world.half_h,
+                          sx + d <= world.half_w, sx - d >= -world.half_w], axis=1)
+        moves &= alive_a[:, None]
 
         # Mask: no-op for the dead, everything else gated on being alive.
+        mask = np.empty((A, layout.n_actions), dtype=bool)
         mask[:, ACTION_NOOP] = ~alive_a
         mask[:, ACTION_STOP] = alive_a
-        mask[:, 2:6] = move_avail & alive_a[:, None]
-        targets = np.zeros((A, layout.n_targets), dtype=bool)
-        attackers = ~view.is_healer
-        targets[attackers, :E] = (enemy_avail & alive_a[:, None])[attackers]
-        if A > 1:
-            gather = view.ally_gather
-            dx_aa = px[gather] - px[ag][:, None]
-            dy_aa = py[gather] - py[ag][:, None]
-            dist_aa = np.sqrt(dx_aa * dx_aa + dy_aa * dy_aa)
-            ally_vis = alive[gather] & (dist_aa <= view.sight)
-            if view.has_healer:
-                heal_avail = ally_vis & view.heal_ok & alive_a[:, None]
-                targets[view.is_healer, : A - 1] = heal_avail[view.is_healer]
-        mask[:, TARGET_OFFSET:] = targets
+        mask[:, ACTION_MOVE_NORTH:TARGET_OFFSET] = moves
+        mask[:, TARGET_OFFSET:] = np.take(seen, view.slot_flat) & view.slot_ok
 
-        # Observation blocks, zeroed wherever the subject is dead or unseen.
-        sign = view.sign
-        eb = np.empty((A, E, layout.enemy_width))
-        eb[:, :, 0] = view.enemy_id_norm[None, :]
-        eb[:, :, 1] = dist_ae * view.inv_sight
-        eb[:, :, 2] = sign * dx_ae * view.inv_sight
-        eb[:, :, 3] = sign * dy_ae * view.inv_sight
-        eb[:, :, 4] = (world.health[en] * view.inv_h_all[en])[None, :]
-        eb[:, :, 5] = (world.shield[en] * view.inv_s_all[en])[None, :]
-        eb[:, :, 6:] = view.onehot_enemy[None, :, :]
-        eb *= (enemy_avail & alive_a[:, None])[:, :, None]
+        # Row j of agent a describes unit j in a's frame.  A hidden entry is
+        # zeroed by multiplying it by its flag, never with np.where: a hidden
+        # negative offset must become -0.0, or the seeded output bytes that
+        # test_env pins would change.
+        rows = np.empty((A, world.n_units, layout.ally_width))
+        rows[:, :, 0] = dist * view.inv_sight
+        rows[:, :, 1] = sign * dx * view.inv_sight
+        rows[:, :, 2] = sign * dy * view.inv_sight
+        rows[:, :, 3:] = units
+        rows *= seen.astype(float)[:, :, None]
 
-        if A > 1:
-            ab = np.empty((A, A - 1, layout.ally_width))
-            ab[:, :, 0] = dist_aa * view.inv_sight
-            ab[:, :, 1] = sign * dx_aa * view.inv_sight
-            ab[:, :, 2] = sign * dy_aa * view.inv_sight
-            ab[:, :, 3] = world.health[gather] * view.inv_h_all[gather]
-            ab[:, :, 4] = world.shield[gather] * view.inv_s_all[gather]
-            ab[:, :, 5:] = view.onehot_all[gather]
-            ab *= (ally_vis & alive_a[:, None])[:, :, None]
-            obs[:, layout.ally_off : layout.own_off] = ab.reshape(A, -1)
-
-        personal = np.empty((A, 2 + T))
-        personal[:, 0] = world.health[ag] * view.inv_h_all[ag]
-        personal[:, 1] = world.shield[ag] * view.inv_s_all[ag]
-        personal[:, 2:] = view.onehot_self
-        personal *= alive_a[:, None]
-
-        obs[:, : layout.enemy_off] = (move_avail & alive_a[:, None]).astype(float)
-        obs[:, layout.enemy_off : layout.ally_off] = eb.reshape(A, -1)
-        obs[:, layout.own_off :] = personal
+        obs = np.empty((A, layout.obs_len))
+        obs[:, : layout.enemy_off] = moves
+        enemy = obs[:, layout.enemy_off : layout.ally_off].reshape(A, E, layout.enemy_width)
+        enemy[:, :, 0] = view.enemy_id_norm * seen[:, other]
+        enemy[:, :, 1:] = rows[:, other]
+        by_unit = rows.reshape(-1, layout.ally_width)
+        obs[:, layout.ally_off : layout.own_off] = np.take(by_unit, view.ally_flat, axis=0).reshape(A, -1)
+        obs[:, layout.own_off :] = units[own] * alive_a[:, None]
         return obs, mask
 
     def encode_state(self, team: Team, world: WorldState | None = None) -> np.ndarray:
         """Centralized full-information encoding in the team's frame.
 
-        Encodes ``world``, by default the current one; enemy rows carry the
-        weapon cooldown and ally rows do not (see :class:`TeamLayout`).
+        Encodes ``world``, by default the current one: the enemy rows, then
+        the ally rows without their cooldown column (see :class:`TeamLayout`).
         """
         view = self.views[team]
-        layout = view.layout
         world = self._world if world is None else world
-        sign = view.sign
-
-        def block(indices: np.ndarray, with_cd: bool) -> np.ndarray:
-            width = layout.state_enemy_width if with_cd else layout.state_ally_width
-            rows = np.empty((len(indices), width))
-            col = 0
-            rows[:, col] = world.health[indices] * view.inv_h_all[indices]
-            col += 1
-            if with_cd:
-                rows[:, col] = world.cooldown[indices] * view.inv_p_all[indices]
-                col += 1
-            rows[:, col] = sign * world.pos_x[indices] * view.inv_sight[0, 0]
-            rows[:, col + 1] = sign * world.pos_y[indices] * view.inv_sight[0, 0]
-            rows[:, col + 2] = world.shield[indices] * view.inv_s_all[indices]
-            rows[:, col + 3 :] = view.onehot_all[indices]
-            rows *= world.alive[indices][:, None]
-            return rows
-
-        enemies = block(view.enemies, with_cd=True)
-        allies = block(view.agents, with_cd=False)
-        return np.concatenate([enemies.reshape(-1), allies.reshape(-1)])
+        inv_sight = view.inv_sight[0, 0]
+        table = np.empty((world.n_units, 5 + self._onehot.shape[1]))
+        table[:, 0] = world.health * self._inv_h
+        table[:, 1] = world.cooldown * self._inv_p
+        table[:, 2] = view.sign * world.pos_x * inv_sight
+        table[:, 3] = view.sign * world.pos_y * inv_sight
+        table[:, 4] = world.shield * self._inv_s
+        table[:, 5:] = self._onehot
+        table *= world.alive[:, None]
+        return np.concatenate([table[view.other].reshape(-1), np.delete(table[view.own], 1, axis=1).reshape(-1)])
 
     def available_actions(self, team: Team) -> np.ndarray:
         """Current per-agent action mask for one team."""

@@ -103,9 +103,46 @@ def test_out_of_range_numbers_are_usage_errors(argv, capsys):
     ids=" ".join,
 )
 def test_missing_input_file_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)  # analyze writes its default --out here
+    monkeypatch.chdir(tmp_path)  # analyze's default --out is relative
     assert cli.main(argv) == 2
     assert f"no such file: {argv[-1]}" in capsys.readouterr().err
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse rejects a bad flag value before any command runs
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pool", "--algos", "bogus"],
+        ["pool", "--algos", "", "--no-bot"],
+        ["analyze"],
+        ["analyze", "--metrics-dir", "."],  # a directory with no metrics CSV in it
+    ],
+    ids=" ".join,
+)
+def test_bad_pool_and_analyze_inputs_are_usage_errors(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _exit_code(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--replays", "MISSING.jsonl", "--out", "out"],
+        ["analyze", "--out", "out"],
+        ["train", "--mode", "mixed", "--pool", "NOPOOL", "--out", "out"],
+    ],
+    ids=" ".join,
+)
+def test_failed_commands_leave_no_output_directory(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_pit_creates_the_replay_directory(tmp_path):

@@ -16,10 +16,8 @@ from skirmish.engine import (
     ZEALOT,
     ArmorClass,
     EngineConfig,
-    NotAnAttacker,
     Outcome,
     Team,
-    compute_damage,
     step_world_arrays,
     terminal_status,
 )
@@ -80,12 +78,9 @@ def step(world, commands):
     ],
 )
 def test_compute_damage_table(attacker, target, expected):
-    assert compute_damage(attacker, target) == expected
-
-
-def test_medivac_cannot_attack():
-    with pytest.raises(NotAnAttacker):
-        compute_damage(MEDIVAC, MARINE)
+    world = make_world([(attacker.name, Team.RED, (10.0, 16.0)), (target.name, Team.BLUE, (14.0, 16.0))])
+    _, events = step(world, [attack(0, 1), stop(1)])
+    assert events.red.damage_dealt == expected
 
 
 def test_armor_classes_match_roster():
@@ -450,6 +445,14 @@ def test_engine_mirror_symmetry():
 
 
 # -- independent straight-line re-simulation ------------------------------------
+
+
+def compute_damage(attacker, target):
+    """Damage one attack inflicts: the bonus figure replaces the base damage
+    outright when the target's armor class matches."""
+    if attacker.bonus_vs is not None and target.armor_class is attacker.bonus_vs[0]:
+        return attacker.bonus_vs[1]
+    return attacker.base_damage
 
 
 def naive_step(world, commands):

@@ -1,6 +1,7 @@
 """Environment API: encodings, masks, rewards, lifecycle, replay logs."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -25,7 +26,8 @@ from skirmish.env import (
     reward_scale,
 )
 from skirmish.engine import StepEvents, TeamEvents
-from skirmish.scenario import get_scenario
+from skirmish.learners import make_learner
+from skirmish.scenario import builtin_scenarios, get_scenario
 
 from conftest import tiny_scenario, zero_jitter
 
@@ -159,8 +161,6 @@ def test_mirrored_observations_in_symmetric_world():
 
 def test_observation_bounds_over_random_play(rng):
     env = BattleEnv(get_scenario("MMM2"))
-    from skirmish.learners import make_learner
-
     red = make_learner("random", env.team_spec(Team.RED))
     blue = make_learner("random", env.team_spec(Team.BLUE))
     r, b = env.reset(seed=3)
@@ -261,6 +261,31 @@ def test_masks_keep_heals_among_allies_and_attacks_on_enemies():
         env.step(red, all_stop(env, Team.BLUE))
         damaged = np.flatnonzero(env.world.health < env.world.stats.max_health)
         assert list(damaged) == [env.views[Team.RED].enemies[k]]
+
+
+def test_medivac_target_codes_heal_and_never_damage():
+    """A medivac has no weapon: each target code it may use heals one teammate."""
+    red_comp = ((CATALOG["medivac"], 1), (CATALOG["marine"], 2))
+    env = BattleEnv(dataclasses.replace(tiny_scenario(), red_composition=red_comp))
+    units = [
+        ("medivac", Team.RED, (14.0, 16.0)),
+        ("marine", Team.RED, (12.0, 15.0)),
+        ("marine", Team.RED, (12.0, 17.0)),
+        ("marine", Team.BLUE, (16.0, 15.0)),  # both enemies in the medivac's range
+        ("marine", Team.BLUE, (16.0, 17.0)),
+    ]
+    for code in range(TARGET_OFFSET, env.team_spec(Team.RED).n_actions):
+        restore_world(env, units)
+        world = env.world
+        world.health[1:3] = 20.0
+        r, _ = env.restore(world)
+        assert r.masks[0, code]
+        red = all_stop(env, Team.RED)
+        red[0] = code
+        r, _ = env.step(red, all_stop(env, Team.BLUE))
+        assert r.info["damage_dealt"] == 0.0 and r.info["heals"] == 7.0
+        assert (env.world.health[3:] == 45.0).all()
+        assert list(np.flatnonzero(env.world.health[1:3] > 20.0)) == [code - TARGET_OFFSET]
 
 
 # -- step lifecycle ----------------------------------------------------------------
@@ -449,6 +474,39 @@ def test_state_not_affected_by_sight():
     r, _ = env.reset(seed=0)
     enemy_rows = r.state[: 3 * 6].reshape(3, 6)
     assert (enemy_rows[:, 0] == 1.0).all()  # enemies visible in state despite fog
+
+
+# -- seeded outputs -----------------------------------------------------------------
+
+# sha256 of every result below; any change to an encoding, mask, reward or info
+# byte on any built-in scenario changes it.
+PINNED_OUTPUT_DIGEST = "331039b748724c25f554fc1b2c58e5075c9047453089d2515a09ace606094314"
+
+
+def seeded_output_digest():
+    """Hash one random-vs-random and one bot-vs-bot episode on each built-in scenario."""
+    digest = hashlib.sha256()
+    for scn in builtin_scenarios().values():
+        env = BattleEnv(scn)
+        for algo in ("random", "bot"):
+            red = make_learner(algo, env.team_spec(Team.RED), scenario=scn)
+            blue = make_learner(algo, env.team_spec(Team.BLUE), scenario=scn)
+            rng = np.random.default_rng(7)
+            results = env.reset(seed=5)
+            while True:
+                for res in results:
+                    for array in (res.observations, res.masks, res.state, np.float64(res.reward)):
+                        digest.update(array.tobytes())
+                    digest.update(json.dumps([res.info, str(res.outcome)], sort_keys=True).encode())
+                if env.terminated:
+                    break
+                r, b = results
+                results = env.step(red.act(r.observations, r.masks, 0.0, rng), blue.act(b.observations, b.masks, 0.0, rng))
+    return digest.hexdigest()
+
+
+def test_seeded_outputs_match_the_pinned_digest():
+    assert seeded_output_digest() == PINNED_OUTPUT_DIGEST
 
 
 # -- replay logs --------------------------------------------------------------------
