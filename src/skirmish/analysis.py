@@ -29,10 +29,12 @@ class NoInputFiles(AnalysisError):
 
 
 def pca_2d(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Top-2 principal projection via power iteration with deflation.
+    """Top-2 principal projection from the eigendecomposition of the covariance.
 
-    Deterministic: fixed start vector, sign convention = largest-magnitude
-    loading positive.  Returns (projection (N,2), explained variance (2,)).
+    Deterministic sign convention: each component's largest-magnitude
+    loading is positive.  A component whose eigenvalue is at most 1e-14 of
+    the total variance (the rank has run out) projects to zeros.  Returns
+    (projection (N,2), explained variance ratio (2,)).
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] < 2 or rows.shape[1] < 2:
@@ -42,37 +44,13 @@ def pca_2d(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     total = float(np.trace(cov))
     if total <= 1e-15:
         raise DegenerateData("rows have zero variance")
-
-    components = []
-    variances = []
-    work = cov.copy()
-    start = np.random.default_rng(0).standard_normal(rows.shape[1])
-    for _ in range(2):
-        v = start / np.linalg.norm(start)
-        value = 0.0
-        for _ in range(500):
-            w = work @ v
-            norm = np.linalg.norm(w)
-            if norm <= 1e-14 * total:
-                # Deflated residual is (numerically) zero: rank exhausted.
-                v = np.zeros_like(v)
-                value = 0.0
-                break
-            v = w / norm
-            new_value = float(v @ work @ v)
-            if abs(new_value - value) <= 1e-13 * total:
-                value = new_value
-                break
-            value = new_value
-        if v.any():
-            lead = np.argmax(np.abs(v))
-            if v[lead] < 0:
-                v = -v
-        components.append(v)
-        variances.append(max(value, 0.0))
-        work = work - value * np.outer(v, v)
-    basis = np.stack(components)
-    return centered @ basis.T, np.array(variances) / total
+    values, vectors = np.linalg.eigh(cov)  # ascending
+    values, basis = values[:-3:-1], vectors[:, :-3:-1].T
+    kept = values > 1e-14 * total
+    values, basis = np.where(kept, values, 0.0), np.where(kept[:, None], basis, 0.0)
+    lead = basis[np.arange(2), np.abs(basis).argmax(axis=1)]
+    basis = np.where(lead[:, None] < 0, -basis, basis)
+    return centered @ basis.T, values / total
 
 
 def mean_shift(points: np.ndarray, bandwidth: float) -> np.ndarray:

@@ -164,7 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_SECTIONS = {"scenario": ScenarioSpec, "engine": EngineConfig, "reward": RewardConfig, "learner": LearnerConfig}
+
+
 def _load_config_file(path: str | None) -> dict:
+    """The ``--config`` overrides, every section and key checked, whether or not the command uses it."""
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
@@ -172,9 +176,11 @@ def _load_config_file(path: str | None) -> dict:
             overrides = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CliError(f"--config {path}: {exc}") from exc
-    unknown = set(overrides) - {"scenario", "engine", "reward", "learner"}
+    unknown = set(overrides) - set(_SECTIONS)
     if unknown:
         raise CliError(f"--config {path}: unknown section(s) {', '.join(sorted(unknown))}")
+    for key, data in overrides.items():
+        _check_keys(_SECTIONS[key], data, key)
     return overrides
 
 
@@ -186,7 +192,6 @@ def _resolve_scenario(args, overrides: dict) -> ScenarioSpec:
         spec = get_scenario(name)
     scn = overrides.get("scenario", {})
     if scn:
-        _check_keys(ScenarioSpec, scn, "scenario")
         spec = dataclasses.replace(spec, **scn)
     if getattr(args, "spawn_spread", None) is not None:
         spec = dataclasses.replace(spec, spawn_spread=args.spawn_spread)
@@ -201,7 +206,6 @@ def _check_keys(cls, data: dict, key: str) -> None:
 
 def _build_section(cls, overrides: dict, key: str):
     data = overrides.get(key, {})
-    _check_keys(cls, data, key)
     if key == "learner" and "hidden" in data:
         data = dict(data, hidden=tuple(data["hidden"]))
     return cls(**data) if data else cls()
@@ -216,19 +220,23 @@ def _resolve_run(args, overrides: dict) -> tuple[ScenarioSpec, EngineConfig, Rew
     )
 
 
-def _policy(label: str, scenario: ScenarioSpec, team: Team, env: BattleEnv, seed: int) -> Learner:
+def _check_fits(learner: Learner, label: str, env: BattleEnv, team: Team) -> Learner:
+    """``learner``, if it was saved for the side, scenario and shapes of ``team`` in ``env``."""
+    have, want = learner.team_spec, env.team_spec(team)
+    if have != want:
+        def describe(s):
+            return (f"{s.team.name.lower()} on {s.scenario!r} ({s.n_agents} agents, {s.n_enemies} enemies, "
+                    f"{s.n_actions} actions, {s.obs_len} observation and {s.state_len} state features)")
+        raise CheckpointScenarioMismatch(f"{label} was saved for {describe(have)}, not {describe(want)}")
+    return learner
+
+
+def _policy(label: str, scenario: ScenarioSpec, team: Team, env: BattleEnv) -> Learner:
     if label == "bot":
         return make_learner("bot", env.team_spec(team), scenario=scenario)
     if label == "random":
         return make_learner("random", env.team_spec(team))
-    learner = load_learner(label)
-    if learner.team_spec.scenario != scenario.name:
-        raise CheckpointScenarioMismatch(
-            f"checkpoint {label} was trained on {learner.team_spec.scenario!r}, not {scenario.name!r}"
-        )
-    if learner.team_spec.team is not team:
-        raise CliError(f"checkpoint {label} plays {learner.team_spec.team.name.lower()}, not {team.name.lower()}")
-    return learner
+    return _check_fits(load_learner(label), f"checkpoint {label}", env, team)
 
 
 def _manifest(path: Path, args, extra: dict) -> None:
@@ -290,7 +298,7 @@ def cmd_train(args) -> int:
         engine=engine,
         reward=reward,
     )
-    pool = _load_pool(Path(args.pool)) if args.mode == "mixed" else None
+    pool = _load_pool(Path(args.pool), BattleEnv(scenario, engine, reward)) if args.mode == "mixed" else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seeds = [args.seed_base + k for k in range(args.seeds)]
@@ -320,8 +328,8 @@ def cmd_train(args) -> int:
 def _eval_common(args) -> tuple[ScenarioSpec, BattleEnv, Learner, Learner]:
     scenario, engine, reward = _resolve_run(args, _load_config_file(args.config))
     env = BattleEnv(scenario, engine, reward)
-    red = _policy(args.red, scenario, Team.RED, env, args.seed)
-    blue = _policy(args.blue, scenario, Team.BLUE, env, args.seed)
+    red = _policy(args.red, scenario, Team.RED, env)
+    blue = _policy(args.blue, scenario, Team.BLUE, env)
     return scenario, env, red, blue
 
 
@@ -365,7 +373,8 @@ def cmd_pit(args) -> int:
     return 0
 
 
-def _load_pool(directory: Path) -> OpponentPool:
+def _load_pool(directory: Path, env: BattleEnv) -> OpponentPool:
+    """The frozen members in ``directory``; each must fit blue in ``env``."""
     manifest_path = directory / "pool_manifest.json"
     if not manifest_path.is_file():
         raise CliError(f"{directory} has no pool_manifest.json")
@@ -373,7 +382,7 @@ def _load_pool(directory: Path) -> OpponentPool:
     members = []
     names = []
     for entry in manifest["members"]:
-        learner = load_learner(directory / entry["file"])
+        learner = _check_fits(load_learner(directory / entry["file"]), f"pool member {entry['file']}", env, Team.BLUE)
         learner.freeze()
         members.append(learner)
         names.append(entry["algo"])

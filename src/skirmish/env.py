@@ -209,6 +209,12 @@ def team_layout(scenario: ScenarioSpec, team: Team) -> TeamLayout:
     )
 
 
+def ally_slots(n_agents: int) -> np.ndarray:
+    """Row a lists agent a's allies (itself excluded) as team-local indices, in the order of its ally rows."""
+    A = n_agents
+    return np.broadcast_to(np.arange(A), (A, A))[~np.eye(A, dtype=bool)].reshape(A, A - 1)
+
+
 class _TeamView:
     """One team's constants, precomputed once per environment."""
 
@@ -227,9 +233,8 @@ class _TeamView:
         self.inv_sight = 1.0 / self.sight
         self.step_len = world.stats.move_speed[self.own] * env.engine_config.step_dt
 
-        # Row a of ally_gather lists agent a's allies (itself excluded) in
-        # unit-id order, as do its ally rows.
-        self.ally_gather = np.broadcast_to(self.agents, (A, A))[~np.eye(A, dtype=bool)].reshape(A, A - 1)
+        # Row a of ally_gather lists the unit ids of agent a's ally rows.
+        self.ally_gather = self.agents[ally_slots(A)]
 
         # Target code TARGET_OFFSET + k of agent a addresses unit
         # slot_unit[a, k]: enemy k for an armed agent, ally k for a healer.

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import nn
 from .engine import Team
-from .env import ACTION_MOVE_EAST, ACTION_NOOP, ACTION_STOP, TARGET_OFFSET, TeamSpec, team_layout
+from .env import ACTION_MOVE_EAST, ACTION_NOOP, ACTION_STOP, TARGET_OFFSET, TeamSpec, ally_slots, team_layout
 from .scenario import ScenarioSpec, parse_scenario_config, scenario_config
 from .seeding import STREAM_INIT, derive_seed
 
@@ -51,7 +51,6 @@ class LearnerConfig:
     target_interval: int = 200
     double_q: bool = False
     mixer_embed: int = 32
-    mixer_layers: int = 2
     grad_clip: float = 10.0
 
     def to_json(self) -> str:
@@ -60,6 +59,9 @@ class LearnerConfig:
     @classmethod
     def from_json(cls, text: str) -> "LearnerConfig":
         data = json.loads(text)
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise LearnerError(f"unknown learner config key(s): {', '.join(sorted(unknown))}")
         data["hidden"] = tuple(data["hidden"])
         return cls(**data)
 
@@ -107,11 +109,10 @@ class Learner:
     """Behaviour contract shared by bots, random policies and trainers."""
 
     algo = "base"
-    trainable = False
 
     def __init__(self, team_spec: TeamSpec):
         self.team_spec = team_spec
-        self.frozen = not self.trainable
+        self.frozen = True
         self.env_steps = 0
 
     def freeze(self) -> None:
@@ -134,9 +135,6 @@ class Learner:
 
     def checkpoint_hash(self) -> str:
         return nn.params_hash(self.parameter_arrays())
-
-    def extra_meta(self) -> dict:
-        return {}
 
 
 class RandomPolicy(Learner):
@@ -179,9 +177,7 @@ class ScriptedBot(Learner):
         self.enemy_max_s = np.array([s.max_shield for s in enemies])
         self.is_healer = np.array([u.is_healer for u in units])
         # Patient slots mirror the observation's ally rows (self excluded).
-        self.ally_max_h = np.array(
-            [[units[j].max_health for j in range(A) if j != a] for a in range(A)]
-        ) if A > 1 else np.zeros((A, 0))
+        self.ally_max_h = np.array([u.max_health for u in units])[ally_slots(A)]
         self.enemy_row = layout.enemy_width
         self.ally_row = layout.ally_width
         self.enemy_off = layout.enemy_off
@@ -235,83 +231,33 @@ def _elu_grad(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, 1.0, np.exp(np.minimum(x, 0.0)))
 
 
-@dataclass
-class QmixMixer:
-    """State-conditioned monotonic mixer.
-
-    Hypernetworks map the global state to mixing weights whose absolute
-    value is used, so every partial derivative of the team value with
-    respect to an agent value stays non-negative.  ``layers=1`` drops the
-    hidden mixing layer; with unit weights and zero bias it degenerates to
-    the additive mix.
-    """
-
-    n_agents: int
-    state_dim: int
-    embed: int
-    layers: int
-    hyper_w1: nn.Mlp
-    hyper_b1: nn.Mlp
-    hyper_w2: nn.Mlp | None = None
-    hyper_v: nn.Mlp | None = None
-
-    def nets(self) -> list[nn.Mlp]:
-        out = [self.hyper_w1, self.hyper_b1]
-        if self.layers == 2:
-            out += [self.hyper_w2, self.hyper_v]
-        return out
-
-    def params(self) -> list[np.ndarray]:
-        return [p for net in self.nets() for p in net.params()]
-
-    def clone(self) -> "QmixMixer":
-        return QmixMixer(
-            self.n_agents, self.state_dim, self.embed, self.layers,
-            self.hyper_w1.clone(), self.hyper_b1.clone(),
-            self.hyper_w2.clone() if self.hyper_w2 else None,
-            self.hyper_v.clone() if self.hyper_v else None,
-        )
-
-    def copy_from(self, other: "QmixMixer") -> None:
-        for dst, src in zip(self.nets(), other.nets()):
-            dst.copy_from(src)
-
-
-def make_mixer(state_dim: int, n_agents: int, embed: int = 32, layers: int = 2, seed: int = 0) -> QmixMixer:
-    if layers not in (1, 2):
-        raise LearnerError("mixer supports 1 or 2 mixing layers")
-    if layers == 1:
-        return QmixMixer(
-            n_agents, state_dim, 1, 1,
-            hyper_w1=nn.init_params((state_dim, n_agents), derive_seed(STREAM_INIT, seed, 1)),
-            hyper_b1=nn.init_params((state_dim, 1), derive_seed(STREAM_INIT, seed, 2)),
-        )
-    return QmixMixer(
-        n_agents, state_dim, embed, 2,
-        hyper_w1=nn.init_params((state_dim, n_agents * embed), derive_seed(STREAM_INIT, seed, 1)),
-        hyper_b1=nn.init_params((state_dim, embed), derive_seed(STREAM_INIT, seed, 2)),
-        hyper_w2=nn.init_params((state_dim, embed), derive_seed(STREAM_INIT, seed, 3)),
-        hyper_v=nn.init_params((state_dim, embed, 1), derive_seed(STREAM_INIT, seed, 4)),
+def make_mixer(state_dim: int, n_agents: int, embed: int, seed: int) -> tuple[nn.Mlp, ...]:
+    """QMIX's hypernetworks ``(w1, b1, w2, v)``: each maps the global state to one part of the mix."""
+    return (
+        nn.init_params((state_dim, n_agents * embed), derive_seed(STREAM_INIT, seed, 1)),
+        nn.init_params((state_dim, embed), derive_seed(STREAM_INIT, seed, 2)),
+        nn.init_params((state_dim, embed), derive_seed(STREAM_INIT, seed, 3)),
+        nn.init_params((state_dim, embed, 1), derive_seed(STREAM_INIT, seed, 4)),
     )
 
 
-def _mixer_forward(mixer: QmixMixer, q: np.ndarray, state: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Batched mix with a cache for the backward pass; rows are samples.
+def _mixer_forward(mixer: tuple[nn.Mlp, ...], q: np.ndarray, state: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Monotonic two-layer mix of per-agent values, rows are samples; also returns the backward cache.
 
-    The cache keeps the hypernetwork traces, in ``mixer.nets()`` order.
+    The mixing weights are the absolute values of hypernetwork outputs, so
+    every partial derivative of the team value with respect to an agent
+    value stays non-negative.  The cache keeps the hypernetwork traces in
+    ``mixer`` order.
     """
-    w1_pre, w1_trace = nn.forward_trace(mixer.hyper_w1, state)
-    b1, b1_trace = nn.forward_trace(mixer.hyper_b1, state)
-    if mixer.layers == 1:
-        w = np.abs(w1_pre)
-        qtot = (q * w).sum(axis=-1) + b1[:, 0]
-        return qtot, {"q": q, "w1_pre": w1_pre, "w": w, "traces": [w1_trace, b1_trace]}
-    w1 = np.abs(w1_pre).reshape(len(q), mixer.n_agents, mixer.embed)
+    hyper_w1, hyper_b1, hyper_w2, hyper_v = mixer
+    w1_pre, w1_trace = nn.forward_trace(hyper_w1, state)
+    b1, b1_trace = nn.forward_trace(hyper_b1, state)
+    w1 = np.abs(w1_pre).reshape(len(q), q.shape[1], b1.shape[1])
     h_pre = np.einsum("na,nae->ne", q, w1) + b1
     h = _elu(h_pre)
-    w2_pre, w2_trace = nn.forward_trace(mixer.hyper_w2, state)
+    w2_pre, w2_trace = nn.forward_trace(hyper_w2, state)
     w2 = np.abs(w2_pre)
-    v, v_trace = nn.forward_trace(mixer.hyper_v, state)
+    v, v_trace = nn.forward_trace(hyper_v, state)
     qtot = (h * w2).sum(axis=-1) + v[:, 0]
     return qtot, {
         "q": q, "w1_pre": w1_pre, "w1": w1, "h_pre": h_pre, "h": h, "w2_pre": w2_pre, "w2": w2,
@@ -319,68 +265,49 @@ def _mixer_forward(mixer: QmixMixer, q: np.ndarray, state: np.ndarray) -> tuple[
     }
 
 
-def _mixer_backward(mixer: QmixMixer, cache: dict, d_qtot: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Returns (d_q, gradient list aligned with mixer.params())."""
+def _mixer_backward(mixer: tuple[nn.Mlp, ...], cache: dict, d_qtot: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Returns (d_q, the gradients of the hypernetworks' parameters in ``mixer`` order)."""
     q = cache["q"]
     g = d_qtot[:, None]
-    if mixer.layers == 1:
-        d_q = g * cache["w"]
-        d_outputs = [g * q * np.sign(cache["w1_pre"]), g]
-    else:
-        d_h = g * cache["w2"]
-        d_w2_pre = g * cache["h"] * np.sign(cache["w2_pre"])
-        d_h_pre = d_h * _elu_grad(cache["h_pre"])
-        d_q = np.einsum("ne,nae->na", d_h_pre, cache["w1"])
-        d_w1 = np.einsum("na,ne->nae", q, d_h_pre).reshape(len(q), -1) * np.sign(cache["w1_pre"])
-        d_outputs = [d_w1, d_h_pre, d_w2_pre, g]
+    d_h = g * cache["w2"]
+    d_w2_pre = g * cache["h"] * np.sign(cache["w2_pre"])
+    d_h_pre = d_h * _elu_grad(cache["h_pre"])
+    d_q = np.einsum("ne,nae->na", d_h_pre, cache["w1"])
+    d_w1 = np.einsum("na,ne->nae", q, d_h_pre).reshape(len(q), -1) * np.sign(cache["w1_pre"])
     grads = []
-    for net, trace, d_out in zip(mixer.nets(), cache["traces"], d_outputs):
+    for net, trace, d_out in zip(mixer, cache["traces"], [d_w1, d_h_pre, d_w2_pre, g]):
         grads += nn.backward(net, trace, d_out)
     return d_q, grads
 
 
-# -- episodic replay ---------------------------------------------------------
-
-
-class EpisodeBuffer:
-    def __init__(self, capacity: int):
-        self._store: deque[TeamEpisode] = deque(maxlen=capacity)
-
-    def add(self, episode: TeamEpisode) -> None:
-        self._store.append(episode)
-
-    def sample(self, rng, k: int) -> list[TeamEpisode]:
-        idx = rng.choice(len(self._store), size=k, replace=False)
-        return [self._store[i] for i in idx]
-
-    def __len__(self) -> int:
-        return len(self._store)
+# -- the value learner ---------------------------------------------------------
 
 
 class ValueLearner(Learner):
-    """Shared-parameter episodic Q-learner; ``algo`` picks the mixing rule."""
+    """Shared-parameter episodic Q-learner; ``algo`` picks the mixing rule.
 
-    trainable = True
+    ``nets`` holds the online networks, the agent network first and then,
+    for qmix, the hypernetworks; ``targets`` holds their target copies.
+    Replay keeps the last ``buffer_episodes`` episodes.
+    """
 
     def __init__(self, algo: str, team_spec: TeamSpec, config: LearnerConfig, seed: int):
         if algo not in ("iql", "vdn", "qmix"):
             raise LearnerError(f"unknown value learner {algo!r}")
         super().__init__(team_spec)
+        self.frozen = False
         self.algo = algo
         self.config = config
         self.seed = seed
         A, nA = team_spec.n_agents, team_spec.n_actions
         self.input_dim = team_spec.obs_len + A + nA
         widths = (self.input_dim, *config.hidden, nA)
-        self.net = nn.init_params(widths, derive_seed(STREAM_INIT, seed, 0))
-        self.target_net = self.net.clone()
-        self.mixer: QmixMixer | None = None
-        self.target_mixer: QmixMixer | None = None
+        self.nets: tuple[nn.Mlp, ...] = (nn.init_params(widths, derive_seed(STREAM_INIT, seed, 0)),)
         if algo == "qmix":
-            self.mixer = make_mixer(team_spec.state_len, A, config.mixer_embed, config.mixer_layers, seed)
-            self.target_mixer = self.mixer.clone()
+            self.nets += make_mixer(team_spec.state_len, A, config.mixer_embed, seed)
+        self.targets = tuple(net.clone() for net in self.nets)
         self.opt = nn.OptimState.for_params(self.parameter_arrays(), config.lr)
-        self.buffer = EpisodeBuffer(config.buffer_episodes)
+        self.buffer: deque[TeamEpisode] = deque(maxlen=config.buffer_episodes)
         self.train_steps = 0
         self._rng = np.random.default_rng(derive_seed(STREAM_INIT, seed, 97))
         self._agent_eye = np.eye(A)
@@ -388,10 +315,11 @@ class ValueLearner(Learner):
         self._last_actions: np.ndarray | None = None
 
     def parameter_arrays(self) -> list[np.ndarray]:
-        params = self.net.params()
-        if self.mixer is not None:
-            params += self.mixer.params()
-        return params
+        return [p for net in self.nets for p in net.params()]
+
+    def sync_targets(self) -> None:
+        for target, net in zip(self.targets, self.nets):
+            target.copy_from(net)
 
     def begin_episode(self) -> None:
         self._last_actions = None
@@ -402,22 +330,20 @@ class ValueLearner(Learner):
         return np.concatenate([obs, self._agent_eye, last], axis=1)
 
     def act(self, obs, masks, epsilon: float = 0.0, rng=None) -> np.ndarray:
-        q = nn.forward(self.net, self._inputs(np.asarray(obs, dtype=float), self._last_actions))
+        q = nn.forward(self.nets[0], self._inputs(np.asarray(obs, dtype=float), self._last_actions))
         actions = epsilon_greedy(q, masks, epsilon, rng)
         self._last_actions = actions
         return actions
 
     def observe(self, episode: TeamEpisode) -> None:
         if not self.frozen:
-            self.buffer.add(episode)
+            self.buffer.append(episode)
 
     def train_step(self) -> float | None:
         if self.frozen or len(self.buffer) < self.config.batch_episodes:
             return None
-        return team_td_train_step(self, self.buffer.sample(self._rng, self.config.batch_episodes))
-
-    def extra_meta(self) -> dict:
-        return {"config": self.config.to_json(), "train_steps": self.train_steps, "seed": self.seed}
+        picks = self._rng.choice(len(self.buffer), size=self.config.batch_episodes, replace=False)
+        return team_td_train_step(self, [self.buffer[i] for i in picks])
 
 
 @dataclass
@@ -455,7 +381,7 @@ def _collate(learner: ValueLearner, episodes: list[TeamEpisode]) -> _Batch:
     )
 
 
-def team_td_train_step(learner: ValueLearner, episodes: list[TeamEpisode], gamma: float | None = None) -> float:
+def team_td_train_step(learner: ValueLearner, episodes: list[TeamEpisode]) -> float:
     """One TD update for every mixing rule; returns the batch loss.
 
     iql keeps each live step's per-agent chosen-action values, ``(N, A)``;
@@ -466,15 +392,16 @@ def team_td_train_step(learner: ValueLearner, episodes: list[TeamEpisode], gamma
     """
     if not episodes:
         raise LearnerError("empty batch")
-    gamma = learner.config.gamma if gamma is None else gamma
+    net, *mixer = learner.nets
+    target_net, *target_mixer = learner.targets
     batch = _collate(learner, episodes)
     now, nxt = batch.now, batch.now + 1
     R, A, D = batch.inputs.shape
     nA = learner.team_spec.n_actions
     rows = batch.inputs.reshape(R * A, D)
-    q, trace = nn.forward_trace(learner.net, rows)
+    q, trace = nn.forward_trace(net, rows)
     q = q.reshape(R, A, nA)
-    q_next = nn.forward(learner.target_net, rows).reshape(R, A, nA)[nxt]
+    q_next = nn.forward(target_net, rows).reshape(R, A, nA)[nxt]
     avail_next = batch.avail[nxt]
     if learner.config.double_q:
         pick = np.where(avail_next, q[nxt], -np.inf).argmax(axis=-1)
@@ -490,24 +417,23 @@ def team_td_train_step(learner: ValueLearner, episodes: list[TeamEpisode], gamma
         q_tot = chosen.sum(axis=-1, keepdims=True)
         next_tot = next_max.sum(axis=-1, keepdims=True)
     else:
-        q_tot, mix_cache = _mixer_forward(learner.mixer, chosen, batch.states[now])
+        q_tot, mix_cache = _mixer_forward(mixer, chosen, batch.states[now])
         q_tot = q_tot[:, None]
-        next_tot = _mixer_forward(learner.target_mixer, next_max, batch.states[nxt])[0][:, None]
+        next_tot = _mixer_forward(target_mixer, next_max, batch.states[nxt])[0][:, None]
 
-    y = batch.rewards[:, None] + gamma * batch.boot[:, None] * next_tot
+    y = batch.rewards[:, None] + learner.config.gamma * batch.boot[:, None] * next_tot
     diff = q_tot - y
     loss = float((diff * diff).sum() / diff.size)
     d_tot = 2.0 * diff / diff.size
 
-    if learner.mixer is None:
-        d_chosen = np.broadcast_to(d_tot, chosen.shape)
-        mixer_grads = []
+    if mixer:
+        d_chosen, mixer_grads = _mixer_backward(mixer, mix_cache, d_tot[:, 0])
     else:
-        d_chosen, mixer_grads = _mixer_backward(learner.mixer, mix_cache, d_tot[:, 0])
+        d_chosen, mixer_grads = np.broadcast_to(d_tot, chosen.shape), []
 
     d_q = np.zeros((R, A, nA))
     d_q[taken] = d_chosen
-    grads = nn.backward(learner.net, trace, d_q.reshape(R * A, nA)) + mixer_grads
+    grads = nn.backward(net, trace, d_q.reshape(R * A, nA)) + mixer_grads
     clip = learner.config.grad_clip
     if clip > 0:
         total = np.sqrt(sum(float((a * a).sum()) for a in grads))
@@ -517,9 +443,7 @@ def team_td_train_step(learner: ValueLearner, episodes: list[TeamEpisode], gamma
     nn.adam_step(learner.parameter_arrays(), grads, learner.opt)
     learner.train_steps += 1
     if learner.train_steps % learner.config.target_interval == 0:
-        learner.target_net.copy_from(learner.net)
-        if learner.mixer is not None:
-            learner.target_mixer.copy_from(learner.mixer)
+        learner.sync_targets()
     return loss
 
 
@@ -547,8 +471,8 @@ def make_learner(
     raise LearnerError(f"unknown algorithm {algo!r} (expected one of {ALGORITHMS})")
 
 
-def save_learner(path, learner: Learner, extra_meta: dict | None = None) -> None:
-    """One-file checkpoint: parameter arrays plus a reconstruction manifest."""
+def save_learner(path, learner: Learner, notes: dict | None = None) -> None:
+    """One-file checkpoint: parameter arrays plus a reconstruction manifest that also carries ``notes``."""
     spec = learner.team_spec
     meta = {
         "algo": learner.algo,
@@ -561,12 +485,12 @@ def save_learner(path, learner: Learner, extra_meta: dict | None = None) -> None
         "n_actions": spec.n_actions,
         "env_steps": learner.env_steps,
     }
-    meta.update(learner.extra_meta())
-    meta.update(extra_meta or {})
+    meta.update(notes or {})
     arrays: dict[str, np.ndarray] = {"format_version": np.array([1], dtype=np.int64)}
     for i, p in enumerate(learner.parameter_arrays()):
         arrays[f"p{i}"] = p
     if isinstance(learner, ValueLearner):
+        meta.update(config=learner.config.to_json(), train_steps=learner.train_steps, seed=learner.seed)
         arrays["opt_scalars"] = np.array(
             [learner.opt.lr, learner.opt.beta1, learner.opt.beta2, learner.opt.eps, float(learner.opt.step)]
         )
@@ -580,7 +504,7 @@ def save_learner(path, learner: Learner, extra_meta: dict | None = None) -> None
     np.savez(path, **arrays)
 
 
-def load_learner(path, scenario: ScenarioSpec | None = None) -> Learner:
+def load_learner(path) -> Learner:
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
         team_spec = TeamSpec(
@@ -594,9 +518,7 @@ def load_learner(path, scenario: ScenarioSpec | None = None) -> Learner:
         )
         algo = meta["algo"]
         if algo == "bot":
-            if scenario is None:
-                scenario = parse_scenario_config(meta["scenario_config"])
-            learner: Learner = ScriptedBot(scenario, team_spec.team)
+            learner: Learner = ScriptedBot(parse_scenario_config(meta["scenario_config"]), team_spec.team)
         elif algo == "random":
             learner = RandomPolicy(team_spec)
         else:
@@ -604,9 +526,7 @@ def load_learner(path, scenario: ScenarioSpec | None = None) -> Learner:
             learner = ValueLearner(algo, team_spec, config, seed=meta.get("seed", 0))
             for i, p in enumerate(learner.parameter_arrays()):
                 np.copyto(p, data[f"p{i}"])
-            learner.target_net.copy_from(learner.net)
-            if learner.mixer is not None:
-                learner.target_mixer.copy_from(learner.mixer)
+            learner.sync_targets()
             if "opt_scalars" in data:
                 lr, b1, b2, eps, step = data["opt_scalars"]
                 learner.opt = nn.OptimState(

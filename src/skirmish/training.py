@@ -204,20 +204,19 @@ class EvalResult:
 
 def evaluate(
     red: Learner,
-    blue: Learner,
+    blue: "Learner | OpponentPool",
     scenario,
     n_episodes: int = 32,
     seed: int = 0,
     engine_config: EngineConfig | None = None,
     reward_config: RewardConfig | None = None,
-    opponent_pool: "OpponentPool | None" = None,
     replay: ReplayWriter | None = None,
 ) -> EvalResult:
     """Greedy head-to-head: no exploration, per-episode seeds from (seed, i).
 
-    Counts are from red's perspective.  With ``opponent_pool``, blue is
-    redrawn from the pool for every episode.  With ``replay``, every episode
-    is also written to that replay log.
+    Counts are from red's perspective.  When ``blue`` is a pool, blue is
+    redrawn from it for every episode.  With ``replay``, every episode is
+    also written to that replay log.
     """
     if n_episodes < 1:
         raise TrainingError("n_episodes must be >= 1")
@@ -229,7 +228,7 @@ def evaluate(
     ret_r = 0.0
     ret_b = 0.0
     for i in range(n_episodes):
-        opponent = blue if opponent_pool is None else opponent_pool.draw(pool_rng)
+        opponent = blue.draw(pool_rng) if isinstance(blue, OpponentPool) else blue
         ep = run_episode(
             env, red, opponent, seed=episode_seed(seed, i), rng_red=rng_red, rng_blue=rng_blue,
             replay=replay, episode_id=i,
@@ -273,10 +272,6 @@ class OpponentPool:
         return [m.checkpoint_hash() for m in self.members]
 
 
-def _learning(learner: Learner) -> bool:
-    return learner.trainable and not learner.frozen
-
-
 def _train(
     red: Learner,
     blue: Learner | OpponentPool,
@@ -288,9 +283,9 @@ def _train(
     """The one training loop: collect an episode, let each learning side train, evaluate on schedule.
 
     ``blue`` is a fixed learner or a pool that is drawn from once per
-    episode.  Each side that recorded its episode (a trainable, unfrozen
-    learner) observes it, takes one ``train_step`` and has its
-    ``env_steps`` set.  At every scheduled point, red plays a greedy
+    episode.  Each side that recorded its episode (an unfrozen learner)
+    observes it, takes one ``train_step`` and has its ``env_steps`` set.
+    At every scheduled point, red plays a greedy
     :func:`evaluate` set against blue (or the whole pool), and ``record``
     receives the result; with ``record`` unset, nothing is evaluated.
     """
@@ -306,12 +301,11 @@ def _train(
             nominal = pending.pop(0)
             if record is not None:
                 res = evaluate(
-                    red, None if pool is not None else blue, scenario,
+                    red, blue, scenario,
                     n_episodes=config.test_episodes,
                     seed=derive_seed(STREAM_EVAL, seed, point_idx),
                     engine_config=config.engine,
                     reward_config=config.reward,
-                    opponent_pool=pool,
                 )
                 record(EvalPoint(nominal, res.wins, res.draws, res.losses, res.mean_return_red, res.mean_return_blue))
             point_idx += 1
@@ -321,12 +315,12 @@ def _train(
         ep = run_episode(
             env, red, opponent,
             seed=episode_seed(seed, episodes),
-            epsilon_red=red.config.epsilon_at(steps) if _learning(red) else 0.0,
-            epsilon_blue=opponent.config.epsilon_at(steps) if _learning(opponent) else 0.0,
+            epsilon_red=0.0 if red.frozen else red.config.epsilon_at(steps),
+            epsilon_blue=0.0 if opponent.frozen else opponent.config.epsilon_at(steps),
             rng_red=rng_red,
             rng_blue=rng_blue,
-            collect_red=_learning(red),
-            collect_blue=_learning(opponent),
+            collect_red=not red.frozen,
+            collect_blue=not opponent.frozen,
         )
         episodes += 1
         steps += ep.length

@@ -63,6 +63,7 @@ def test_runtime_value_error_exits_1(monkeypatch, capsys):
         {"engine": {"arena_width": 40.0}},   # no such engine knob
         {"engin": {"step_dt": 0.25}},        # no such section
         {"scenario": {"fog": 1}},
+        {"learner": {"mixer_layers": 2}},    # removed with the one-layer mixer
     ],
 )
 def test_config_errors_exit_2(tmp_path, config):
@@ -142,6 +143,33 @@ def test_bad_pool_and_analyze_inputs_are_usage_errors(argv, tmp_path, monkeypatc
 def test_failed_commands_leave_no_output_directory(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def _custom_marines(path, n):
+    """A scenario file named ``custom``: n marines a side."""
+    path.write_text(f"[red]\nmarines = {n}\n\n[blue]\nmarines = {n}\n")
+    return str(path)
+
+
+def test_eval_with_a_checkpoint_of_another_scenario_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    a, b = _custom_marines(tmp_path / "a.cfg", 3), _custom_marines(tmp_path / "b.cfg", 5)
+    assert cli.main(["train", "--scenario", a, "--steps", "30", "--seeds", "1", "--test-interval", "30",
+                     "--test-episodes", "1", "--out", "run"]) == 0
+    assert cli.main(["eval", "--scenario", b, "--red", "run/checkpoint_seed0_iql_red.npz",
+                     "--out", "out/eval.json"]) == 2
+    err = capsys.readouterr().err
+    assert "saved for red on 'custom' (3 agents" in err and "not red on 'custom' (5 agents" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_mixed_training_against_a_pool_of_another_scenario_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["pool", "--scenario", "3m", "--algos", "iql", "--steps-per-member", "30", "--out", "pool"]) == 0
+    assert cli.main(["train", "--mode", "mixed", "--pool", "pool", "--scenario", "8m", "--steps", "30",
+                     "--seeds", "1", "--out", "out"]) == 2
+    assert "pool member member_0_iql.npz was saved for blue on '3m'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

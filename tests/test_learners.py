@@ -1,5 +1,7 @@
 """Policies, mixers and trainers: behaviour rules, gradients, reductions."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from skirmish.engine import CATALOG, Team
 from skirmish.env import ACTION_MOVE_EAST, ACTION_NOOP, TARGET_OFFSET, BattleEnv, TeamSpec
 from skirmish.learners import (
     LearnerConfig,
+    LearnerError,
     NoAvailableAction,
     RandomPolicy,
     ScriptedBot,
@@ -234,14 +237,6 @@ def qmix_mix(per_agent_q, state, mixer):
     return _mixer_forward(mixer, np.atleast_2d(per_agent_q), np.atleast_2d(state))[0]
 
 
-def force_identity_mixer(learner):
-    for mix in (learner.mixer, learner.target_mixer):
-        mix.hyper_w1.weights[0][:] = 0.0
-        mix.hyper_w1.biases[0][:] = 1.0
-        mix.hyper_b1.weights[0][:] = 0.0
-        mix.hyper_b1.biases[0][:] = 0.0
-
-
 def test_vdn_mix_sums():
     assert vdn_mix(np.array([1.0, 2.0, -0.5])) == 2.5
     assert vdn_mix(np.array([3.25])) == 3.25
@@ -251,26 +246,18 @@ def test_vdn_mix_sums():
     assert np.array_equal(vdn_mix(batch), [3.0, 2.0])
 
 
-def test_identity_mixer_reduces_to_vdn():
-    learner = ValueLearner("qmix", toy_spec(A=3, S=4), LearnerConfig(hidden=(8,), mixer_layers=1), seed=0)
-    force_identity_mixer(learner)
-    rng = np.random.default_rng(0)
-    q = rng.normal(size=(10, 3))
-    s = rng.normal(size=(10, 4))
-    assert np.array_equal(qmix_mix(q, s, learner.mixer), vdn_mix(q))
-
-
 def test_mixer_hand_computed_value():
-    mixer = make_mixer(state_dim=3, n_agents=2, embed=1, layers=2, seed=0)
-    for net in mixer.nets():
+    mixer = make_mixer(state_dim=3, n_agents=2, embed=1, seed=0)
+    for net in mixer:
         for w in net.weights:
             w[:] = 0.0
         for b in net.biases:
             b[:] = 0.0
-    mixer.hyper_w1.biases[0][:] = [0.5, -1.5]   # |.| -> [0.5, 1.5]
-    mixer.hyper_b1.biases[0][:] = [0.25]
-    mixer.hyper_w2.biases[0][:] = [-2.0]        # |.| -> 2
-    mixer.hyper_v.biases[-1][:] = [0.7]
+    hyper_w1, hyper_b1, hyper_w2, hyper_v = mixer
+    hyper_w1.biases[0][:] = [0.5, -1.5]   # |.| -> [0.5, 1.5]
+    hyper_b1.biases[0][:] = [0.25]
+    hyper_w2.biases[0][:] = [-2.0]        # |.| -> 2
+    hyper_v.biases[-1][:] = [0.7]
     q = np.array([1.0, 2.0])
     s = np.zeros(3)
     # hidden = elu(1*0.5 + 2*1.5 + 0.25) = 3.75; total = 3.75*2 + 0.7
@@ -279,7 +266,7 @@ def test_mixer_hand_computed_value():
 
 def test_mixer_monotone_partials():
     rng = np.random.default_rng(4)
-    mixer = make_mixer(state_dim=5, n_agents=3, embed=8, layers=2, seed=3)
+    mixer = make_mixer(state_dim=5, n_agents=3, embed=8, seed=3)
     h = 1e-6
     q = rng.normal(size=(200, 3))
     s = rng.normal(size=(200, 5))
@@ -291,7 +278,7 @@ def test_mixer_monotone_partials():
 
 
 def test_mixer_shape_mismatch():
-    mixer = make_mixer(state_dim=4, n_agents=2, seed=0)
+    mixer = make_mixer(state_dim=4, n_agents=2, embed=4, seed=0)
     assert qmix_mix(np.zeros(2), np.zeros(4), mixer).shape == (1,)
     with pytest.raises(nn.ShapeMismatch):
         _mixer_forward(mixer, np.zeros((1, 2)), np.zeros((1, 3)))
@@ -308,7 +295,7 @@ def chosen_q(learner, episode):
     for t in range(T):
         last = episode.actions[t - 1] if t > 0 else None
         inputs = learner._inputs(episode.obs[t].astype(float), last)
-        q = np.atleast_2d(nn.forward(learner.net, inputs))
+        q = np.atleast_2d(nn.forward(learner.nets[0], inputs))
         out[t] = q[np.arange(spec.n_agents), episode.actions[t]]
     return out
 
@@ -320,7 +307,7 @@ def test_iql_terminal_target_ignores_target_net():
     ep = toy_episode(spec, 1, rng, rewards=[1.0])
     a = ValueLearner("iql", spec, cfg, seed=2)
     b = ValueLearner("iql", spec, cfg, seed=2)
-    for w in b.target_net.weights:
+    for w in b.targets[0].weights:
         w += 100.0  # garbage target network
     la = team_td_train_step(a, [ep])
     lb = team_td_train_step(b, [ep])
@@ -331,11 +318,11 @@ def test_iql_terminal_target_ignores_target_net():
 
 def test_iql_gamma_zero_targets_are_rewards():
     spec = toy_spec()
-    cfg = LearnerConfig(hidden=(8,), lr=0.0)
+    cfg = LearnerConfig(hidden=(8,), lr=0.0, gamma=0.0)
     rng = np.random.default_rng(3)
     ep = toy_episode(spec, 5, rng)
     learner = ValueLearner("iql", spec, cfg, seed=7)
-    loss = team_td_train_step(learner, [ep], gamma=0.0)
+    loss = team_td_train_step(learner, [ep])
     q = chosen_q(learner, ep)
     expected = ((q - ep.rewards[:, None]) ** 2).mean()
     assert loss == pytest.approx(expected)
@@ -343,11 +330,11 @@ def test_iql_gamma_zero_targets_are_rewards():
 
 def test_team_td_gamma_zero_targets_are_rewards():
     spec = toy_spec()
-    cfg = LearnerConfig(hidden=(8,), lr=0.0)
+    cfg = LearnerConfig(hidden=(8,), lr=0.0, gamma=0.0)
     rng = np.random.default_rng(3)
     ep = toy_episode(spec, 5, rng)
     learner = ValueLearner("vdn", spec, cfg, seed=7)
-    loss = team_td_train_step(learner, [ep], gamma=0.0)
+    loss = team_td_train_step(learner, [ep])
     q = chosen_q(learner, ep).sum(axis=1)
     expected = ((q - ep.rewards) ** 2).mean()
     assert loss == pytest.approx(expected)
@@ -389,7 +376,7 @@ def test_td_gradient_matches_finite_differences(algo, monkeypatch):
     rng = np.random.default_rng(21)
     episodes = [toy_episode(spec, 5, rng), toy_episode(spec, 3, rng)]
     learner = ValueLearner(algo, spec, cfg, seed=5)
-    for p in learner.target_net.params():  # targets that differ from the online values
+    for p in learner.targets[0].params():  # targets that differ from the online values
         p += rng.normal(scale=0.1, size=p.shape)
     captured = []
     monkeypatch.setattr(nn, "adam_step", lambda params, grads, state: captured.append(grads))
@@ -416,12 +403,14 @@ def test_td_gradient_matches_finite_differences(algo, monkeypatch):
     np.testing.assert_allclose(numeric, expected, rtol=1e-5, atol=1e-8)
 
 
-def padded_update(learner, episodes, gamma):
+def padded_update(learner, episodes):
     """The update as it ran on a padded batch: every episode padded to the longest, padding masked out.
 
     Returns the loss and the clipped gradients handed to Adam.
     """
-    spec = learner.team_spec
+    spec, gamma = learner.team_spec, learner.config.gamma
+    net, *mixer = learner.nets
+    target_net, *target_mixer = learner.targets
     B, Tm = len(episodes), max(ep.length for ep in episodes)
     A, nA, L, S, D = spec.n_agents, spec.n_actions, spec.obs_len, spec.state_len, learner.input_dim
     inputs, states = np.zeros((B, Tm + 1, A, D)), np.zeros((B, Tm + 1, S))
@@ -435,10 +424,10 @@ def padded_update(learner, episodes, gamma):
         states[b, : T + 1], avail[b, : T + 1], actions[b, :T], rewards[b, :T] = ep.state, ep.masks, ep.actions, ep.rewards
         pad[b, :T], boot[b, : T - 1] = 1.0, 1.0
     avail[..., ACTION_NOOP] |= ~avail.any(axis=-1)  # padding rows stay maskable
-    q_now, trace = nn.forward_trace(learner.net, inputs[:, :-1].reshape(-1, D))
-    q_next = nn.forward(learner.target_net, inputs[:, 1:].reshape(-1, D)).reshape(B, Tm, A, nA)
+    q_now, trace = nn.forward_trace(net, inputs[:, :-1].reshape(-1, D))
+    q_next = nn.forward(target_net, inputs[:, 1:].reshape(-1, D)).reshape(B, Tm, A, nA)
     if learner.config.double_q:
-        online_next = nn.forward(learner.net, inputs[:, 1:].reshape(-1, D)).reshape(B, Tm, A, nA)
+        online_next = nn.forward(net, inputs[:, 1:].reshape(-1, D)).reshape(B, Tm, A, nA)
         pick = np.where(avail[:, 1:], online_next, -np.inf).argmax(axis=-1)
         next_max = np.take_along_axis(q_next, pick[..., None], axis=-1)[..., 0]
     else:
@@ -449,31 +438,30 @@ def padded_update(learner, episodes, gamma):
     elif learner.algo == "vdn":
         q_tot, next_tot = chosen.sum(axis=-1, keepdims=True), next_max.sum(axis=-1, keepdims=True)
     else:
-        q_tot, cache = _mixer_forward(learner.mixer, chosen.reshape(-1, A), states[:, :-1].reshape(-1, S))
+        q_tot, cache = _mixer_forward(mixer, chosen.reshape(-1, A), states[:, :-1].reshape(-1, S))
         q_tot = q_tot.reshape(B, Tm, 1)
-        next_tot = _mixer_forward(learner.target_mixer, next_max.reshape(-1, A), states[:, 1:].reshape(-1, S))[0]
+        next_tot = _mixer_forward(target_mixer, next_max.reshape(-1, A), states[:, 1:].reshape(-1, S))[0]
         next_tot = next_tot.reshape(B, Tm, 1)
     diff = (q_tot - rewards[..., None] - gamma * boot[..., None] * next_tot) * pad[..., None]
     norm = pad.sum() * q_tot.shape[-1]
     d_tot, mixer_grads = 2.0 * diff / norm, []
     d_chosen = np.broadcast_to(d_tot, chosen.shape)
-    if learner.mixer is not None:
-        d_chosen, mixer_grads = _mixer_backward(learner.mixer, cache, d_tot.reshape(-1))
+    if mixer:
+        d_chosen, mixer_grads = _mixer_backward(mixer, cache, d_tot.reshape(-1))
     d_q = np.zeros(chosen.shape + (nA,))
     np.put_along_axis(d_q, actions[..., None], d_chosen.reshape(chosen.shape)[..., None], axis=-1)
-    grads = nn.backward(learner.net, trace, d_q.reshape(-1, nA)) + mixer_grads
+    grads = nn.backward(net, trace, d_q.reshape(-1, nA)) + mixer_grads
     total = np.sqrt(sum(float((g * g).sum()) for g in grads))
     scale = min(1.0, learner.config.grad_clip / total)
     return float((diff * diff).sum() / norm), [g * scale for g in grads]
 
 
 @pytest.mark.parametrize("double_q", [False, True], ids=["max", "double_q"])
-@pytest.mark.parametrize("mixer_layers", [1, 2])
 @pytest.mark.parametrize("algo", ["iql", "vdn", "qmix"])
-def test_live_row_update_matches_padded_reference(algo, mixer_layers, double_q, monkeypatch):
+def test_live_row_update_matches_padded_reference(algo, double_q, monkeypatch):
     """The live-row update agrees with the padded one to float64 rounding (rtol 1e-9, atol 1e-12)."""
     spec = toy_spec(A=3)
-    cfg = LearnerConfig(hidden=(8, 8), double_q=double_q, mixer_layers=mixer_layers, mixer_embed=4, grad_clip=0.5)
+    cfg = LearnerConfig(hidden=(8, 8), gamma=0.9, double_q=double_q, mixer_embed=4, grad_clip=0.5)
     rng = np.random.default_rng(31)
     episodes = []
     for T in (1, 3, 6):
@@ -482,13 +470,13 @@ def test_live_row_update_matches_padded_reference(algo, mixer_layers, double_q, 
         actions = np.array([[rng.choice(np.flatnonzero(m)) for m in step] for step in masks[:-1]], dtype=np.int16)
         episodes.append(toy_episode(spec, T, rng, masks=masks, actions=actions))
     learner = ValueLearner(algo, spec, cfg, seed=3)
-    for p in learner.target_net.params():  # targets that differ from the online values
+    for p in learner.targets[0].params():  # targets that differ from the online values
         p += rng.normal(scale=0.3, size=p.shape)
     captured = []
     monkeypatch.setattr(nn, "adam_step", lambda params, grads, state: captured.append(grads))
 
-    loss = team_td_train_step(learner, episodes, gamma=0.9)
-    ref_loss, ref_grads = padded_update(learner, episodes, gamma=0.9)
+    loss = team_td_train_step(learner, episodes)
+    ref_loss, ref_grads = padded_update(learner, episodes)
     np.testing.assert_allclose(loss, ref_loss, rtol=1e-9, atol=1e-12)
     assert len(captured[0]) == len(ref_grads) == len(learner.parameter_arrays())
     for got, want in zip(captured[0], ref_grads):
@@ -510,8 +498,23 @@ def test_double_q_runs_each_network_forward_once(algo, monkeypatch):
 
     monkeypatch.setattr(nn, "forward_trace", counting)
     team_td_train_step(learner, episodes)
-    assert sum(net is learner.net for net in calls) == 1
-    assert sum(net is learner.target_net for net in calls) == 1
+    assert sum(net is learner.nets[0] for net in calls) == 1
+    assert sum(net is learner.targets[0] for net in calls) == 1
+
+
+def test_target_sync_covers_every_network():
+    spec = toy_spec()
+    learner = ValueLearner("qmix", spec, LearnerConfig(hidden=(8,), target_interval=2, mixer_embed=4), seed=0)
+    episodes = [toy_episode(spec, 3, np.random.default_rng(2))]
+
+    def synced():
+        return [nn.params_hash(t.params()) == nn.params_hash(n.params()) for t, n in zip(learner.targets, learner.nets)]
+
+    assert len(learner.targets) == 5 and all(synced())  # the agent network and four hypernetworks
+    team_td_train_step(learner, episodes)
+    assert not any(synced())
+    team_td_train_step(learner, episodes)
+    assert all(synced())
 
 
 # -- reduction identities -----------------------------------------------------------
@@ -528,17 +531,6 @@ def test_vdn_single_agent_equals_iql_exactly():
         assert team_td_train_step(iql, episodes) == team_td_train_step(vdn, episodes)
     for a, b in zip(iql.parameter_arrays(), vdn.parameter_arrays()):
         assert np.array_equal(a, b)
-
-
-def test_qmix_identity_mixer_equals_vdn_loss():
-    spec = toy_spec(A=3)
-    cfg = LearnerConfig(hidden=(16, 16), lr=0.0, mixer_layers=1)
-    rng = np.random.default_rng(2)
-    episodes = [toy_episode(spec, 4, rng)]
-    vdn = ValueLearner("vdn", spec, cfg, seed=6)
-    qmix = ValueLearner("qmix", spec, cfg, seed=6)
-    force_identity_mixer(qmix)
-    assert team_td_train_step(vdn, episodes) == team_td_train_step(qmix, episodes)
 
 
 # -- learner lifecycle ---------------------------------------------------------------
@@ -591,6 +583,14 @@ def test_checkpoint_save_load_round_trip(tmp_path):
     )
     for a, b in zip(learner.opt.m + learner.opt.v, loaded.opt.m + loaded.opt.v):
         assert np.array_equal(a, b)
+
+
+def test_config_with_an_unknown_key_is_rejected_by_name():
+    data = json.loads(LearnerConfig().to_json())
+    assert LearnerConfig.from_json(json.dumps(data)) == LearnerConfig()
+    data["mixer_layers"] = 2  # written by versions that had a one-layer mixer
+    with pytest.raises(LearnerError, match="mixer_layers"):
+        LearnerConfig.from_json(json.dumps(data))
 
 
 def test_bot_checkpoint_round_trip(tmp_path):
