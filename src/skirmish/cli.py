@@ -161,6 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--steps", type=count, default=30_000, help="env steps to run")
     p.add_argument("--seed", type=int, default=0, help="benchmark seed")
+    p.add_argument("--json", action="store_true", help="print one JSON line instead of the text summary")
     return parser
 
 
@@ -176,6 +177,8 @@ def _load_config_file(path: str | None) -> dict:
             overrides = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CliError(f"--config {path}: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise CliError(f"--config {path}: expected a JSON object of sections")
     unknown = set(overrides) - set(_SECTIONS)
     if unknown:
         raise CliError(f"--config {path}: unknown section(s) {', '.join(sorted(unknown))}")
@@ -199,6 +202,11 @@ def _resolve_scenario(args, overrides: dict) -> ScenarioSpec:
 
 
 def _check_keys(cls, data: dict, key: str) -> None:
+    if not isinstance(data, dict):
+        raise CliError(f"--config section {key} must be a JSON object")
+    hidden = data.get("hidden", []) if key == "learner" else []
+    if not isinstance(hidden, list) or not all(type(h) is int for h in hidden):
+        raise CliError("--config learner hidden must be a list of integer layer widths")
     unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise CliError(f"unknown --config {key} key(s): {', '.join(sorted(unknown))}")
@@ -521,7 +529,10 @@ def cmd_bench(args) -> int:
             steps += 1
     elapsed = time.perf_counter() - start
     rate = steps / elapsed
-    print(f"scenario {scenario.name}: {steps} env steps in {elapsed:.3f}s -> {rate:,.0f} steps/s")
+    if args.json:
+        print(json.dumps({"scenario": scenario.name, "steps": steps, "elapsed_s": elapsed, "steps_per_s": rate}))
+    else:
+        print(f"scenario {scenario.name}: {steps} env steps in {elapsed:.3f}s -> {rate:,.0f} steps/s")
     return 0
 
 

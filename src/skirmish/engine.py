@@ -204,6 +204,9 @@ def _spec_arrays(specs: tuple[UnitSpec, ...]) -> SpecArrays:
         out.is_healer[i] = s.is_healer
         out.heal_amount[i] = s.heal_per_action
         out.splash_radius[i] = s.splash_radius
+    for value in vars(out).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False  # worlds of one roster share these arrays
     return out
 
 
@@ -267,11 +270,14 @@ def new_world(
     config: EngineConfig | None = None,
     *,
     arena: tuple[float, float],
+    stats: SpecArrays | None = None,
 ) -> WorldState:
     """Build a world from (spec, team) pairs and map-coordinate positions.
 
     Red units must precede blue units; within a team, list order fixes the
     mirror-paired unit ids.  ``arena`` is the (width, height) of the map.
+    ``stats`` reuses the read-only spec arrays of an earlier world with the
+    same specs, in the same order, instead of building them again.
     """
     config = config or EngineConfig()
     if len(members) != len(positions):
@@ -286,7 +292,7 @@ def new_world(
     world = WorldState(
         config=config,
         specs=specs,
-        stats=_spec_arrays(specs),
+        stats=_spec_arrays(specs) if stats is None else stats,
         team_of=np.array([int(t) for t in teams], dtype=np.int8),
         n_red=n_red,
         pos_x=np.array([p[0] - cx for p in positions]),

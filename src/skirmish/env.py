@@ -284,17 +284,17 @@ class BattleEnv:
         self._outcome: Outcome | None = None
         self._masks: dict[Team, np.ndarray] = {}
 
-    def _build_world(self, layout) -> WorldState:
+    def _build_world(self, layout, stats=None) -> WorldState:
         members = [(s, Team.RED) for s in self.scenario.team_units(Team.RED)]
         members += [(s, Team.BLUE) for s in self.scenario.team_units(Team.BLUE)]
         positions = list(layout.red_positions) + list(layout.blue_positions)
-        return new_world(members, positions, self.engine_config, arena=self.scenario.arena)
+        return new_world(members, positions, self.engine_config, arena=self.scenario.arena, stats=stats)
 
     # -- lifecycle ---------------------------------------------------------
 
     def reset(self, seed: int) -> tuple[TeamStepResult, TeamStepResult]:
         """Start a fresh episode with a seeded spawn layout."""
-        world = self._build_world(spawn_layout(self.scenario, seed))
+        world = self._build_world(spawn_layout(self.scenario, seed), self._proto_world.stats)
         return self._install(world)
 
     def restore(self, world: WorldState) -> tuple[TeamStepResult, TeamStepResult]:

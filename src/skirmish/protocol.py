@@ -9,7 +9,8 @@ deadline set, a side that misses it, for an ``act`` or a ``reset_ack``,
 forfeits and the session ends.  The centralized training state never
 crosses the wire.
 
-Messages (every one carries ``type``):
+Each message is one JSON object on one line of ASCII text, ended by
+``\n``.  Messages (every one carries ``type``):
   hello      {v, team: "red"|"blue"|"any", name}
   assign     {v, team, scenario, n_agents, obs_len, n_actions, episodes}
              scenario is the ``scenario.scenario_config`` text of the
@@ -20,18 +21,36 @@ Messages (every one carries ``type``):
   error      {code, message}
   bye        {reason}
 
+The two array fields of ``obs`` are binary and take their shapes from
+``assign`` (``N = n_agents``, ``L = obs_len``, ``A = n_actions``):
+  obs    the team's observations, an N x L array of IEEE 754 binary64
+         numbers laid out row-major (agent by agent), each stored as 8
+         little-endian bytes: N * L * 8 bytes, compressed as one zlib
+         stream (RFC 1950) at level 1, then encoded as standard base64
+         (RFC 4648 section 4: ``A-Z a-z 0-9 + /``, ``=`` padding, no line
+         breaks).  Decoding yields the server's numbers bit for bit.
+  masks  the N x A action mask, row-major, one bit per entry (1 means
+         available), packed eight to a byte with the first entry in the
+         most significant bit (``numpy.packbits`` order); the last byte
+         is padded with zero bits, giving ceil(N * A / 8) bytes, then
+         encoded as standard base64 without compression.
+:func:`encode_obs` writes the two fields and :func:`decode_obs` reads them.
+
 While the server waits for an ``act``, a line that is not a JSON object
 with a ``type``, any other message type, or a malformed ``act`` gets an
 ``error`` reply with code ``MalformedMessage``; an ``act`` naming an
 unavailable action gets ``UnavailableAction``.  Either way the server
 keeps waiting for an ``act`` for the same step.  A hang-up still ends the
-session with :class:`ConnectionLost`.
+session with :class:`ConnectionLost`.  A client that cannot decode an
+``obs`` to the assigned shapes raises :class:`ProtocolViolation`.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import socket
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +61,7 @@ from .learners import Learner, ScriptedBot
 from .scenario import ScenarioSpec, parse_scenario_config, scenario_config
 from .seeding import episode_seed
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 
 class ProtocolError(RuntimeError):
@@ -91,6 +110,38 @@ def _recv(fh) -> dict:
     if not isinstance(message, dict) or "type" not in message:
         raise MalformedMessage("messages must be objects with a 'type' field")
     return message
+
+
+def encode_obs(observations: np.ndarray, masks: np.ndarray) -> dict[str, str]:
+    """The ``obs`` and ``masks`` fields of an ``obs`` message (see the module docstring)."""
+    raw = np.ascontiguousarray(observations, dtype="<f8")
+    return {
+        "obs": base64.b64encode(zlib.compress(raw, 1)).decode("ascii"),
+        "masks": base64.b64encode(np.packbits(masks, axis=None)).decode("ascii"),
+    }
+
+
+def decode_obs(message: dict, assign: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Writable float64 observations and bool masks of an ``obs`` message, shaped by ``assign``.
+
+    Anything that does not decode to exactly the assigned shapes is a
+    :class:`ProtocolViolation`.
+    """
+    n, obs_len, n_actions = assign["n_agents"], assign["obs_len"], assign["n_actions"]
+    n_bytes, n_bits = n * obs_len * 8, n * n_actions
+    try:
+        inflate = zlib.decompressobj()
+        raw = inflate.decompress(base64.b64decode(message["obs"], validate=True), n_bytes + 1)
+        bits = base64.b64decode(message["masks"], validate=True)
+    except (KeyError, TypeError, ValueError, zlib.error) as exc:  # binascii.Error is a ValueError
+        raise ProtocolViolation(f"undecodable obs: {exc}") from exc
+    if len(raw) != n_bytes or not inflate.eof or inflate.unused_data:
+        raise ProtocolViolation(f"obs does not decode to {n} x {obs_len} float64 values")
+    if len(bits) != -(-n_bits // 8):
+        raise ProtocolViolation(f"masks do not decode to {n} x {n_actions} bits")
+    obs = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(n, obs_len)
+    masks = np.unpackbits(np.frombuffer(bits, dtype=np.uint8), count=n_bits).astype(bool).reshape(n, n_actions)
+    return obs, masks
 
 
 def _close(*handles) -> None:
@@ -236,8 +287,7 @@ class BattleServer:
                 "type": "obs",
                 "episode": episode,
                 "step": step,
-                "obs": [list(row) for row in result.observations],
-                "masks": [[int(x) for x in row] for row in result.masks],
+                **encode_obs(result.observations, result.masks),
                 "reward": result.reward,
                 "terminated": result.terminated,
                 "outcome": result.outcome.value if result.outcome is not None else None,
@@ -336,6 +386,8 @@ def client_loop(
             raise exc(assign.get("message", code))
         if assign.get("type") != "assign":
             raise ProtocolViolation(f"expected assign, got {assign.get('type')!r}")
+        if not all(type(assign.get(k)) is int and assign[k] > 0 for k in ("n_agents", "obs_len", "n_actions")):
+            raise ProtocolViolation("assign must give n_agents, obs_len and n_actions as positive integers")
         if callable(policy) and not isinstance(policy, Learner):
             policy = policy(assign)
         rewards: list[float] = []
@@ -361,8 +413,7 @@ def client_loop(
                 episodes.append(ClientEpisode(message["outcome"], rewards, steps))
                 _send(wfile, {"type": "reset_ack"})
                 continue
-            obs = np.asarray(message["obs"], dtype=float)
-            masks = np.asarray(message["masks"], dtype=bool)
+            obs, masks = decode_obs(message, assign)
             actions = policy.act(obs, masks, 0.0, None)
             _send(wfile, {"type": "act", "actions": [int(a) for a in actions]})
     finally:

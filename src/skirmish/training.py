@@ -107,33 +107,47 @@ class EpisodeResult:
 
 
 class _Recorder:
-    def __init__(self, first, collect: bool):
+    """One team's episode, written step by step into arrays with room for the longest episode.
+
+    ``episode`` shrinks them in place to the steps taken, so no per-step
+    copies are kept and stacked: an episode costs its own rows once.
+    """
+
+    def __init__(self, first, collect: bool, step_limit: int):
         self.collect = collect
-        self.obs = [first.observations.astype(np.float32)] if collect else None
-        self.state = [first.state.astype(np.float32)] if collect else None
-        self.masks = [first.masks.copy()] if collect else None
-        self.actions: list[np.ndarray] = []
-        self.rewards: list[float] = []
+        self.t = 0
+        if collect:
+            rows = step_limit + 1
+            self.obs = np.empty((rows, *first.observations.shape), dtype=np.float32)
+            self.state = np.empty((rows, *first.state.shape), dtype=np.float32)
+            self.masks = np.empty((rows, *first.masks.shape), dtype=bool)
+            self.actions = np.empty((step_limit, len(first.masks)), dtype=np.int16)
+            self.rewards = np.empty(step_limit)
+            self._write(first)
+
+    def _write(self, result) -> None:
+        self.obs[self.t] = result.observations
+        self.state[self.t] = result.state
+        self.masks[self.t] = result.masks
 
     def record(self, actions, result) -> None:
         if not self.collect:
             return
-        self.actions.append(np.asarray(actions, dtype=np.int16))
-        self.rewards.append(result.reward)
-        self.obs.append(result.observations.astype(np.float32))
-        self.state.append(result.state.astype(np.float32))
-        self.masks.append(result.masks.copy())
+        self.actions[self.t] = actions
+        self.rewards[self.t] = result.reward
+        self.t += 1
+        self._write(result)
 
     def episode(self) -> TeamEpisode | None:
         if not self.collect:
             return None
-        return TeamEpisode(
-            obs=np.stack(self.obs),
-            state=np.stack(self.state),
-            masks=np.stack(self.masks),
-            actions=np.stack(self.actions),
-            rewards=np.array(self.rewards),
-        )
+        t = self.t
+        for array, rows in ((self.obs, t + 1), (self.state, t + 1), (self.masks, t + 1), (self.actions, t),
+                            (self.rewards, t)):
+            # realloc in place, safe as the recorder holds the only reference: unwritten rows are dropped.
+            array.resize((rows, *array.shape[1:]), refcheck=False)
+        return TeamEpisode(obs=self.obs, state=self.state, masks=self.masks, actions=self.actions,
+                           rewards=self.rewards)
 
 
 def run_episode(
@@ -155,8 +169,9 @@ def run_episode(
     red.begin_episode()
     blue.begin_episode()
     r_res, b_res = env.reset(seed)
-    rec_r = _Recorder(r_res, collect_red)
-    rec_b = _Recorder(b_res, collect_blue)
+    limit = env.scenario.episode_step_limit
+    rec_r = _Recorder(r_res, collect_red, limit)
+    rec_b = _Recorder(b_res, collect_blue, limit)
     if replay is not None:
         replay.write(replay_record(env, episode_id, 0, None, {"red": 0.0, "blue": 0.0}, None, None))
     ret_r = 0.0

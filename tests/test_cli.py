@@ -64,12 +64,25 @@ def test_runtime_value_error_exits_1(monkeypatch, capsys):
         {"engin": {"step_dt": 0.25}},        # no such section
         {"scenario": {"fog": 1}},
         {"learner": {"mixer_layers": 2}},    # removed with the one-layer mixer
+        {"engine": 5},                       # a section that is not an object
+        5,                                   # a file that is not an object
+        {"learner": {"hidden": 8}},
     ],
 )
 def test_config_errors_exit_2(tmp_path, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert cli.main(["bench", "--scenario", "3m", "--steps", "10", "--config", str(path)]) == 2
+
+
+def test_bench_json_prints_one_line(capsys):
+    assert cli.main(["bench", "--scenario", "3m", "--steps", "50", "--json"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    result = json.loads(lines[0])
+    assert (result["scenario"], result["steps"]) == ("3m", 50)
+    assert result["elapsed_s"] > 0
+    assert result["steps_per_s"] == pytest.approx(50 / result["elapsed_s"])
 
 
 @pytest.mark.parametrize(

@@ -57,6 +57,16 @@ def test_reset_deterministic():
     assert not np.array_equal(ra.observations, rc.observations)
 
 
+def test_resets_share_one_read_only_spec_table():
+    env = BattleEnv(get_scenario("MMM2"))
+    env.reset(seed=1)
+    stats = env.world.stats
+    env.reset(seed=2)
+    assert env.world.stats is stats
+    with pytest.raises(ValueError):
+        stats.max_health[0] = 1.0
+
+
 def test_reset_enemies_out_of_sight():
     env = BattleEnv(get_scenario("3m"))
     r, b = env.reset(seed=0)

@@ -15,12 +15,15 @@ from skirmish.protocol import (
     PROTOCOL_VERSION,
     BattleServer,
     HandshakeVersionMismatch,
+    ProtocolViolation,
     ServedEpisode,
     TeamSlotTaken,
     bot_client,
     client_loop,
+    decode_obs,
+    encode_obs,
 )
-from skirmish.scenario import get_scenario
+from skirmish.scenario import builtin_scenarios, get_scenario
 from skirmish.seeding import episode_seed
 from skirmish.training import run_episode
 
@@ -103,19 +106,88 @@ def test_version_mismatch():
     stub.close()
 
 
+def test_v2_hello_is_refused():
+    server = BattleServer(get_scenario("3m"), episodes=1, bot_team=Team.BLUE)
+    session = start(server.run)
+    conn, rfile, wfile = raw_client(server.address)
+    protocol._send(wfile, {"type": "hello", "v": 2, "team": "red"})
+    refusal = protocol._recv(rfile)
+    assert (refusal["type"], refusal["code"]) == ("error", "HandshakeVersionMismatch")
+    protocol._close(rfile, wfile, conn)
+    assert len(finish(*start(client_loop, bot_client, server.address, team="red"))) == 1
+    assert len(finish(*session)) == 1
+
+
+@pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+def test_obs_round_trips_bit_exactly(name):
+    env = BattleEnv(get_scenario(name))
+    rng = np.random.default_rng(3)
+    results = env.reset(episode_seed(3, 0))
+    for step in range(12):
+        if step in (0, 4, 11):
+            for team, result in zip(Team, results):
+                spec = env.team_spec(team)
+                assign = {"n_agents": spec.n_agents, "obs_len": spec.obs_len, "n_actions": spec.n_actions}
+                obs, masks = decode_obs(encode_obs(result.observations, result.masks), assign)
+                assert obs.dtype == np.float64 and masks.dtype == bool
+                assert obs.flags.writeable and masks.flags.writeable
+                assert obs.tobytes() == np.ascontiguousarray(result.observations, dtype=np.float64).tobytes()
+                assert masks.tobytes() == np.ascontiguousarray(result.masks, dtype=bool).tobytes()
+        if env.terminated:
+            break
+        acts = [np.array([rng.choice(np.flatnonzero(m)) for m in r.masks]) for r in results]
+        results = env.step(*acts)
+
+
+GOOD_OBS = encode_obs(np.zeros((3, 5)), np.ones((3, 9), dtype=bool))
+
+
+@pytest.mark.parametrize(
+    "n_agents, fields",
+    [
+        (3, dict(GOOD_OBS, obs="not base64!")),
+        (3, dict(GOOD_OBS, obs="bm90IHpsaWI=")),  # base64 of b"not zlib"
+        (3, dict(GOOD_OBS, obs=encode_obs(np.zeros((3, 4)), np.ones((3, 9), dtype=bool))["obs"])),
+        (3, dict(GOOD_OBS, masks=encode_obs(np.zeros((3, 5)), np.ones((4, 9), dtype=bool))["masks"])),
+        ("3", GOOD_OBS),
+    ],
+    ids=["base64", "zlib", "obs shape", "masks shape", "assign shape"],
+)
+def test_client_rejects_a_malformed_obs(n_agents, fields):
+    stub = socket.create_server(("127.0.0.1", 0))
+
+    def serve_bad_obs():
+        peer, _ = stub.accept()
+        with peer, peer.makefile("r", encoding="utf-8") as r, peer.makefile("w", encoding="utf-8") as w:
+            protocol._recv(r)
+            protocol._send(w, {"type": "assign", "v": PROTOCOL_VERSION, "team": "red",
+                               "scenario": "", "n_agents": n_agents, "obs_len": 5, "n_actions": 9, "episodes": 1})
+            protocol._send(w, {"type": "obs", "episode": 0, "step": 0, **fields, "reward": 0.0,
+                               "terminated": False, "outcome": None})
+            r.readline()  # wait for the client to hang up
+
+    stub_session = start(serve_bad_obs)
+    policy = ScriptedBot(get_scenario("3m"), Team.RED)
+    with pytest.raises(ProtocolViolation):
+        finish(*start(client_loop, policy, stub.getsockname(), team="red"))
+    finish(*stub_session)
+    stub.close()
+
+
 def test_missing_reset_ack_forfeits():
     scenario = dataclasses.replace(get_scenario("3m"), episode_step_limit=3)
     server = BattleServer(scenario, episodes=2, bot_team=Team.BLUE, act_timeout=0.5)
     session = start(server.run)
     conn, rfile, wfile = raw_client(server.address)
     protocol._send(wfile, {"type": "hello", "v": PROTOCOL_VERSION, "team": "red"})
-    assert protocol._recv(rfile)["type"] == "assign"
+    assign = protocol._recv(rfile)
+    assert assign["type"] == "assign"
     while True:
         message = protocol._recv(rfile)
         if message["type"] == "bye":
             break
         if not message["terminated"]:  # act at once, but never acknowledge the episode's end
-            masks = np.asarray(message["masks"], dtype=bool)
+            _, masks = decode_obs(message, assign)
             protocol._send(wfile, {"type": "act", "actions": [int(np.flatnonzero(m)[0]) for m in masks]})
     protocol._close(rfile, wfile, conn)
     assert message["reason"] == "act timeout forfeit"
@@ -128,7 +200,8 @@ def test_malformed_act_gets_an_error_and_play_goes_on():
     session = start(server.run)
     conn, rfile, wfile = raw_client(server.address)
     protocol._send(wfile, {"type": "hello", "v": PROTOCOL_VERSION, "team": "red"})
-    assert protocol._recv(rfile)["type"] == "assign"
+    assign = protocol._recv(rfile)
+    assert assign["type"] == "assign"
     message = protocol._recv(rfile)
     assert message["step"] == 0
     refusals = [
@@ -149,7 +222,7 @@ def test_malformed_act_gets_an_error_and_play_goes_on():
         if message["terminated"]:
             protocol._send(wfile, {"type": "reset_ack"})
         else:
-            masks = np.asarray(message["masks"], dtype=bool)
+            _, masks = decode_obs(message, assign)
             protocol._send(wfile, {"type": "act", "actions": [int(np.flatnonzero(m)[0]) for m in masks]})
         message = protocol._recv(rfile)
         if message["type"] == "obs":
@@ -166,7 +239,8 @@ def test_bad_lines_while_waiting_for_an_act_get_errors_and_play_goes_on():
     session = start(server.run)
     conn, rfile, wfile = raw_client(server.address)
     protocol._send(wfile, {"type": "hello", "v": PROTOCOL_VERSION, "team": "red"})
-    assert protocol._recv(rfile)["type"] == "assign"
+    assign = protocol._recv(rfile)
+    assert assign["type"] == "assign"
     message = protocol._recv(rfile)
     assert message["step"] == 0
     wfile.write("not json\n")
@@ -181,7 +255,7 @@ def test_bad_lines_while_waiting_for_an_act_get_errors_and_play_goes_on():
         if message["terminated"]:
             protocol._send(wfile, {"type": "reset_ack"})
         else:
-            masks = np.asarray(message["masks"], dtype=bool)
+            _, masks = decode_obs(message, assign)
             protocol._send(wfile, {"type": "act", "actions": [int(np.flatnonzero(m)[0]) for m in masks]})
         message = protocol._recv(rfile)
     protocol._close(rfile, wfile, conn)
