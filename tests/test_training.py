@@ -1,5 +1,6 @@
 """Training controllers: bot, paired and mixed runs and pool building share one loop."""
 
+import numpy as np
 import pytest
 
 from skirmish.engine import Team
@@ -12,6 +13,7 @@ from skirmish.training import (
     TrainConfig,
     TrainingError,
     build_opponent_pool,
+    run_episode,
     train_mixed,
     train_paired,
     train_vs_bot,
@@ -111,3 +113,40 @@ def test_same_seed_gives_identical_runs():
     first = run()
     assert run() == first
     assert [len(p) for p in first[0]] == [3, 3, 3, 3]
+
+
+def test_collected_episodes_match_the_env_step_by_step():
+    env = BattleEnv(SCENARIO)
+    red = make_learner("random", env.team_spec(Team.RED), seed=1)
+    blue = make_learner("bot", env.team_spec(Team.BLUE), scenario=SCENARIO)
+    first = run_episode(env, red, blue, seed=4, epsilon_red=1.0, rng_red=np.random.default_rng(0), collect_red=True,
+                        collect_blue=True)
+    kept = {name: getattr(first.red_episode, name).copy() for name in ("obs", "state", "masks", "actions", "rewards")}
+    run_episode(env, red, blue, seed=5, epsilon_red=1.0, rng_red=np.random.default_rng(1), collect_red=True)
+    for name, array in kept.items():  # a later episode writes into arrays of its own
+        assert np.array_equal(getattr(first.red_episode, name), array)
+
+    rng = np.random.default_rng(0)
+    red.begin_episode()
+    blue.begin_episode()
+    r_res, b_res = env.reset(4)
+    obs, state, masks, actions, rewards = [r_res.observations], [r_res.state], [r_res.masks], [], []
+    while not env.terminated:
+        a_r = red.act(r_res.observations, r_res.masks, 1.0, rng)
+        a_b = blue.act(b_res.observations, b_res.masks, 0.0, None)
+        r_res, b_res = env.step(a_r, a_b)
+        obs.append(r_res.observations)
+        state.append(r_res.state)
+        masks.append(r_res.masks)
+        actions.append(a_r)
+        rewards.append(r_res.reward)
+    ep = first.red_episode
+    assert ep.length == first.length == len(actions)
+    assert ep.obs.dtype == ep.state.dtype == np.float32 and ep.masks.dtype == bool
+    assert ep.actions.dtype == np.int16 and ep.rewards.dtype == np.float64
+    assert np.array_equal(ep.obs, np.array(obs, dtype=np.float32))
+    assert np.array_equal(ep.state, np.array(state, dtype=np.float32))
+    assert np.array_equal(ep.masks, np.array(masks))
+    assert np.array_equal(ep.actions, np.array(actions))
+    assert np.array_equal(ep.rewards, np.array(rewards))
+    assert all(a.flags.writeable and a.flags.c_contiguous for a in (ep.obs, ep.state, ep.masks, ep.actions, ep.rewards))
