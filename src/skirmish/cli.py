@@ -201,6 +201,11 @@ def _resolve_scenario(args, overrides: dict) -> ScenarioSpec:
     return spec
 
 
+# The JSON values a field of each scalar annotation takes; a JSON boolean fits a bool field only.
+_SCALARS = {"bool": (bool, "true or false"), "int": (int, "an integer"), "float": ((int, float), "a number"),
+            "str": (str, "a string")}
+
+
 def _check_keys(cls, data: dict, key: str) -> None:
     if not isinstance(data, dict):
         raise CliError(f"--config section {key} must be a JSON object")
@@ -210,6 +215,12 @@ def _check_keys(cls, data: dict, key: str) -> None:
     unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise CliError(f"unknown --config {key} key(s): {', '.join(sorted(unknown))}")
+    for f in dataclasses.fields(cls):
+        if f.name in data and f.type in _SCALARS:
+            kinds, noun = _SCALARS[f.type]
+            value = data[f.name]
+            if not isinstance(value, kinds) or (isinstance(value, bool) and f.type != "bool"):
+                raise CliError(f"--config {key} {f.name} must be {noun}, not {json.dumps(value)}")
 
 
 def _build_section(cls, overrides: dict, key: str):

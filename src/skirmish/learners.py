@@ -8,7 +8,9 @@ The Q-learner shares one feed-forward network across a team's agents; each
 agent's input is its observation plus an agent-id one-hot and a
 last-action one-hot.  All three rules train through one update,
 :func:`team_td_train_step`: the mixing rule only decides how chosen-action
-values combine into the values that regress on the TD targets.
+values combine into the values that regress on the TD targets.  The update
+evaluates each distinct input row of its batch once; the rows of agents
+whose observation is all zero are keyed by agent and last action.
 :func:`save_learner` and :func:`load_learner` are the one checkpoint
 format for all of them.
 """
@@ -348,13 +350,18 @@ class ValueLearner(Learner):
 
 @dataclass
 class _Batch:
-    """Every sampled episode's rows 0..T, back to back; ``R`` is the sum of T+1.
+    """Every sampled episode's rows 0..T, back to back, with each distinct agent input once.
 
-    ``now`` holds the row of every live step t < T, so row ``now + 1`` is
-    that step's next step; the per-step fields have one entry per ``now``.
+    ``R`` is the sum of T+1.  ``now`` holds the row of every live step
+    t < T, so row ``now + 1`` is that step's next step; the per-step fields
+    have one entry per ``now``.  An agent whose observation is all zero (a
+    dead unit's) has an input fixed by its agent id and its last action, so
+    such rows share one input per (agent, last action); every other row has
+    its own.  ``inputs[inverse]`` is the full ``(R, A, D)`` input.
     """
 
-    inputs: np.ndarray     # (R, A, D) observation, agent id and last action
+    inputs: np.ndarray     # (U, D) observation, agent id and last action of each distinct input
+    inverse: np.ndarray    # (R, A) index of each row's input in ``inputs``
     states: np.ndarray     # (R, S)
     avail: np.ndarray      # (R, A, nA) bool
     now: np.ndarray        # (N,) row of each live step
@@ -365,19 +372,29 @@ class _Batch:
 
 def _collate(learner: ValueLearner, episodes: list[TeamEpisode]) -> _Batch:
     spec = learner.team_spec
-    L, A = spec.obs_len, spec.n_agents
+    L, A, nA = spec.obs_len, spec.n_agents, spec.n_actions
     obs = np.concatenate([ep.obs for ep in episodes])
     last = np.zeros(len(obs), dtype=bool)
     last[np.cumsum([ep.length + 1 for ep in episodes]) - 1] = True
     now = np.flatnonzero(~last)
     actions = np.concatenate([ep.actions for ep in episodes]).astype(np.int64)
-    inputs = np.zeros((len(obs), A, learner.input_dim))
-    inputs[..., :L] = obs
-    inputs[..., L : L + A] = learner._agent_eye
-    inputs[now + 1, :, L + A :] = learner._action_eye[actions]
+    prev = np.full(obs.shape[:2], -1)  # last action, -1 at an episode's first row
+    prev[now + 1] = actions
+    # An all-zero observation leaves an input keyed by agent and last action; every other row is its own key.
+    blank_key = np.arange(A) * (nA + 1) + prev + 1
+    key = np.where(obs.any(axis=-1), A * (nA + 1) + np.arange(prev.size).reshape(prev.shape), blank_key)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rows, agents = np.divmod(first, A)
+    prev_of = prev[rows, agents]
+    acted = np.flatnonzero(prev_of >= 0)
+    inputs = np.zeros((len(first), learner.input_dim))
+    inputs[:, :L] = obs[rows, agents]
+    inputs[np.arange(len(first)), L + agents] = 1.0
+    inputs[acted, L + A + prev_of[acted]] = 1.0
     return _Batch(
-        inputs, np.concatenate([ep.state for ep in episodes]), np.concatenate([ep.masks for ep in episodes]),
-        now, actions, np.concatenate([ep.rewards for ep in episodes]), ~last[now + 1],
+        inputs, inverse.reshape(prev.shape), np.concatenate([ep.state for ep in episodes]),
+        np.concatenate([ep.masks for ep in episodes]), now, actions, np.concatenate([ep.rewards for ep in episodes]),
+        ~last[now + 1],
     )
 
 
@@ -387,8 +404,11 @@ def team_td_train_step(learner: ValueLearner, episodes: list[TeamEpisode]) -> fl
     iql keeps each live step's per-agent chosen-action values, ``(N, A)``;
     vdn sums and qmix mixes them into one team value, ``(N, 1)``.  Terminal
     steps regress straight to the reward; the loss averages every entry.
-    One online and one target pass cover all rows; the online pass serves
-    both the chosen values and, with ``double_q``, the next-step argmax.
+    The online and the target pass each evaluate every distinct input row
+    of the batch once; the online pass serves both the chosen values and,
+    with ``double_q``, the next-step argmax.  Rows that share an input (dead
+    agents with the same id and last action) read one row's values and add
+    their gradients onto it.
     """
     if not episodes:
         raise LearnerError("empty batch")
@@ -396,20 +416,17 @@ def team_td_train_step(learner: ValueLearner, episodes: list[TeamEpisode]) -> fl
     target_net, *target_mixer = learner.targets
     batch = _collate(learner, episodes)
     now, nxt = batch.now, batch.now + 1
-    R, A, D = batch.inputs.shape
-    nA = learner.team_spec.n_actions
-    rows = batch.inputs.reshape(R * A, D)
-    q, trace = nn.forward_trace(net, rows)
-    q = q.reshape(R, A, nA)
-    q_next = nn.forward(target_net, rows).reshape(R, A, nA)[nxt]
+    row_now, row_nxt = batch.inverse[now], batch.inverse[nxt]
+    U, nA = len(batch.inputs), learner.team_spec.n_actions
+    q, trace = nn.forward_trace(net, batch.inputs)
+    q_next = nn.forward(target_net, batch.inputs)[row_nxt]
     avail_next = batch.avail[nxt]
     if learner.config.double_q:
-        pick = np.where(avail_next, q[nxt], -np.inf).argmax(axis=-1)
+        pick = np.where(avail_next, q[row_nxt], -np.inf).argmax(axis=-1)
         next_max = np.take_along_axis(q_next, pick[..., None], axis=-1)[..., 0]
     else:
         next_max = np.where(avail_next, q_next, -np.inf).max(axis=-1)
-    taken = (now[:, None], np.arange(A), batch.actions)
-    chosen = q[taken]
+    chosen = q[row_now, batch.actions]
 
     if learner.algo == "iql":
         q_tot, next_tot = chosen, next_max
@@ -431,9 +448,9 @@ def team_td_train_step(learner: ValueLearner, episodes: list[TeamEpisode]) -> fl
     else:
         d_chosen, mixer_grads = np.broadcast_to(d_tot, chosen.shape), []
 
-    d_q = np.zeros((R, A, nA))
-    d_q[taken] = d_chosen
-    grads = nn.backward(net, trace, d_q.reshape(R * A, nA)) + mixer_grads
+    slots = (row_now * nA + batch.actions).ravel()
+    d_q = np.bincount(slots, weights=d_chosen.ravel(), minlength=U * nA).reshape(U, nA)
+    grads = nn.backward(net, trace, d_q) + mixer_grads
     clip = learner.config.grad_clip
     if clip > 0:
         total = np.sqrt(sum(float((a * a).sum()) for a in grads))

@@ -67,12 +67,37 @@ def test_runtime_value_error_exits_1(monkeypatch, capsys):
         {"engine": 5},                       # a section that is not an object
         5,                                   # a file that is not an object
         {"learner": {"hidden": 8}},
+        {"engine": {"step_dt": "x"}},        # values of the wrong type
+        {"scenario": {"episode_step_limit": "x"}},
+        {"reward": {"win_bonus": [1]}},
+        {"learner": {"double_q": "no"}},
+        {"learner": {"double_q": 1}},        # a bool field takes only a JSON boolean
+        {"learner": {"batch_episodes": True}},  # an int field takes no boolean
+        {"learner": {"batch_episodes": 2.5}},
+        {"reward": {"win_bonus": False}},    # nor does a float field
+        {"scenario": {"name": 3}},
     ],
 )
 def test_config_errors_exit_2(tmp_path, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert cli.main(["bench", "--scenario", "3m", "--steps", "10", "--config", str(path)]) == 2
+
+
+def test_train_config_with_a_double_q_string_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps({"learner": {"double_q": "no"}}))
+    assert cli.main(["train", "--scenario", "3m", "--steps", "30", "--seeds", "1", "--config", "config.json",
+                     "--out", "out"]) == 2
+    assert "--config learner double_q must be true or false" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_values_of_the_annotated_type_run(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"engine": {"step_dt": 1}, "reward": {"win_bonus": 2.5},  # an integer fits a float
+                                "learner": {"double_q": True, "batch_episodes": 4}}))
+    assert cli.main(["bench", "--scenario", "3m", "--steps", "10", "--config", str(path)]) == 0
 
 
 def test_bench_json_prints_one_line(capsys):

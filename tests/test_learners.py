@@ -16,6 +16,7 @@ from skirmish.learners import (
     ScriptedBot,
     TeamEpisode,
     ValueLearner,
+    _collate,
     _mixer_backward,
     _mixer_forward,
     epsilon_greedy,
@@ -403,24 +404,56 @@ def test_td_gradient_matches_finite_differences(algo, monkeypatch):
     np.testing.assert_allclose(numeric, expected, rtol=1e-5, atol=1e-8)
 
 
+def dying_episodes(spec, rng):
+    """Episodes of three agents in which units die and stay dead, as the env records them.
+
+    From its step of death on, an agent's observation is all zero, its only
+    available action is ``ACTION_NOOP`` and it takes that action.  Agent 2
+    of the first episode and agent 0 of the last are dead from step 0.
+    """
+    episodes = []
+    for T, deaths in ((1, {2: 0}), (3, {0: 1}), (6, {1: 3, 2: 4, 0: 0})):
+        masks = rng.random((T + 1, 3, spec.n_actions)) < 0.6
+        masks[..., ACTION_NOOP] |= ~masks.any(axis=-1)
+        for agent, step in deaths.items():
+            masks[step:, agent] = False
+            masks[step:, agent, ACTION_NOOP] = True
+        actions = np.array([[rng.choice(np.flatnonzero(m)) for m in step] for step in masks[:-1]], dtype=np.int16)
+        episode = toy_episode(spec, T, rng, masks=masks, actions=actions)
+        for agent, step in deaths.items():
+            episode.obs[step:, agent] = 0.0
+        episodes.append(episode)
+    return episodes
+
+
+def episode_inputs(learner, episode):
+    """Every row's network input, ``(T+1, A, D)``: observation, agent one-hot and last-action one-hot."""
+    spec = learner.team_spec
+    A, nA, L = spec.n_agents, spec.n_actions, spec.obs_len
+    inputs = np.zeros((episode.length + 1, A, learner.input_dim))
+    inputs[..., :L] = episode.obs
+    inputs[..., L : L + A] = np.eye(A)
+    inputs[1:, :, L + A :] = np.eye(nA)[episode.actions]
+    return inputs
+
+
 def padded_update(learner, episodes):
     """The update as it ran on a padded batch: every episode padded to the longest, padding masked out.
 
+    Every row of every episode is built and evaluated, shared inputs included.
     Returns the loss and the clipped gradients handed to Adam.
     """
     spec, gamma = learner.team_spec, learner.config.gamma
     net, *mixer = learner.nets
     target_net, *target_mixer = learner.targets
     B, Tm = len(episodes), max(ep.length for ep in episodes)
-    A, nA, L, S, D = spec.n_agents, spec.n_actions, spec.obs_len, spec.state_len, learner.input_dim
+    A, nA, S, D = spec.n_agents, spec.n_actions, spec.state_len, learner.input_dim
     inputs, states = np.zeros((B, Tm + 1, A, D)), np.zeros((B, Tm + 1, S))
     avail, actions = np.zeros((B, Tm + 1, A, nA), dtype=bool), np.zeros((B, Tm, A), dtype=np.int64)
     rewards, pad, boot = np.zeros((B, Tm)), np.zeros((B, Tm)), np.zeros((B, Tm))
     for b, ep in enumerate(episodes):
         T = ep.length
-        inputs[b, : T + 1, :, :L] = ep.obs
-        inputs[b, : T + 1, :, L : L + A] = np.eye(A)
-        inputs[b, 1 : T + 1, :, L + A :] = np.eye(nA)[ep.actions]
+        inputs[b, : T + 1] = episode_inputs(learner, ep)
         states[b, : T + 1], avail[b, : T + 1], actions[b, :T], rewards[b, :T] = ep.state, ep.masks, ep.actions, ep.rewards
         pad[b, :T], boot[b, : T - 1] = 1.0, 1.0
     avail[..., ACTION_NOOP] |= ~avail.any(axis=-1)  # padding rows stay maskable
@@ -459,21 +492,18 @@ def padded_update(learner, episodes):
 @pytest.mark.parametrize("double_q", [False, True], ids=["max", "double_q"])
 @pytest.mark.parametrize("algo", ["iql", "vdn", "qmix"])
 def test_live_row_update_matches_padded_reference(algo, double_q, monkeypatch):
-    """The live-row update agrees with the padded one to float64 rounding (rtol 1e-9, atol 1e-12)."""
+    """The update over distinct rows agrees with the padded one to float64 rounding (rtol 1e-9, atol 1e-12)."""
     spec = toy_spec(A=3)
     cfg = LearnerConfig(hidden=(8, 8), gamma=0.9, double_q=double_q, mixer_embed=4, grad_clip=0.5)
     rng = np.random.default_rng(31)
-    episodes = []
-    for T in (1, 3, 6):
-        masks = rng.random((T + 1, 3, spec.n_actions)) < 0.6
-        masks[..., ACTION_NOOP] |= ~masks.any(axis=-1)
-        actions = np.array([[rng.choice(np.flatnonzero(m)) for m in step] for step in masks[:-1]], dtype=np.int16)
-        episodes.append(toy_episode(spec, T, rng, masks=masks, actions=actions))
+    episodes = dying_episodes(spec, rng)
     learner = ValueLearner(algo, spec, cfg, seed=3)
     for p in learner.targets[0].params():  # targets that differ from the online values
         p += rng.normal(scale=0.3, size=p.shape)
     captured = []
     monkeypatch.setattr(nn, "adam_step", lambda params, grads, state: captured.append(grads))
+    batch = _collate(learner, episodes)
+    assert len(batch.inputs) < batch.inverse.size  # dead agents' rows share inputs
 
     loss = team_td_train_step(learner, episodes)
     ref_loss, ref_grads = padded_update(learner, episodes)
@@ -481,6 +511,27 @@ def test_live_row_update_matches_padded_reference(algo, double_q, monkeypatch):
     assert len(captured[0]) == len(ref_grads) == len(learner.parameter_arrays())
     for got, want in zip(captured[0], ref_grads):
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def test_collate_builds_each_distinct_input_once():
+    spec = toy_spec(A=3)
+    learner = ValueLearner("iql", spec, LearnerConfig(hidden=(8,)), seed=0)
+    episodes = dying_episodes(spec, np.random.default_rng(4))
+    batch = _collate(learner, episodes)
+    full = np.concatenate([episode_inputs(learner, ep) for ep in episodes])
+    assert batch.inverse.shape == full.shape[:2]
+    got = batch.inputs[batch.inverse]
+    assert got.dtype == full.dtype and got.tobytes() == full.tobytes()
+    live, blank = 0, set()
+    for ep in episodes:
+        for t in range(ep.length + 1):
+            for agent in range(spec.n_agents):
+                if ep.obs[t, agent].any():
+                    live += 1
+                else:
+                    blank.add((agent, int(ep.actions[t - 1, agent]) if t else None))
+    assert live < full.shape[0] * spec.n_agents and len(blank) > 1
+    assert len(batch.inputs) == live + len(blank)
 
 
 @pytest.mark.parametrize("algo", ["iql", "qmix"])
