@@ -7,7 +7,9 @@ resolved configuration so it can be reproduced bit-for-bit.
 
 Exit codes: 0 success; 2 usage or configuration error (bad flags, a
 missing input file, a :class:`CliError` such as an unknown ``--config``
-key, or a :class:`~skirmish.scenario.ScenarioError`); 1 any other failure
+key, a :class:`~skirmish.scenario.ScenarioError`, or a
+:class:`~skirmish.learners.CheckpointError` for a file that is no
+checkpoint or one of another format); 1 any other failure
 while running, domain ``ValueError`` subclasses included.  Commands create
 the directories they write to, so a missing file is always an input, and
 only once their inputs have loaded, so a failed command leaves no output
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib.util
 import json
 import sys
 import time
@@ -25,10 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, nn
 from .engine import EngineConfig, Team
 from .env import BattleEnv, ReplayWriter, RewardConfig
-from .learners import Learner, LearnerConfig, load_learner, make_learner, save_learner
+from .learners import CHECKPOINT_FORMAT, CheckpointError, Learner, LearnerConfig, load_learner, make_learner, save_learner
 from .scenario import ScenarioError, ScenarioSpec, builtin_scenarios, get_scenario, parse_scenario_config
 from .seeding import STREAM_BENCH, STREAM_INIT, derive_seed
 from .training import (
@@ -263,6 +266,11 @@ def _manifest(path: Path, args, extra: dict) -> None:
         "version": __version__,
         "argv": sys.argv[1:],
         "resolved": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
+        "numpy": np.__version__,
+        "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"],
+        "numba": importlib.util.find_spec("numba") is not None,
+        "checkpoint_format": CHECKPOINT_FORMAT,
+        "learner_dtype": np.dtype(nn.DTYPE).name,
     }
     payload.update(extra)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str), encoding="utf-8")
@@ -565,7 +573,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (CliError, ScenarioError) as exc:
+    except (CliError, ScenarioError, CheckpointError) as exc:
         print(f"skirmish {args.command}: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

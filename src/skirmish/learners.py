@@ -10,7 +10,8 @@ last-action one-hot.  All three rules train through one update,
 :func:`team_td_train_step`: the mixing rule only decides how chosen-action
 values combine into the values that regress on the TD targets.  The update
 evaluates each distinct input row of its batch once; the rows of agents
-whose observation is all zero are keyed by agent and last action.
+whose observation is all zero are keyed by agent and last action.  The
+update computes in its networks' dtype, float32, as PyMARL's learners do.
 :func:`save_learner` and :func:`load_learner` are the one checkpoint
 format for all of them.
 """
@@ -18,6 +19,8 @@ format for all of them.
 from __future__ import annotations
 
 import json
+import math
+import zipfile
 from collections import deque
 from dataclasses import asdict, dataclass, fields
 
@@ -36,6 +39,10 @@ class LearnerError(ValueError):
 
 class NoAvailableAction(LearnerError):
     pass
+
+
+class CheckpointError(LearnerError):
+    """A file that :func:`load_learner` cannot turn into a learner."""
 
 
 @dataclass(frozen=True)
@@ -94,9 +101,16 @@ def epsilon_greedy(q_values: np.ndarray, mask: np.ndarray, epsilon: float, rng) 
 
 @dataclass
 class TeamEpisode:
-    """One team's record of one episode, ready for episodic replay."""
+    """One team's record of one episode, ready for episodic replay.
 
-    obs: np.ndarray       # (T+1, A, obs_len) float32
+    A dead unit's observation is all zero, and such rows are most of an
+    episode's (about 55% on MMM2 and 65% on 25m at random play), so
+    observations are kept as a ``blank`` flag per row and agent plus the
+    observations of the other rows only.
+    """
+
+    blank: np.ndarray     # (T+1, A) bool, True where the agent's observation is all zero
+    live_obs: np.ndarray  # (K, obs_len) float32, the observations of the other rows in (row, agent) order
     state: np.ndarray     # (T+1, state_len) float32
     masks: np.ndarray     # (T+1, A, n_actions) bool
     actions: np.ndarray   # (T, A) int16
@@ -312,8 +326,8 @@ class ValueLearner(Learner):
         self.buffer: deque[TeamEpisode] = deque(maxlen=config.buffer_episodes)
         self.train_steps = 0
         self._rng = np.random.default_rng(derive_seed(STREAM_INIT, seed, 97))
-        self._agent_eye = np.eye(A)
-        self._action_eye = np.eye(nA)
+        self._agent_eye = np.eye(A, dtype=self.nets[0].dtype)
+        self._action_eye = np.eye(nA, dtype=self.nets[0].dtype)
         self._last_actions: np.ndarray | None = None
 
     def parameter_arrays(self) -> list[np.ndarray]:
@@ -327,12 +341,13 @@ class ValueLearner(Learner):
         self._last_actions = None
 
     def _inputs(self, obs: np.ndarray, last_actions: np.ndarray | None) -> np.ndarray:
-        A = self.team_spec.n_agents
-        last = self._action_eye[last_actions] if last_actions is not None else np.zeros((A, self.team_spec.n_actions))
-        return np.concatenate([obs, self._agent_eye, last], axis=1)
+        """Each agent's network input, in the eyes' dtype (the agent network's)."""
+        eye = self._action_eye
+        last = eye[last_actions] if last_actions is not None else np.zeros((self.team_spec.n_agents, len(eye)), eye.dtype)
+        return np.concatenate([obs, self._agent_eye, last], axis=1, dtype=eye.dtype)
 
     def act(self, obs, masks, epsilon: float = 0.0, rng=None) -> np.ndarray:
-        q = nn.forward(self.nets[0], self._inputs(np.asarray(obs, dtype=float), self._last_actions))
+        q = nn.forward(self.nets[0], self._inputs(obs, self._last_actions))
         actions = epsilon_greedy(q, masks, epsilon, rng)
         self._last_actions = actions
         return actions
@@ -357,7 +372,8 @@ class _Batch:
     have one entry per ``now``.  An agent whose observation is all zero (a
     dead unit's) has an input fixed by its agent id and its last action, so
     such rows share one input per (agent, last action); every other row has
-    its own.  ``inputs[inverse]`` is the full ``(R, A, D)`` input.
+    its own.  ``inputs[inverse]`` is the full ``(R, A, D)`` input.  The
+    float fields are in the agent network's dtype.
     """
 
     inputs: np.ndarray     # (U, D) observation, agent id and last action of each distinct input
@@ -373,28 +389,31 @@ class _Batch:
 def _collate(learner: ValueLearner, episodes: list[TeamEpisode]) -> _Batch:
     spec = learner.team_spec
     L, A, nA = spec.obs_len, spec.n_agents, spec.n_actions
-    obs = np.concatenate([ep.obs for ep in episodes])
-    last = np.zeros(len(obs), dtype=bool)
+    dtype = learner.nets[0].dtype
+    blank = np.concatenate([ep.blank for ep in episodes])
+    last = np.zeros(len(blank), dtype=bool)
     last[np.cumsum([ep.length + 1 for ep in episodes]) - 1] = True
     now = np.flatnonzero(~last)
     actions = np.concatenate([ep.actions for ep in episodes]).astype(np.int64)
-    prev = np.full(obs.shape[:2], -1)  # last action, -1 at an episode's first row
+    prev = np.full(blank.shape, -1)  # last action, -1 at an episode's first row
     prev[now + 1] = actions
     # An all-zero observation leaves an input keyed by agent and last action; every other row is its own key.
     blank_key = np.arange(A) * (nA + 1) + prev + 1
-    key = np.where(obs.any(axis=-1), A * (nA + 1) + np.arange(prev.size).reshape(prev.shape), blank_key)
+    key = np.where(blank, blank_key, A * (nA + 1) + np.arange(prev.size).reshape(prev.shape))
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     rows, agents = np.divmod(first, A)
     prev_of = prev[rows, agents]
     acted = np.flatnonzero(prev_of >= 0)
-    inputs = np.zeros((len(first), learner.input_dim))
-    inputs[:, :L] = obs[rows, agents]
+    inputs = np.zeros((len(first), learner.input_dim), dtype=dtype)
+    # Blank keys sort first, and the live keys follow in (row, agent) order, the order of ``live_obs``.
+    K = sum(len(ep.live_obs) for ep in episodes)
+    np.concatenate([ep.live_obs for ep in episodes], out=inputs[len(first) - K :, :L])
     inputs[np.arange(len(first)), L + agents] = 1.0
     inputs[acted, L + A + prev_of[acted]] = 1.0
     return _Batch(
-        inputs, inverse.reshape(prev.shape), np.concatenate([ep.state for ep in episodes]),
-        np.concatenate([ep.masks for ep in episodes]), now, actions, np.concatenate([ep.rewards for ep in episodes]),
-        ~last[now + 1],
+        inputs, inverse.reshape(prev.shape), np.concatenate([ep.state for ep in episodes], dtype=dtype),
+        np.concatenate([ep.masks for ep in episodes]), now, actions,
+        np.concatenate([ep.rewards for ep in episodes], dtype=dtype), ~last[now + 1],
     )
 
 
@@ -438,7 +457,7 @@ def team_td_train_step(learner: ValueLearner, episodes: list[TeamEpisode]) -> fl
         q_tot = q_tot[:, None]
         next_tot = _mixer_forward(target_mixer, next_max, batch.states[nxt])[0][:, None]
 
-    y = batch.rewards[:, None] + learner.config.gamma * batch.boot[:, None] * next_tot
+    y = batch.rewards[:, None] + learner.config.gamma * (batch.boot[:, None] * next_tot)  # bool * q keeps q's dtype
     diff = q_tot - y
     loss = float((diff * diff).sum() / diff.size)
     d_tot = 2.0 * diff / diff.size
@@ -453,9 +472,9 @@ def team_td_train_step(learner: ValueLearner, episodes: list[TeamEpisode]) -> fl
     grads = nn.backward(net, trace, d_q) + mixer_grads
     clip = learner.config.grad_clip
     if clip > 0:
-        total = np.sqrt(sum(float((a * a).sum()) for a in grads))
+        total = math.sqrt(sum(float((a * a).sum()) for a in grads))
         if total > clip:
-            scale = clip / total
+            scale = clip / total  # a Python float: a numpy float64 would turn float32 gradients into float64
             grads = [a * scale for a in grads]
     nn.adam_step(learner.parameter_arrays(), grads, learner.opt)
     learner.train_steps += 1
@@ -488,8 +507,20 @@ def make_learner(
     raise LearnerError(f"unknown algorithm {algo!r} (expected one of {ALGORITHMS})")
 
 
+# Format 1 held float64 parameters; format 2 holds the float32 ones the learners train.
+CHECKPOINT_FORMAT = 2
+
+
 def save_learner(path, learner: Learner, notes: dict | None = None) -> None:
-    """One-file checkpoint: parameter arrays plus a reconstruction manifest that also carries ``notes``."""
+    """One-file checkpoint, format :data:`CHECKPOINT_FORMAT`: an ``.npz`` archive.
+
+    It holds ``format_version``, the parameter arrays ``p0, p1, ...`` in
+    ``parameter_arrays()`` order and in the learner's dtype (float32), for a
+    value learner its Adam state (``opt_scalars`` and the moments ``opt_m<i>``
+    and ``opt_v<i>``, shaped and typed as their parameters), and ``meta``,
+    the UTF-8 JSON manifest that rebuilds the learner and also carries
+    ``notes``.
+    """
     spec = learner.team_spec
     meta = {
         "algo": learner.algo,
@@ -503,7 +534,7 @@ def save_learner(path, learner: Learner, notes: dict | None = None) -> None:
         "env_steps": learner.env_steps,
     }
     meta.update(notes or {})
-    arrays: dict[str, np.ndarray] = {"format_version": np.array([1], dtype=np.int64)}
+    arrays: dict[str, np.ndarray] = {"format_version": np.array([CHECKPOINT_FORMAT], dtype=np.int64)}
     for i, p in enumerate(learner.parameter_arrays()):
         arrays[f"p{i}"] = p
     if isinstance(learner, ValueLearner):
@@ -521,19 +552,52 @@ def save_learner(path, learner: Learner, notes: dict | None = None) -> None:
     np.savez(path, **arrays)
 
 
+def _stored(data, key: str, like: np.ndarray, path) -> np.ndarray:
+    """Array ``key`` of a checkpoint, which must have the shape and dtype of ``like``."""
+    if key not in data.files:
+        raise CheckpointError(f"{path}: checkpoint has no array {key}")
+    stored = data[key]
+    if stored.shape != like.shape or stored.dtype != like.dtype:
+        raise CheckpointError(f"{path}: {key} is {stored.dtype} {stored.shape}, the learner needs {like.dtype} {like.shape}")
+    return stored
+
+
 def load_learner(path) -> Learner:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        team_spec = TeamSpec(
-            team=Team[meta["team"].upper()],
-            n_agents=meta["n_agents"],
-            n_enemies=meta["n_enemies"],
-            obs_len=meta["obs_len"],
-            state_len=meta["state_len"],
-            n_actions=meta["n_actions"],
-            scenario=meta["scenario"],
-        )
-        algo = meta["algo"]
+    """The learner :func:`save_learner` wrote to ``path``.
+
+    Raises :class:`CheckpointError` for a file that is no checkpoint, one of
+    another format (format 1 held float64 parameters and is not converted)
+    and one whose arrays do not fit the learner its manifest describes.
+    """
+    try:
+        data = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # ValueError: pickled or malformed data
+        raise CheckpointError(f"{path} is not a checkpoint: not an .npz archive") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):  # a plain .npy array
+        raise CheckpointError(f"{path} is not a checkpoint: not an .npz archive")
+    with data:
+        if not {"meta", "format_version"} <= set(data.files):
+            raise CheckpointError(f"{path} is not a checkpoint: it has no format_version and meta")
+        version = int(data["format_version"][0])
+        if version != CHECKPOINT_FORMAT:
+            why = " (float64 parameters, written before the learners trained in float32)" if version == 1 else ""
+            raise CheckpointError(
+                f"{path} is checkpoint format {version}{why}; this version reads format {CHECKPOINT_FORMAT} only"
+            )
+        try:
+            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+            team_spec = TeamSpec(
+                team=Team[meta["team"].upper()],
+                n_agents=meta["n_agents"],
+                n_enemies=meta["n_enemies"],
+                obs_len=meta["obs_len"],
+                state_len=meta["state_len"],
+                n_actions=meta["n_actions"],
+                scenario=meta["scenario"],
+            )
+            algo = meta["algo"]
+        except (ValueError, KeyError) as exc:
+            raise CheckpointError(f"{path}: unreadable checkpoint meta: {exc!r}") from exc
         if algo == "bot":
             learner: Learner = ScriptedBot(parse_scenario_config(meta["scenario_config"]), team_spec.team)
         elif algo == "random":
@@ -541,15 +605,16 @@ def load_learner(path) -> Learner:
         else:
             config = LearnerConfig.from_json(meta["config"])
             learner = ValueLearner(algo, team_spec, config, seed=meta.get("seed", 0))
-            for i, p in enumerate(learner.parameter_arrays()):
-                np.copyto(p, data[f"p{i}"])
+            params = learner.parameter_arrays()
+            for i, p in enumerate(params):
+                np.copyto(p, _stored(data, f"p{i}", p, path))
             learner.sync_targets()
             if "opt_scalars" in data:
                 lr, b1, b2, eps, step = data["opt_scalars"]
                 learner.opt = nn.OptimState(
                     lr=float(lr), beta1=float(b1), beta2=float(b2), eps=float(eps), step=int(step),
-                    m=[data[f"opt_m{i}"] for i in range(len(learner.parameter_arrays()))],
-                    v=[data[f"opt_v{i}"] for i in range(len(learner.parameter_arrays()))],
+                    m=[_stored(data, f"opt_m{i}", p, path) for i, p in enumerate(params)],
+                    v=[_stored(data, f"opt_v{i}", p, path) for i, p in enumerate(params)],
                 )
             learner.train_steps = meta.get("train_steps", 0)
         learner.env_steps = meta.get("env_steps", 0)

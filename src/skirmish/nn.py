@@ -1,6 +1,10 @@
 """Small fully-connected networks with hand-written gradients.
 
-float64 end to end.  Parameters live in plain numpy arrays inside explicit
+A network computes in the dtype of its parameters: :func:`init_params`
+makes float32 networks unless asked otherwise, and :func:`forward_trace`
+and :func:`backward` cast their input and output gradient to that dtype,
+so a float32 network never computes in float64 and a float64 one stays
+float64 throughout.  Parameters live in plain numpy arrays inside explicit
 containers, so target-network copies, checkpointing (see
 ``learners.save_learner``) and hashing stay trivial.  Forward is a pure
 function of (net, input); backward is a pure function of (net, trace,
@@ -28,6 +32,11 @@ class Mlp:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the network computes in: that of its parameters."""
+        return self.weights[0].dtype
+
     def params(self) -> list[np.ndarray]:
         out: list[np.ndarray] = []
         for w, b in zip(self.weights, self.biases):
@@ -43,8 +52,16 @@ class Mlp:
             np.copyto(dst, src)
 
 
-def init_params(widths: tuple[int, ...] | list[int], seed: int) -> Mlp:
-    """He-style initialisation: N(0, 2/fan_in) weights, zero biases."""
+# The dtype of new networks, as PyMARL's learners train in PyTorch's default float32.
+DTYPE = np.float32
+
+
+def init_params(widths: tuple[int, ...] | list[int], seed: int, dtype=DTYPE) -> Mlp:
+    """He-style initialisation: N(0, 2/fan_in) weights, zero biases, in ``dtype``.
+
+    The weights are drawn in float64 and then cast, so nets of one seed and
+    different dtypes hold the same values up to rounding.
+    """
     if len(widths) < 2:
         raise ShapeMismatch("need at least an input and an output width")
     rng = np.random.default_rng(seed)
@@ -52,8 +69,8 @@ def init_params(widths: tuple[int, ...] | list[int], seed: int) -> Mlp:
     biases = []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         std = np.sqrt(2.0 / fan_in)
-        weights.append(rng.normal(0.0, std, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
+        weights.append(rng.normal(0.0, std, size=(fan_out, fan_in)).astype(dtype))
+        biases.append(np.zeros(fan_out, dtype=dtype))
     return Mlp(tuple(widths), weights, biases)
 
 
@@ -64,8 +81,11 @@ def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
 
 
 def forward_trace(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass that also returns per-layer pre-activations for backward."""
-    x = np.asarray(x, dtype=float)
+    """Forward pass that also returns per-layer pre-activations for backward.
+
+    ``x`` is cast to the network's dtype; an input already in it is not copied.
+    """
+    x = np.asarray(x, dtype=net.dtype)
     squeeze = x.ndim == 1
     a = x[None, :] if squeeze else x
     if a.shape[-1] != net.widths[0]:
@@ -88,9 +108,10 @@ def backward(net: Mlp, trace: list[np.ndarray], output_gradient: np.ndarray) -> 
     ``trace`` comes from ``forward_trace(net, x)`` and ``y`` is that call's
     output.  Batched inputs accumulate over rows, matching a sum-reduced
     loss.  The pass stops at layer 0's weights: no caller reads the
-    gradient with respect to the input, so it is never formed.
+    gradient with respect to the input, so it is never formed.  The output
+    gradient is cast to the network's dtype, and so are the gradients.
     """
-    g = np.asarray(output_gradient, dtype=float)
+    g = np.asarray(output_gradient, dtype=net.dtype)
     if g.ndim == 1:
         g = g[None, :]
     if g.shape[-1] != net.widths[-1]:

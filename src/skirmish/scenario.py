@@ -48,6 +48,11 @@ class ArenaTooSmall(ScenarioError):
 Composition = tuple[tuple[UnitSpec, int], ...]
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    """Whether ``value`` is one of ``kinds``; a bool is not a number here."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One battle set-up: who fights whom, where, and for how long."""
@@ -58,6 +63,26 @@ class ScenarioSpec:
     arena: tuple[float, float] = (32.0, 32.0)
     episode_step_limit: int = 120
     spawn_spread: float = 0.5
+
+    def __post_init__(self) -> None:
+        """The one range check, which built-ins, scenario files, ``--config`` and ``replace`` all pass."""
+        limit = self.episode_step_limit
+        if not _is_number(limit, int) or limit < 1:  # a limit below 1 ends every episode at reset
+            raise ScenarioError(f"episode_step_limit must be an integer of at least 1, not {limit!r}")
+        arena = self.arena
+        if not (isinstance(arena, (tuple, list)) and len(arena) == 2
+                and all(_is_number(side) and math.isfinite(side) and side > 0 for side in arena)):
+            raise ScenarioError(f"arena must be two finite numbers above 0, not {arena!r}")
+        spread = self.spawn_spread
+        if not (_is_number(spread) and math.isfinite(spread) and spread >= 0):
+            raise ScenarioError(f"spawn_spread must be a finite number of at least 0, not {spread!r}")
+        for team, comp in (("red", self.red_composition), ("blue", self.blue_composition)):
+            if not (isinstance(comp, (tuple, list)) and comp and all(
+                    isinstance(pair, (tuple, list)) and len(pair) == 2 and isinstance(pair[0], UnitSpec) for pair in comp)):
+                raise ScenarioError(f"{team}_composition must be one or more (unit, count) pairs, not {comp!r}")
+            for unit, count in comp:
+                if not _is_number(count, int) or count < 1:
+                    raise NonPositiveCount(f"{team} {unit.name} count must be an integer of at least 1, not {count!r}")
 
     @property
     def symmetric(self) -> bool:
@@ -229,10 +254,7 @@ def _team_counts(parser: configparser.ConfigParser, section: str) -> dict[str, i
     for key, raw in parser.items(section):
         if key not in _PLURAL:
             raise UnknownUnitName(f"unknown unit {key!r} in [{section}] (expected one of {sorted(_PLURAL)})")
-        count = int(raw)
-        if count <= 0:
-            raise NonPositiveCount(f"[{section}] {key} = {count}: counts must be positive")
-        counts[_PLURAL[key]] = count
+        counts[_PLURAL[key]] = int(raw)
     return counts
 
 

@@ -133,16 +133,20 @@ class _Recorder:
 
     The arrays share one mapping (``_mapped_arrays``) and ``episode`` returns
     views of the rows written, so an episode costs its own rows once,
-    whatever the step limit, and gives its pages back when dropped.
+    whatever the step limit, and gives its pages back when dropped.  Only
+    the observations that are not all zero are written, one after another
+    (see :class:`~skirmish.learners.TeamEpisode`).
     """
 
     def __init__(self, first, collect: bool, step_limit: int):
         self.collect = collect
         self.t = 0
+        self.k = 0  # live observation rows written
         if collect:
             rows = step_limit + 1
-            self.obs, self.state, self.masks, self.actions, self.rewards = _mapped_arrays((
-                ((rows, *first.observations.shape), np.float32),
+            self.blank, self.live_obs, self.state, self.masks, self.actions, self.rewards = _mapped_arrays((
+                ((rows, len(first.observations)), bool),
+                ((rows * len(first.observations), first.observations.shape[1]), np.float32),
                 ((rows, *first.state.shape), np.float32),
                 ((rows, *first.masks.shape), bool),
                 ((step_limit, len(first.masks)), np.int16),
@@ -151,7 +155,11 @@ class _Recorder:
             self._write(first)
 
     def _write(self, result) -> None:
-        self.obs[self.t] = result.observations
+        live = result.observations.any(axis=1)
+        self.blank[self.t] = ~live
+        rows = result.observations[live]
+        self.live_obs[self.k : self.k + len(rows)] = rows
+        self.k += len(rows)
         self.state[self.t] = result.state
         self.masks[self.t] = result.masks
 
@@ -167,8 +175,8 @@ class _Recorder:
         if not self.collect:
             return None
         t = self.t
-        return TeamEpisode(obs=self.obs[: t + 1], state=self.state[: t + 1], masks=self.masks[: t + 1],
-                           actions=self.actions[:t], rewards=self.rewards[:t])
+        return TeamEpisode(blank=self.blank[: t + 1], live_obs=self.live_obs[: self.k], state=self.state[: t + 1],
+                           masks=self.masks[: t + 1], actions=self.actions[:t], rewards=self.rewards[:t])
 
 
 def run_episode(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from skirmish.engine import CATALOG, EngineConfig, Team, new_world
+from skirmish.learners import TeamEpisode
 from skirmish.scenario import ScenarioSpec, get_scenario
 
 
@@ -27,6 +28,20 @@ def tiny_scenario(red=("marine", 2), blue=("marine", 2), step_limit=40, arena=(3
         episode_step_limit=step_limit,
         spawn_spread=0.0,
     )
+
+
+def compact_episode(obs, state, masks, actions, rewards) -> TeamEpisode:
+    """The episode of dense ``(T+1, A, L)`` observations, stored as the recorder stores it."""
+    obs = np.asarray(obs, dtype=np.float32)
+    live = obs.any(axis=-1)
+    return TeamEpisode(blank=~live, live_obs=obs[live], state=state, masks=masks, actions=actions, rewards=rewards)
+
+
+def dense_obs(episode: TeamEpisode) -> np.ndarray:
+    """The ``(T+1, A, L)`` observations of ``episode``, blank rows as zeros."""
+    out = np.zeros((*episode.blank.shape, episode.live_obs.shape[1]), dtype=episode.live_obs.dtype)
+    out[~episode.blank] = episode.live_obs
+    return out
 
 
 @pytest.fixture

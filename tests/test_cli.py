@@ -7,14 +7,18 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import skirmish
 from skirmish import cli
 from skirmish.engine import Team
-from skirmish.env import UnavailableAction
-from skirmish.learners import load_learner
+from skirmish.env import BattleEnv, UnavailableAction
+from skirmish.learners import LearnerConfig, load_learner, make_learner
 from skirmish.protocol import bot_client, client_loop
+from skirmish.scenario import get_scenario
+
+from test_learners import write_broken_checkpoint
 
 
 def test_train_then_analyze(tmp_path):
@@ -27,6 +31,11 @@ def test_train_then_analyze(tmp_path):
     aggregate = json.loads((runs / "aggregate.json").read_text())
     assert [p["env_step"] for p in aggregate["median_win_rate"]] == [0, 300, 600]
     assert "np.float64" not in (runs / "metrics_seed0.csv").read_text()
+    manifest = json.loads((runs / "manifest.json").read_text())
+    assert (manifest["checkpoint_format"], manifest["learner_dtype"], manifest["numpy"]) == (2, "float32", np.__version__)
+    assert "name" in manifest["blas"] and isinstance(manifest["numba"], bool)
+    params = load_learner(runs / "checkpoint_seed0_iql_red.npz").parameter_arrays()
+    assert {p.dtype for p in params} == {np.dtype(np.float32)}
     assert cli.main(["analyze", "--metrics-dir", str(runs), "--out", str(tmp_path / "analysis")]) == 0
     assert (tmp_path / "analysis" / "summary.json").is_file()
 
@@ -76,12 +85,41 @@ def test_runtime_value_error_exits_1(monkeypatch, capsys):
         {"learner": {"batch_episodes": 2.5}},
         {"reward": {"win_bonus": False}},    # nor does a float field
         {"scenario": {"name": 3}},
+        {"scenario": {"episode_step_limit": 0}},  # scenario values out of range: a limit below 1 looped bench
+        {"scenario": {"episode_step_limit": -3}},
+        {"scenario": {"arena": "x"}},
+        {"scenario": {"arena": [32.0, 0]}},
+        {"scenario": {"arena": [32.0, 32.0, 32.0]}},
+        {"scenario": {"red_composition": 5}},
+        {"scenario": {"blue_composition": [["marine", 3]]}},
+        {"scenario": {"spawn_spread": -4}},
     ],
 )
 def test_config_errors_exit_2(tmp_path, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert cli.main(["bench", "--scenario", "3m", "--steps", "10", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        "[scenario]\nbase = 3m\nepisode_step_limit = 0\n",
+        "[scenario]\nbase = 3m\nepisode_step_limit = -3\n",
+        "[scenario]\nbase = 3m\narena_width = 0\n",
+        "[scenario]\nbase = 3m\narena_height = -32\n",
+        "[scenario]\nbase = 3m\narena_width = nan\n",
+        "[scenario]\nbase = 3m\narena_height = inf\n",
+        "[scenario]\nbase = 3m\nspawn_spread = -4\n",
+        "[scenario]\nbase = 3m\n\n[red]\nmarines = 0\n",
+        "[red]\nmarines = 3\n\n[blue]\nmarines = -1\n",
+    ],
+)
+def test_out_of_range_scenario_files_exit_2(tmp_path, lines, capsys):
+    path = tmp_path / "scenario.ini"
+    path.write_text(lines)
+    assert cli.main(["bench", "--scenario", str(path), "--steps", "10"]) == 2
+    assert "must be" in capsys.readouterr().err
 
 
 def test_train_config_with_a_double_q_string_exits_2(tmp_path, monkeypatch, capsys):
@@ -211,6 +249,28 @@ def test_mixed_training_against_a_pool_of_another_scenario_is_a_usage_error(tmp_
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["not a checkpoint", "wrong shape", "format 1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--red", "pool/member.npz", "--out", "out/eval.json"],
+        ["pit", "--red", "pool/member.npz", "--replay-out", "out/pit.jsonl"],
+        ["train", "--mode", "mixed", "--pool", "pool", "--steps", "30", "--seeds", "1", "--out", "out"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_checkpoints_that_cannot_load_are_usage_errors(tmp_path, monkeypatch, capsys, argv, kind):
+    monkeypatch.chdir(tmp_path)
+    team = Team.BLUE if argv[0] == "train" else Team.RED  # pool members play blue
+    learner = make_learner("iql", BattleEnv(get_scenario("3m")).team_spec(team), LearnerConfig(hidden=(8,)))
+    Path("pool").mkdir()
+    expect = write_broken_checkpoint(Path("pool/member.npz"), learner, kind)
+    Path("pool/pool_manifest.json").write_text(json.dumps({"members": [{"algo": "iql", "file": "member.npz"}]}))
+    assert cli.main([*argv, "--scenario", "3m"]) == 2
+    assert expect in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_pit_creates_the_replay_directory(tmp_path):
     replay = tmp_path / "nodir" / "x.jsonl"
     assert cli.main(["pit", "--scenario", "3m", "--episodes", "1", "--replay-out", str(replay)]) == 0
@@ -222,6 +282,7 @@ def test_scenario_errors_exit_2(tmp_path):
     scenario = tmp_path / "slow.ini"
     scenario.write_text("[scenario]\nbase = 3m\n\n[engine]\nstep_dt = 5.0\n")
     assert cli.main(["bench", "--scenario", str(scenario), "--steps", "10"]) == 2
+    assert cli.main(["bench", "--scenario", "3m", "--spawn-spread", "-1", "--steps", "10"]) == 2
 
 
 def test_pool_resolves_the_whole_config(tmp_path):

@@ -1,5 +1,6 @@
 """Policies, mixers and trainers: behaviour rules, gradients, reductions."""
 
+import copy
 import json
 
 import numpy as np
@@ -9,12 +10,13 @@ from skirmish import nn
 from skirmish.engine import CATALOG, Team
 from skirmish.env import ACTION_MOVE_EAST, ACTION_NOOP, TARGET_OFFSET, BattleEnv, TeamSpec
 from skirmish.learners import (
+    CHECKPOINT_FORMAT,
+    CheckpointError,
     LearnerConfig,
     LearnerError,
     NoAvailableAction,
     RandomPolicy,
     ScriptedBot,
-    TeamEpisode,
     ValueLearner,
     _collate,
     _mixer_backward,
@@ -27,7 +29,7 @@ from skirmish.learners import (
     team_td_train_step,
 )
 
-from conftest import tiny_scenario
+from conftest import compact_episode, dense_obs, tiny_scenario
 from test_env import restore_world
 
 
@@ -35,10 +37,28 @@ def toy_spec(A=2, obs_len=6, nA=5, S=4):
     return TeamSpec(team=Team.RED, n_agents=A, n_enemies=2, obs_len=obs_len, state_len=S, n_actions=nA, scenario="toy")
 
 
-def toy_episode(spec, T, rng, rewards=None, masks=None, actions=None):
+def as_float64(learner):
+    """``learner`` with its networks, target networks and Adam moments cast to float64, in place.
+
+    For the checks that need float64 rounding: finite differences and the
+    padded reference at rtol 1e-9.
+    """
+    for net in learner.nets + learner.targets:
+        net.weights[:] = [w.astype(np.float64) for w in net.weights]
+        net.biases[:] = [b.astype(np.float64) for b in net.biases]
+    learner.opt.m = [m.astype(np.float64) for m in learner.opt.m]
+    learner.opt.v = [v.astype(np.float64) for v in learner.opt.v]
+    return learner
+
+
+def toy_episode(spec, T, rng, rewards=None, masks=None, actions=None, deaths=None):
+    """A random episode; an agent of ``deaths`` observes all zeros from its step of death on."""
     A, L, nA, S = spec.n_agents, spec.obs_len, spec.n_actions, spec.state_len
-    return TeamEpisode(
-        obs=rng.random((T + 1, A, L)).astype(np.float32),
+    obs = rng.random((T + 1, A, L)).astype(np.float32)
+    for agent, step in (deaths or {}).items():
+        obs[step:, agent] = 0.0
+    return compact_episode(
+        obs=obs,
         state=rng.random((T + 1, S)).astype(np.float32),
         masks=np.ones((T + 1, A, nA), dtype=bool) if masks is None else masks,
         actions=rng.integers(0, nA, (T, A)).astype(np.int16) if actions is None else actions,
@@ -295,7 +315,7 @@ def chosen_q(learner, episode):
     out = np.empty((T, spec.n_agents))
     for t in range(T):
         last = episode.actions[t - 1] if t > 0 else None
-        inputs = learner._inputs(episode.obs[t].astype(float), last)
+        inputs = learner._inputs(dense_obs(episode)[t], last)
         q = np.atleast_2d(nn.forward(learner.nets[0], inputs))
         out[t] = q[np.arange(spec.n_agents), episode.actions[t]]
     return out
@@ -376,7 +396,7 @@ def test_td_gradient_matches_finite_differences(algo, monkeypatch):
     cfg = LearnerConfig(hidden=(8,), grad_clip=0.0, target_interval=10_000, mixer_embed=4)
     rng = np.random.default_rng(21)
     episodes = [toy_episode(spec, 5, rng), toy_episode(spec, 3, rng)]
-    learner = ValueLearner(algo, spec, cfg, seed=5)
+    learner = as_float64(ValueLearner(algo, spec, cfg, seed=5))
     for p in learner.targets[0].params():  # targets that differ from the online values
         p += rng.normal(scale=0.1, size=p.shape)
     captured = []
@@ -419,19 +439,17 @@ def dying_episodes(spec, rng):
             masks[step:, agent] = False
             masks[step:, agent, ACTION_NOOP] = True
         actions = np.array([[rng.choice(np.flatnonzero(m)) for m in step] for step in masks[:-1]], dtype=np.int16)
-        episode = toy_episode(spec, T, rng, masks=masks, actions=actions)
-        for agent, step in deaths.items():
-            episode.obs[step:, agent] = 0.0
-        episodes.append(episode)
+        episodes.append(toy_episode(spec, T, rng, masks=masks, actions=actions, deaths=deaths))
     return episodes
 
 
 def episode_inputs(learner, episode):
-    """Every row's network input, ``(T+1, A, D)``: observation, agent one-hot and last-action one-hot."""
+    """Every row's network input, ``(T+1, A, D)``, in the agent network's dtype: observation, agent one-hot
+    and last-action one-hot."""
     spec = learner.team_spec
     A, nA, L = spec.n_agents, spec.n_actions, spec.obs_len
-    inputs = np.zeros((episode.length + 1, A, learner.input_dim))
-    inputs[..., :L] = episode.obs
+    inputs = np.zeros((episode.length + 1, A, learner.input_dim), dtype=learner.nets[0].dtype)
+    inputs[..., :L] = dense_obs(episode)
     inputs[..., L : L + A] = np.eye(A)
     inputs[1:, :, L + A :] = np.eye(nA)[episode.actions]
     return inputs
@@ -497,7 +515,7 @@ def test_live_row_update_matches_padded_reference(algo, double_q, monkeypatch):
     cfg = LearnerConfig(hidden=(8, 8), gamma=0.9, double_q=double_q, mixer_embed=4, grad_clip=0.5)
     rng = np.random.default_rng(31)
     episodes = dying_episodes(spec, rng)
-    learner = ValueLearner(algo, spec, cfg, seed=3)
+    learner = as_float64(ValueLearner(algo, spec, cfg, seed=3))
     for p in learner.targets[0].params():  # targets that differ from the online values
         p += rng.normal(scale=0.3, size=p.shape)
     captured = []
@@ -513,6 +531,66 @@ def test_live_row_update_matches_padded_reference(algo, double_q, monkeypatch):
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
+@pytest.mark.parametrize("double_q", [False, True], ids=["max", "double_q"])
+@pytest.mark.parametrize("algo", ["iql", "vdn", "qmix"])
+def test_float32_update_stays_near_float64(algo, double_q, monkeypatch):
+    """On one batch, the float32 update's loss and gradients sit within float32 rounding of float64's.
+
+    Both learners hold the same values; the float64 one is the float32 one
+    cast.  float32 rounds at about 6e-8 relative and the update sums a few
+    hundred terms per entry, so the loss must agree to rtol 1e-6 and every
+    gradient entry to within 1e-5 of the update's largest gradient entry.
+    """
+    spec = toy_spec(A=3)
+    cfg = LearnerConfig(hidden=(16, 16), gamma=0.9, double_q=double_q, mixer_embed=4, grad_clip=0.0)
+    rng = np.random.default_rng(31)
+    episodes = dying_episodes(spec, rng)
+    learner = ValueLearner(algo, spec, cfg, seed=3)
+    for p in learner.targets[0].params():  # targets that differ from the online values
+        p += rng.normal(scale=0.3, size=p.shape).astype(p.dtype)
+    reference = as_float64(copy.deepcopy(learner))
+    captured = []
+    monkeypatch.setattr(nn, "adam_step", lambda params, grads, state: captured.append(grads))
+
+    loss, ref_loss = team_td_train_step(learner, episodes), team_td_train_step(reference, episodes)
+    np.testing.assert_allclose(loss, ref_loss, rtol=1e-6)
+    grads, ref_grads = captured
+    scale = max(np.abs(g).max() for g in ref_grads)
+    assert scale > 1e-2
+    for got, want in zip(grads, ref_grads):
+        assert (got.dtype, want.dtype) == (np.float32, np.float64)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * scale)
+
+
+@pytest.mark.parametrize("double_q", [False, True], ids=["max", "double_q"])
+@pytest.mark.parametrize("algo", ["iql", "vdn", "qmix"])
+def test_clipped_update_keeps_every_array_in_its_parameters_dtype(algo, double_q, monkeypatch):
+    """No step of the update upcasts: a numpy float64 clip scale would turn float32 gradients into float64."""
+    spec = toy_spec(A=3)
+    clip = 1e-3  # far below the gradient norm, so every step clips
+    cfg = LearnerConfig(hidden=(8,), double_q=double_q, mixer_embed=4, grad_clip=clip)
+    episodes = dying_episodes(spec, np.random.default_rng(5))
+    float32 = ValueLearner(algo, spec, cfg, seed=3)
+    original = nn.adam_step
+    for learner in (float32, as_float64(copy.deepcopy(float32))):
+        dtype = learner.nets[0].dtype
+        captured = []
+
+        def recording(params, grads, state):
+            captured.append(grads)
+            return original(params, grads, state)
+
+        monkeypatch.setattr(nn, "adam_step", recording)
+        for _ in range(2):
+            team_td_train_step(learner, episodes)
+        params = learner.parameter_arrays()
+        for grads in captured:
+            assert [g.dtype for g in grads] == [p.dtype for p in params] == [dtype] * len(params)
+            assert np.sqrt(sum(float((g * g).sum()) for g in grads)) == pytest.approx(clip, rel=1e-5)
+        assert [a.dtype for a in learner.opt.m + learner.opt.v] == [dtype] * (2 * len(params))
+        assert all(p.dtype == dtype for net in learner.targets for p in net.params())
+
+
 def test_collate_builds_each_distinct_input_once():
     spec = toy_spec(A=3)
     learner = ValueLearner("iql", spec, LearnerConfig(hidden=(8,)), seed=0)
@@ -524,9 +602,10 @@ def test_collate_builds_each_distinct_input_once():
     assert got.dtype == full.dtype and got.tobytes() == full.tobytes()
     live, blank = 0, set()
     for ep in episodes:
+        obs = dense_obs(ep)
         for t in range(ep.length + 1):
             for agent in range(spec.n_agents):
-                if ep.obs[t, agent].any():
+                if obs[t, agent].any():
                     live += 1
                 else:
                     blank.add((agent, int(ep.actions[t - 1, agent]) if t else None))
@@ -622,6 +701,8 @@ def test_checkpoint_save_load_round_trip(tmp_path):
     learner.env_steps = 1234
     path = tmp_path / "qmix.npz"
     save_learner(path, learner, {"mode": "test"})
+    with np.load(path) as data:
+        assert (data["format_version"][0], data["p0"].dtype) == (CHECKPOINT_FORMAT, np.float32)
     loaded = load_learner(path)
     assert loaded.algo == "qmix"
     assert loaded.team_spec == spec
@@ -634,6 +715,41 @@ def test_checkpoint_save_load_round_trip(tmp_path):
     )
     for a, b in zip(learner.opt.m + learner.opt.v, loaded.opt.m + loaded.opt.v):
         assert np.array_equal(a, b)
+
+
+def write_broken_checkpoint(path, learner, kind: str) -> str:
+    """``learner``'s checkpoint at ``path``, broken as ``kind`` says; returns text the load error must hold."""
+    save_learner(path, learner)
+    with np.load(path) as data:
+        arrays = dict(data)
+    if kind == "not a checkpoint":
+        arrays, expect = {"weights": arrays["p0"]}, "is not a checkpoint"
+    elif kind == "wrong shape":
+        arrays["p0"], expect = arrays["p0"][:, 1:], "p0 is float32"
+    elif kind == "float64 arrays":
+        arrays["p0"], expect = arrays["p0"].astype(np.float64), "p0 is float64"
+    else:  # "format 1", as it was written: float64 parameters and Adam moments
+        arrays = {k: a.astype(np.float64) if a.dtype == np.float32 else a for k, a in arrays.items()}
+        arrays["format_version"], expect = np.array([1], dtype=np.int64), "checkpoint format 1"
+    np.savez(path, **arrays)
+    return expect
+
+
+@pytest.mark.parametrize("kind", ["not a checkpoint", "wrong shape", "float64 arrays", "format 1"])
+def test_load_refuses_what_the_learner_cannot_use(tmp_path, kind):
+    learner = ValueLearner("qmix", toy_spec(), LearnerConfig(hidden=(8,), mixer_embed=4), seed=0)
+    expect = write_broken_checkpoint(tmp_path / "broken.npz", learner, kind)
+    with pytest.raises(CheckpointError, match=expect):
+        load_learner(tmp_path / "broken.npz")
+
+
+def test_load_refuses_a_file_that_is_no_archive(tmp_path):
+    (tmp_path / "junk.npz").write_text("junk")
+    with pytest.raises(CheckpointError, match="not an .npz archive"):
+        load_learner(tmp_path / "junk.npz")
+    np.save(tmp_path / "array.npy", np.zeros(3))
+    with pytest.raises(CheckpointError, match="not an .npz archive"):
+        load_learner(tmp_path / "array.npy")
 
 
 def test_config_with_an_unknown_key_is_rejected_by_name():

@@ -63,12 +63,25 @@ def test_forward_hand_computed_table(x, expected):
 
 
 def test_forward_batched_matches_rows():
-    # BLAS may reassociate across batch shapes, so equality is near-exact only
-    net = nn.init_params((4, 8, 3), seed=2)
+    # BLAS may reassociate across batch shapes, so equality is near-exact only (to float64 rounding)
+    net = nn.init_params((4, 8, 3), seed=2, dtype=np.float64)
     xs = np.random.default_rng(0).normal(size=(5, 4))
     batched = nn.forward(net, xs)
     for i in range(5):
         assert np.allclose(batched[i], nn.forward(net, xs[i]), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_network_computes_in_its_parameters_dtype(dtype):
+    net = nn.init_params((4, 8, 3), seed=2, dtype=dtype)
+    assert net.dtype == dtype and all(p.dtype == dtype for p in net.params())
+    reference = nn.init_params((4, 8, 3), seed=2, dtype=np.float64)
+    for p, want in zip(net.params(), reference.params()):
+        assert np.array_equal(p, want.astype(dtype))  # one draw, cast
+    for x in (np.ones((5, 4), dtype=np.float64), np.ones((5, 4), dtype=np.float32)):
+        y, trace = nn.forward_trace(net, x)
+        assert y.dtype == dtype and all(a.dtype == dtype for a in trace)
+        assert all(g.dtype == dtype for g in nn.backward(net, trace, np.ones((5, 3), dtype=np.float64)))
 
 
 def test_forward_shape_mismatch():
@@ -115,7 +128,9 @@ def finite_diff_error(net, x, h=1e-4) -> float:
     """Worst relative error of backward against central differences over every parameter.
 
     Uses the scalar loss ``0.5 * sum(y^2)``, whose output gradient is the
-    forward value itself.
+    forward value itself.  Central differences at ``h = 1e-4`` resolve
+    gradients to the 1e-3 the checks ask for only in float64, so ``net`` is
+    a float64 network.
     """
     def loss():
         y, _ = nn.forward_trace(net, x)
@@ -140,13 +155,13 @@ def finite_diff_error(net, x, h=1e-4) -> float:
 def test_gradcheck_random_nets():
     rng = np.random.default_rng(12)
     for k in range(10):
-        net = nn.init_params((4, 8, 3), seed=100 + k)
+        net = nn.init_params((4, 8, 3), seed=100 + k, dtype=np.float64)
         x = rng.normal(size=4)
         assert finite_diff_error(net, x) < 1e-3
 
 
 def test_gradcheck_detects_corruption():
-    net = nn.init_params((4, 8, 3), seed=9)
+    net = nn.init_params((4, 8, 3), seed=9, dtype=np.float64)
     x = np.random.default_rng(1).normal(size=4)
     assert finite_diff_error(net, x) < 1e-3
 
@@ -165,7 +180,7 @@ def test_gradcheck_detects_corruption():
 
 
 def test_gradcheck_zero_input_zero_bias():
-    net = nn.init_params((4, 8, 3), seed=5)
+    net = nn.init_params((4, 8, 3), seed=5, dtype=np.float64)
     assert finite_diff_error(net, np.zeros(4)) < 1e-3
 
 
@@ -201,5 +216,6 @@ def test_params_hash_tracks_content():
     net = nn.init_params((4, 4), seed=0)
     h0 = nn.params_hash(net.params())
     assert h0 == nn.params_hash(net.params())
-    net.weights[0][0, 0] += 1e-12
+    assert nn.params_hash([p.astype(np.float64) for p in net.params()]) != h0  # equal values, other bytes
+    net.weights[0][0, 0] = np.nextafter(net.weights[0][0, 0], np.float32(np.inf))  # the smallest float32 change
     assert nn.params_hash(net.params()) != h0

@@ -1,5 +1,6 @@
 """Registry contents, layout generation and the config format."""
 
+import dataclasses
 import math
 
 import pytest
@@ -107,6 +108,28 @@ def test_arena_too_small():
     )
     with pytest.raises(ArenaTooSmall):
         spawn_layout(spec, seed=0)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("episode_step_limit", 0), ("episode_step_limit", -3), ("episode_step_limit", 2.5),
+        ("episode_step_limit", True), ("arena", "x"), ("arena", (32.0,)), ("arena", (32.0, 0.0)),
+        ("arena", (-32.0, 32.0)), ("arena", (math.inf, 32.0)), ("arena", (math.nan, 32.0)),
+        ("arena", (32.0, "32")), ("spawn_spread", -4.0), ("spawn_spread", math.nan), ("spawn_spread", "0"),
+        ("red_composition", 5), ("red_composition", ()), ("red_composition", (("marine", 3),)),
+        ("blue_composition", ((CATALOG["marine"], 0),)), ("blue_composition", ((CATALOG["marine"], 1.0),)),
+        ("blue_composition", ((CATALOG["marine"],),)),
+    ],
+)
+def test_spec_rejects_values_out_of_range(field, value):
+    with pytest.raises(ScenarioError, match="must be"):
+        dataclasses.replace(get_scenario("3m"), **{field: value})
+
+
+def test_spec_accepts_the_edges_of_its_ranges():
+    spec = dataclasses.replace(get_scenario("3m"), episode_step_limit=1, spawn_spread=0, arena=[1, 0.5])
+    assert spec.episode_step_limit == 1 and spec.spawn_spread == 0
 
 
 # -- config format -------------------------------------------------------------

@@ -19,6 +19,8 @@ from skirmish.training import (
     train_vs_bot,
 )
 
+from conftest import dense_obs
+
 SCENARIO = get_scenario("3m")
 LEARNER = LearnerConfig(hidden=(16,), batch_episodes=2, buffer_episodes=16, epsilon_anneal_steps=300, target_interval=3)
 CONFIG = TrainConfig(total_env_steps=300, test_interval=150, test_episodes=2, learner=LEARNER)
@@ -121,7 +123,8 @@ def test_collected_episodes_match_the_env_step_by_step():
     blue = make_learner("bot", env.team_spec(Team.BLUE), scenario=SCENARIO)
     first = run_episode(env, red, blue, seed=4, epsilon_red=1.0, rng_red=np.random.default_rng(0), collect_red=True,
                         collect_blue=True)
-    kept = {name: getattr(first.red_episode, name).copy() for name in ("obs", "state", "masks", "actions", "rewards")}
+    names = ("blank", "live_obs", "state", "masks", "actions", "rewards")
+    kept = {name: getattr(first.red_episode, name).copy() for name in names}
     run_episode(env, red, blue, seed=5, epsilon_red=1.0, rng_red=np.random.default_rng(1), collect_red=True)
     for name, array in kept.items():  # a later episode writes into arrays of its own
         assert np.array_equal(getattr(first.red_episode, name), array)
@@ -142,11 +145,15 @@ def test_collected_episodes_match_the_env_step_by_step():
         rewards.append(r_res.reward)
     ep = first.red_episode
     assert ep.length == first.length == len(actions)
-    assert ep.obs.dtype == ep.state.dtype == np.float32 and ep.masks.dtype == bool
+    assert ep.live_obs.dtype == ep.state.dtype == np.float32 and ep.masks.dtype == ep.blank.dtype == bool
     assert ep.actions.dtype == np.int16 and ep.rewards.dtype == np.float64
-    assert np.array_equal(ep.obs, np.array(obs, dtype=np.float32))
+    obs = np.array(obs, dtype=np.float32)
+    blank = ~obs.any(axis=-1)
+    assert np.array_equal(ep.blank, blank) and blank.any()  # units die in this episode
+    obs[blank] = 0.0  # a blank row is kept as its flag alone, so the -0.0s a dead unit's row holds read back as 0.0
+    assert dense_obs(ep).tobytes() == obs.tobytes()
     assert np.array_equal(ep.state, np.array(state, dtype=np.float32))
     assert np.array_equal(ep.masks, np.array(masks))
     assert np.array_equal(ep.actions, np.array(actions))
     assert np.array_equal(ep.rewards, np.array(rewards))
-    assert all(a.flags.writeable and a.flags.c_contiguous for a in (ep.obs, ep.state, ep.masks, ep.actions, ep.rewards))
+    assert all(getattr(ep, name).flags.writeable and getattr(ep, name).flags.c_contiguous for name in names)
