@@ -313,9 +313,10 @@ def chosen_q(learner, episode):
     T = episode.length
     spec = learner.team_spec
     out = np.empty((T, spec.n_agents))
+    obs = dense_obs(episode)
     for t in range(T):
         last = episode.actions[t - 1] if t > 0 else None
-        inputs = learner._inputs(dense_obs(episode)[t], last)
+        inputs = learner._inputs(obs[t], last)
         q = np.atleast_2d(nn.forward(learner.nets[0], inputs))
         out[t] = q[np.arange(spec.n_agents), episode.actions[t]]
     return out
@@ -444,8 +445,10 @@ def dying_episodes(spec, rng):
 
 
 def episode_inputs(learner, episode):
-    """Every row's network input, ``(T+1, A, D)``, in the agent network's dtype: observation, agent one-hot
-    and last-action one-hot."""
+    """Every row's network input, ``(T+1, A, D)``: observation, agent one-hot and last-action one-hot.
+
+    Built in the agent network's dtype, as ``_collate`` builds its inputs.
+    """
     spec = learner.team_spec
     A, nA, L = spec.n_agents, spec.n_actions, spec.obs_len
     inputs = np.zeros((episode.length + 1, A, learner.input_dim), dtype=learner.nets[0].dtype)
