@@ -1,25 +1,28 @@
 """Command-line entry points.
 
 Subcommands: train, eval, pit, pool, serve, analyze, scenarios, replay,
-bench.  Configuration precedence is built-in defaults < --config file <
-command-line flags; every run directory gets a manifest with the fully
-resolved configuration so it can be reproduced bit-for-bit.
+bench.  A scenario is a built-in name or a scenario document file
+(``--scenario FILE``); the ``--config`` JSON file overrides the ``engine``,
+``reward`` and ``learner`` defaults, and command-line flags set the rest.
+Every run directory gets a manifest with the fully resolved configuration
+so it can be reproduced bit-for-bit.
 
-Exit codes: 0 success; 2 usage or configuration error (bad flags, a
-missing input file, a :class:`CliError` such as an unknown ``--config``
-key, a :class:`~skirmish.scenario.ScenarioError`, or a
+Exit codes: 0 success; 2 usage or configuration error, found before the
+run starts (bad flags, a missing input file, a :class:`CliError` such as
+an unknown ``--config`` section or a malformed pool manifest, a
+:class:`~skirmish.config.ConfigError` for a ``--config`` key, type or
+range, a :class:`~skirmish.scenario.ScenarioError`, or a
 :class:`~skirmish.learners.CheckpointError` for a file that is no
-checkpoint or one of another format); 1 any other failure
-while running, domain ``ValueError`` subclasses included.  Commands create
-the directories they write to, so a missing file is always an input, and
-only once their inputs have loaded, so a failed command leaves no output
-directory behind.
+checkpoint, one of another format or one whose learner config no learner
+takes); 1 any other failure while running, domain ``ValueError``
+subclasses included.  Commands create the directories they write to, so a
+missing file is always an input, and only once their inputs have loaded,
+so a failed command leaves no output directory behind.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib.util
 import json
 import sys
@@ -31,6 +34,7 @@ import numpy as np
 from . import __version__, nn
 from .engine import EngineConfig, Team
 from .env import BattleEnv, ReplayWriter, RewardConfig
+from .config import ConfigError, read_config
 from .learners import CHECKPOINT_FORMAT, CheckpointError, Learner, LearnerConfig, load_learner, make_learner, save_learner
 from .scenario import ScenarioError, ScenarioSpec, builtin_scenarios, get_scenario, parse_scenario_config
 from .seeding import STREAM_BENCH, STREAM_INIT, derive_seed
@@ -86,8 +90,8 @@ def seconds(text: str) -> float:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", default="3m", help="built-in scenario name or a scenario config file")
-    p.add_argument("--spawn-spread", type=float, default=None, help="override spawn jitter half-width")
+    p.add_argument("--scenario", default="3m", help="built-in scenario name, or a scenario document file "
+                   "([scenario] base = 3m, spawn_spread = 1.0, ...), the one way to change a scenario")
     p.add_argument("--config", default=None, help="JSON file overriding engine/reward/learner defaults")
 
 
@@ -168,78 +172,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SECTIONS = {"scenario": ScenarioSpec, "engine": EngineConfig, "reward": RewardConfig, "learner": LearnerConfig}
+_SECTIONS = {"engine": EngineConfig, "reward": RewardConfig, "learner": LearnerConfig}
 
 
-def _load_config_file(path: str | None) -> dict:
-    """The ``--config`` overrides, every section and key checked, whether or not the command uses it."""
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        try:
-            overrides = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"--config {path}: {exc}") from exc
-    if not isinstance(overrides, dict):
-        raise CliError(f"--config {path}: expected a JSON object of sections")
-    unknown = set(overrides) - set(_SECTIONS)
-    if unknown:
-        raise CliError(f"--config {path}: unknown section(s) {', '.join(sorted(unknown))}")
-    for key, data in overrides.items():
-        _check_keys(_SECTIONS[key], data, key)
-    return overrides
+def _resolve_run(args) -> tuple[ScenarioSpec, dict, dict]:
+    """The scenario a command runs, every ``--config`` section built, and the overrides as read.
 
-
-def _resolve_scenario(args, overrides: dict) -> ScenarioSpec:
-    name = args.scenario
-    if Path(name).is_file():
-        spec = parse_scenario_config(Path(name).read_text(encoding="utf-8"))
-    else:
-        spec = get_scenario(name)
-    scn = overrides.get("scenario", {})
-    if scn:
-        spec = dataclasses.replace(spec, **scn)
-    if getattr(args, "spawn_spread", None) is not None:
-        spec = dataclasses.replace(spec, spawn_spread=args.spawn_spread)
-    return spec
-
-
-# The JSON values a field of each scalar annotation takes; a JSON boolean fits a bool field only.
-_SCALARS = {"bool": (bool, "true or false"), "int": (int, "an integer"), "float": ((int, float), "a number"),
-            "str": (str, "a string")}
-
-
-def _check_keys(cls, data: dict, key: str) -> None:
-    if not isinstance(data, dict):
-        raise CliError(f"--config section {key} must be a JSON object")
-    hidden = data.get("hidden", []) if key == "learner" else []
-    if not isinstance(hidden, list) or not all(type(h) is int for h in hidden):
-        raise CliError("--config learner hidden must be a list of integer layer widths")
-    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise CliError(f"unknown --config {key} key(s): {', '.join(sorted(unknown))}")
-    for f in dataclasses.fields(cls):
-        if f.name in data and f.type in _SCALARS:
-            kinds, noun = _SCALARS[f.type]
-            value = data[f.name]
-            if not isinstance(value, kinds) or (isinstance(value, bool) and f.type != "bool"):
-                raise CliError(f"--config {key} {f.name} must be {noun}, not {json.dumps(value)}")
-
-
-def _build_section(cls, overrides: dict, key: str):
-    data = overrides.get(key, {})
-    if key == "learner" and "hidden" in data:
-        data = dict(data, hidden=tuple(data["hidden"]))
-    return cls(**data) if data else cls()
-
-
-def _resolve_run(args, overrides: dict) -> tuple[ScenarioSpec, EngineConfig, RewardConfig]:
-    """The scenario, engine and reward settings a command runs with."""
-    return (
-        _resolve_scenario(args, overrides),
-        _build_section(EngineConfig, overrides, "engine"),
-        _build_section(RewardConfig, overrides, "reward"),
-    )
+    Each section is built and checked whether or not the command uses it.
+    """
+    overrides = {}
+    if args.config is not None:
+        with open(args.config, encoding="utf-8") as fh:
+            try:
+                overrides = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise CliError(f"--config {args.config}: {exc}") from exc
+        if not isinstance(overrides, dict):
+            raise CliError(f"--config {args.config}: expected a JSON object of sections")
+        unknown = set(overrides) - set(_SECTIONS)
+        if unknown:
+            hint = "; a scenario is changed with --scenario FILE" if "scenario" in unknown else ""
+            raise CliError(f"--config {args.config}: unknown section(s) {', '.join(sorted(unknown))}{hint}")
+    sections = {key: read_config(cls, overrides.get(key, {}), f"--config {key}") for key, cls in _SECTIONS.items()}
+    path = Path(args.scenario)
+    scenario = parse_scenario_config(path.read_text(encoding="utf-8")) if path.is_file() else get_scenario(args.scenario)
+    return scenario, sections, overrides
 
 
 def _check_fits(learner: Learner, label: str, env: BattleEnv, team: Team) -> Learner:
@@ -315,17 +272,11 @@ def cmd_train(args) -> int:
     if args.mode == "mixed" and args.pool is None:
         print("train: --mode mixed requires --pool", file=sys.stderr)
         return 2
-    overrides = _load_config_file(args.config)
-    scenario, engine, reward = _resolve_run(args, overrides)
-    config = TrainConfig(
-        total_env_steps=args.steps,
-        test_interval=args.test_interval,
-        test_episodes=args.test_episodes,
-        learner=_build_section(LearnerConfig, overrides, "learner"),
-        engine=engine,
-        reward=reward,
-    )
-    pool = _load_pool(Path(args.pool), BattleEnv(scenario, engine, reward)) if args.mode == "mixed" else None
+    scenario, sections, overrides = _resolve_run(args)
+    config = TrainConfig(total_env_steps=args.steps, test_interval=args.test_interval,
+                         test_episodes=args.test_episodes, **sections)
+    pool = (_load_pool(Path(args.pool), BattleEnv(scenario, config.engine, config.reward))
+            if args.mode == "mixed" else None)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seeds = [args.seed_base + k for k in range(args.seeds)]
@@ -353,8 +304,8 @@ def cmd_train(args) -> int:
 
 
 def _eval_common(args) -> tuple[ScenarioSpec, BattleEnv, Learner, Learner]:
-    scenario, engine, reward = _resolve_run(args, _load_config_file(args.config))
-    env = BattleEnv(scenario, engine, reward)
+    scenario, sections, _ = _resolve_run(args)
+    env = BattleEnv(scenario, sections["engine"], sections["reward"])
     red = _policy(args.red, scenario, Team.RED, env)
     blue = _policy(args.blue, scenario, Team.BLUE, env)
     return scenario, env, red, blue
@@ -405,10 +356,17 @@ def _load_pool(directory: Path, env: BattleEnv) -> OpponentPool:
     manifest_path = directory / "pool_manifest.json"
     if not manifest_path.is_file():
         raise CliError(f"{directory} has no pool_manifest.json")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError:
+        manifest = None
+    entries = manifest.get("members") if isinstance(manifest, dict) else None
+    if not (isinstance(entries, list) and entries and all(
+            isinstance(e, dict) and isinstance(e.get("file"), str) and isinstance(e.get("algo"), str) for e in entries)):
+        raise CliError(f"{manifest_path} must be a JSON object whose members list gives each file and algo")
     members = []
     names = []
-    for entry in manifest["members"]:
+    for entry in entries:
         learner = _check_fits(load_learner(directory / entry["file"]), f"pool member {entry['file']}", env, Team.BLUE)
         learner.freeze()
         members.append(learner)
@@ -417,14 +375,8 @@ def _load_pool(directory: Path, env: BattleEnv) -> OpponentPool:
 
 
 def cmd_pool(args) -> int:
-    overrides = _load_config_file(args.config)
-    scenario, engine, reward = _resolve_run(args, overrides)
-    config = TrainConfig(
-        total_env_steps=args.steps_per_member,
-        learner=_build_section(LearnerConfig, overrides, "learner"),
-        engine=engine,
-        reward=reward,
-    )
+    scenario, sections, _ = _resolve_run(args)
+    config = TrainConfig(total_env_steps=args.steps_per_member, **sections)
     if not args.algos and args.no_bot:
         raise CliError("empty pool: pass --algos or leave out --no-bot")
     pool = build_opponent_pool(scenario, args.algos, not args.no_bot, config, seed=args.seed)
@@ -450,10 +402,10 @@ def cmd_pool(args) -> int:
 def cmd_serve(args) -> int:
     from .protocol import BattleServer
 
-    scenario, engine, reward = _resolve_run(args, _load_config_file(args.config))
+    scenario, sections, _ = _resolve_run(args)
     server = BattleServer(
         scenario, host=args.host, port=args.port, seed=args.seed, episodes=args.episodes,
-        engine_config=engine, reward_config=reward,
+        engine_config=sections["engine"], reward_config=sections["reward"],
         bot_team=Team[args.bot_team.upper()] if args.bot_team else None, act_timeout=args.timeout,
     )
     host, port = server.address[:2]
@@ -525,8 +477,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    scenario, engine, reward = _resolve_run(args, _load_config_file(args.config))
-    env = BattleEnv(scenario, engine, reward)
+    scenario, sections, _ = _resolve_run(args)
+    env = BattleEnv(scenario, sections["engine"], sections["reward"])
     red = make_learner("random", env.team_spec(Team.RED))
     blue = make_learner("random", env.team_spec(Team.BLUE))
     rng_r = np.random.default_rng(derive_seed(STREAM_BENCH, args.seed, 0))
@@ -573,7 +525,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (CliError, ScenarioError, CheckpointError) as exc:
+    except (CliError, ConfigError, ScenarioError, CheckpointError) as exc:
         print(f"skirmish {args.command}: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_ranges
+
 
 class EngineError(ValueError):
     """Base class for combat-rule violations."""
@@ -108,6 +110,10 @@ class EngineConfig:
     step_dt: float = 0.5
     shield_regen_delay: float = 10.0
     shield_regen_rate: float = 2.0
+
+    def __post_init__(self) -> None:
+        # A step of 0 runs battles in which nothing moves.
+        check_ranges("engine", self, [("step_dt", 0 < self.step_dt < math.inf, "a finite number above 0")])
 
 
 @dataclass(frozen=True)

@@ -268,7 +268,7 @@ class BattleEnv:
         self.scenario = scenario
         self.engine_config = engine_config or EngineConfig()
         self.reward_config = reward_config or RewardConfig()
-        self._proto_world = world = self._build_world(spawn_layout(scenario, seed=0, spread=0.0))
+        self._proto_world = world = self._build_world(spawn_layout(scenario, seed=0))
         self.views = {Team.RED: _TeamView(self, Team.RED), Team.BLUE: _TeamView(self, Team.BLUE)}
         # Per-unit constants shared by both teams' encodings.
         type_col = {s.spec_id: k for k, s in enumerate(scenario.unit_types())}

@@ -22,11 +22,12 @@ import json
 import math
 import zipfile
 from collections import deque
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import nn
+from .config import check_ranges, read_config
 from .engine import Team
 from .env import ACTION_MOVE_EAST, ACTION_NOOP, ACTION_STOP, TARGET_OFFSET, TeamSpec, ally_slots, team_layout
 from .scenario import ScenarioSpec, parse_scenario_config, scenario_config
@@ -62,17 +63,24 @@ class LearnerConfig:
     mixer_embed: int = 32
     grad_clip: float = 10.0
 
+    def __post_init__(self) -> None:
+        """The one range check, which defaults, ``--config`` and checkpoints all pass."""
+        unit = "a number in [0, 1]"
+        check_ranges("learner", self, [
+            ("batch_episodes", self.batch_episodes >= 1, "at least 1"),
+            ("buffer_episodes", self.buffer_episodes >= self.batch_episodes, "at least batch_episodes"),
+            ("target_interval", self.target_interval >= 1, "at least 1"),
+            ("hidden", all(width >= 1 for width in self.hidden), "layer widths of at least 1"),
+            ("mixer_embed", self.mixer_embed >= 1, "at least 1"),
+            ("lr", 0 <= self.lr < math.inf, "a finite number of at least 0"),
+            ("grad_clip", 0 <= self.grad_clip < math.inf, "a finite number of at least 0"),
+            ("gamma", 0 <= self.gamma <= 1, unit),
+            ("epsilon_start", 0 <= self.epsilon_start <= 1, unit),
+            ("epsilon_end", 0 <= self.epsilon_end <= 1, unit),
+        ])
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LearnerConfig":
-        data = json.loads(text)
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise LearnerError(f"unknown learner config key(s): {', '.join(sorted(unknown))}")
-        data["hidden"] = tuple(data["hidden"])
-        return cls(**data)
 
     def epsilon_at(self, env_steps: int) -> float:
         if env_steps >= self.epsilon_anneal_steps:
@@ -596,14 +604,15 @@ def load_learner(path) -> Learner:
                 scenario=meta["scenario"],
             )
             algo = meta["algo"]
-        except (ValueError, KeyError) as exc:
-            raise CheckpointError(f"{path}: unreadable checkpoint meta: {exc!r}") from exc
+            if algo not in ("bot", "random"):
+                config = read_config(LearnerConfig, json.loads(meta["config"]), "learner config")
+        except (ValueError, KeyError) as exc:  # ValueError includes the ConfigError of a config no learner takes
+            raise CheckpointError(f"{path}: unusable checkpoint meta: {exc!r}") from exc
         if algo == "bot":
             learner: Learner = ScriptedBot(parse_scenario_config(meta["scenario_config"]), team_spec.team)
         elif algo == "random":
             learner = RandomPolicy(team_spec)
         else:
-            config = LearnerConfig.from_json(meta["config"])
             learner = ValueLearner(algo, team_spec, config, seed=meta.get("seed", 0))
             params = learner.parameter_arrays()
             for i, p in enumerate(params):

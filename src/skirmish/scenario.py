@@ -6,10 +6,15 @@ placed point-symmetrically about the arena centre so neither side starts
 with a positional edge; per-unit jitter is drawn once for red and reflected
 onto blue, never drawn twice.
 
-The scenario file format has the sections ``[scenario]``, ``[red]`` and
-``[blue]`` only.  Any other section is rejected, ``[engine]`` included:
-engine mechanics are set through the ``engine`` object of the CLI's
-``--config`` JSON file, never from a scenario file.
+:class:`ScenarioSpec` checks itself once, when it is built: its ranges, and
+that both formations and their jitter fit the arena, so every seed spawns.
+
+The scenario document (a ``--scenario FILE``, the text of the protocol's
+``assign`` and of a bot checkpoint) is the one way past the built-ins.  It
+has the sections ``[scenario]``, ``[red]`` and ``[blue]`` only.  Any other
+section is rejected, ``[engine]`` included: engine mechanics are set
+through the ``engine`` object of the CLI's ``--config`` JSON file, never
+from a scenario file.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import configparser
 import io
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,7 +70,7 @@ class ScenarioSpec:
     spawn_spread: float = 0.5
 
     def __post_init__(self) -> None:
-        """The one range check, which built-ins, scenario files, ``--config`` and ``replace`` all pass."""
+        """The one check, which built-ins, scenario documents and ``replace`` all pass."""
         limit = self.episode_step_limit
         if not _is_number(limit, int) or limit < 1:  # a limit below 1 ends every episode at reset
             raise ScenarioError(f"episode_step_limit must be an integer of at least 1, not {limit!r}")
@@ -83,6 +88,18 @@ class ScenarioSpec:
             for unit, count in comp:
                 if not _is_number(count, int) or count < 1:
                     raise NonPositiveCount(f"{team} {unit.name} count must be an integer of at least 1, not {count!r}")
+        width, height = arena
+        if height < 2.0 * EDGE_MARGIN:
+            raise ArenaTooSmall(f"arena height {height} leaves no room to spawn")
+        for count in (self.n_red, self.n_blue):
+            slots = _formation(count, arena)
+            deepest = max(-x for x, _ in slots)
+            if deepest > width / 2.0 - EDGE_MARGIN:
+                raise ArenaTooSmall(f"{count} units need files {deepest} deep; arena width {width} is too small")
+            room = min(width / 2.0 - deepest, height / 2.0 - max(abs(y) for _, y in slots))
+            if spread > room:  # jitter past the wall fails the engine's spawn check on some seeds
+                raise ScenarioError(f"spawn_spread must be at most {room!r}, the room between a {count}-unit "
+                                    f"formation and the wall, not {spread!r}")
 
     @property
     def symmetric(self) -> bool:
@@ -173,15 +190,8 @@ EDGE_MARGIN = 2.0
 
 def _formation(count: int, arena: tuple[float, float]) -> list[tuple[float, float]]:
     """Centre-origin slots for ``count`` units in west-side column files."""
-    width, height = arena
-    usable = height - 2.0 * EDGE_MARGIN
-    if usable < 0:
-        raise ArenaTooSmall(f"arena height {height} leaves no room to spawn")
-    max_rows = int(usable // ROW_SPACING) + 1
+    max_rows = int((arena[1] - 2.0 * EDGE_MARGIN) // ROW_SPACING) + 1
     n_files = math.ceil(count / max_rows)
-    deepest = FILE_OFFSET + (n_files - 1) * FILE_SPACING
-    if deepest > width / 2.0 - EDGE_MARGIN:
-        raise ArenaTooSmall(f"{count} units need {n_files} files; arena width {width} is too small")
     base, extra = divmod(count, n_files)
     slots: list[tuple[float, float]] = []
     for f in range(n_files):
@@ -193,15 +203,14 @@ def _formation(count: int, arena: tuple[float, float]) -> list[tuple[float, floa
     return slots
 
 
-def spawn_layout(spec: ScenarioSpec, seed: int, spread: float | None = None) -> Layout:
+def spawn_layout(spec: ScenarioSpec, seed: int) -> Layout:
     """Seeded spawn layout for one episode.
 
     Red gets the west-side formation with per-unit jitter; blue is the exact
     point reflection when team sizes match, otherwise blue gets its own
     reflected formation with jitter drawn from the same stream.
     """
-    if spread is None:
-        spread = spec.spawn_spread
+    spread = spec.spawn_spread
     rng = np.random.default_rng(seed)
     cx, cy = spec.center
 
@@ -247,6 +256,14 @@ def _read_config(text: str) -> configparser.ConfigParser:
     return parser
 
 
+def _number(key: str, text: str, kind: type):
+    """``text`` read as ``kind``; text that does not parse is a :class:`ScenarioError` naming ``key``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ScenarioError(f"{key} must be {'an integer' if kind is int else 'a number'}, not {text!r}") from None
+
+
 def _team_counts(parser: configparser.ConfigParser, section: str) -> dict[str, int]:
     counts: dict[str, int] = {}
     if not parser.has_section(section):
@@ -254,7 +271,7 @@ def _team_counts(parser: configparser.ConfigParser, section: str) -> dict[str, i
     for key, raw in parser.items(section):
         if key not in _PLURAL:
             raise UnknownUnitName(f"unknown unit {key!r} in [{section}] (expected one of {sorted(_PLURAL)})")
-        counts[_PLURAL[key]] = int(raw)
+        counts[_PLURAL[key]] = _number(key, raw, int)
     return counts
 
 
@@ -279,41 +296,36 @@ def parse_scenario_config(text: str) -> ScenarioSpec:
     keys or unit names are hard errors.
     """
     parser = _read_config(text)
-    scenario_items = dict(parser.items("scenario")) if parser.has_section("scenario") else {}
-    for key in scenario_items:
+    items = dict(parser.items("scenario")) if parser.has_section("scenario") else {}
+    for key in items:
         if key not in _SCENARIO_KEYS:
             raise ScenarioError(f"unknown [scenario] key {key!r}")
 
     red_over = _team_counts(parser, "red")
     blue_over = _team_counts(parser, "blue")
-
-    if "base" in scenario_items:
-        base = get_scenario(scenario_items["base"])
-        red = _merge_composition(base.red_composition, red_over)
-        blue = _merge_composition(base.blue_composition, blue_over)
-        spec = replace(base, red_composition=red, blue_composition=blue)
-        if "name" in scenario_items:
-            spec = replace(spec, name=scenario_items["name"])
+    if "base" in items:
+        base = get_scenario(items["base"])
+        spec = {f.name: getattr(base, f.name) for f in fields(base)}
     else:
         if not red_over or not blue_over:
             raise ScenarioError("config without 'base' must define both [red] and [blue]")
-        spec = ScenarioSpec(
-            name=scenario_items.get("name", "custom"),
-            red_composition=tuple((CATALOG[n], c) for n, c in red_over.items()),
-            blue_composition=tuple((CATALOG[n], c) for n, c in blue_over.items()),
-        )
+        spec = {f.name: f.default for f in fields(ScenarioSpec)}
+        spec.update(name="custom", red_composition=(), blue_composition=())
 
-    arena = list(spec.arena)
-    if "arena_width" in scenario_items:
-        arena[0] = float(scenario_items["arena_width"])
-    if "arena_height" in scenario_items:
-        arena[1] = float(scenario_items["arena_height"])
-    spec = replace(spec, arena=(arena[0], arena[1]))
-    if "episode_step_limit" in scenario_items:
-        spec = replace(spec, episode_step_limit=int(scenario_items["episode_step_limit"]))
-    if "spawn_spread" in scenario_items:
-        spec = replace(spec, spawn_spread=float(scenario_items["spawn_spread"]))
-    return spec
+    def value(key, kind, default):
+        return _number(key, items[key], kind) if key in items else default
+
+    # Every field is gathered first, so the spec is built and checked once, as a whole.
+    width, height = spec["arena"]
+    spec.update(
+        name=items.get("name", spec["name"]),
+        red_composition=_merge_composition(spec["red_composition"], red_over),
+        blue_composition=_merge_composition(spec["blue_composition"], blue_over),
+        arena=(value("arena_width", float, width), value("arena_height", float, height)),
+        episode_step_limit=value("episode_step_limit", int, spec["episode_step_limit"]),
+        spawn_spread=value("spawn_spread", float, spec["spawn_spread"]),
+    )
+    return ScenarioSpec(**spec)
 
 
 def scenario_config(spec: ScenarioSpec) -> str:

@@ -71,34 +71,44 @@ def test_runtime_value_error_exits_1(monkeypatch, capsys):
     [
         {"engine": {"arena_width": 40.0}},   # no such engine knob
         {"engin": {"step_dt": 0.25}},        # no such section
-        {"scenario": {"fog": 1}},
+        {"scenario": {"spawn_spread": 0.25}},  # scenarios change through --scenario FILE only
         {"learner": {"mixer_layers": 2}},    # removed with the one-layer mixer
         {"engine": 5},                       # a section that is not an object
         5,                                   # a file that is not an object
         {"learner": {"hidden": 8}},
         {"engine": {"step_dt": "x"}},        # values of the wrong type
-        {"scenario": {"episode_step_limit": "x"}},
+        {"learner": {"batch_episodes": 0}},  # values out of range: an empty batch failed mid-run
         {"reward": {"win_bonus": [1]}},
         {"learner": {"double_q": "no"}},
         {"learner": {"double_q": 1}},        # a bool field takes only a JSON boolean
         {"learner": {"batch_episodes": True}},  # an int field takes no boolean
         {"learner": {"batch_episodes": 2.5}},
         {"reward": {"win_bonus": False}},    # nor does a float field
-        {"scenario": {"name": 3}},
-        {"scenario": {"episode_step_limit": 0}},  # scenario values out of range: a limit below 1 looped bench
-        {"scenario": {"episode_step_limit": -3}},
-        {"scenario": {"arena": "x"}},
-        {"scenario": {"arena": [32.0, 0]}},
-        {"scenario": {"arena": [32.0, 32.0, 32.0]}},
-        {"scenario": {"red_composition": 5}},
-        {"scenario": {"blue_composition": [["marine", 3]]}},
-        {"scenario": {"spawn_spread": -4}},
+        {"learner": {"target_interval": 0, "batch_episodes": 1}},  # divided by zero mid-run
+        {"learner": {"buffer_episodes": 0, "batch_episodes": 1}},  # never trained
+        {"learner": {"hidden": [-1]}},
+        {"learner": {"mixer_embed": 0}},
+        {"learner": {"lr": -0.1}},
+        {"learner": {"grad_clip": float("nan")}},  # Python's json reads NaN and Infinity
+        {"learner": {"gamma": 1.5}},
+        {"engine": {"step_dt": 0}},          # a battle in which nothing moves
+        {"engine": {"step_dt": float("inf")}},
+        {"learner": {"epsilon_start": -0.5}},
+        {"learner": {"epsilon_end": 2}},
+        {"learner": {"hidden": [0]}},
     ],
 )
 def test_config_errors_exit_2(tmp_path, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert cli.main(["bench", "--scenario", "3m", "--steps", "10", "--config", str(path)]) == 2
+
+
+def test_a_config_scenario_section_names_scenario_files(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": {"spawn_spread": 0.25}}))
+    assert cli.main(["bench", "--scenario", "3m", "--steps", "10", "--config", str(path)]) == 2
+    assert "unknown section(s) scenario; a scenario is changed with --scenario FILE" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -113,6 +123,9 @@ def test_config_errors_exit_2(tmp_path, config):
         "[scenario]\nbase = 3m\nspawn_spread = -4\n",
         "[scenario]\nbase = 3m\n\n[red]\nmarines = 0\n",
         "[red]\nmarines = 3\n\n[blue]\nmarines = -1\n",
+        "[red]\nmarines = x\n\n[blue]\nmarines = 3\n",  # numbers that do not parse
+        "[scenario]\nbase = 3m\narena_width = wide\n",
+        "[scenario]\nbase = 3m\nspawn_spread = 10.2\n",  # jitter past the wall: reset seed 25 failed mid-run
     ],
 )
 def test_out_of_range_scenario_files_exit_2(tmp_path, lines, capsys):
@@ -207,18 +220,44 @@ def test_bad_pool_and_analyze_inputs_are_usage_errors(argv, tmp_path, monkeypatc
     assert _exit_code(argv) == 2
 
 
+# Inputs the cases below may name, each wrong in one way.
+_BAD_INPUTS = {
+    "notjson/pool_manifest.json": "not json",
+    "nomembers/pool_manifest.json": json.dumps({"scenario": "3m"}),
+    "nofile/pool_manifest.json": json.dumps({"members": [{"algo": "iql"}]}),
+    "noalgo/pool_manifest.json": json.dumps({"members": [{"file": "member_0_iql.npz"}]}),
+    "wide.ini": "[scenario]\nbase = 3m\nspawn_spread = 10.2\n",
+    "count.ini": "[scenario]\nbase = 3m\n\n[red]\nmarines = x\n",
+    "batch.json": json.dumps({"learner": {"batch_episodes": 0}}),
+    "interval.json": json.dumps({"learner": {"target_interval": 0, "batch_episodes": 1}}),
+    "step.json": json.dumps({"engine": {"step_dt": 0}}),
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["analyze", "--replays", "MISSING.jsonl", "--out", "out"],
         ["analyze", "--out", "out"],
         ["train", "--mode", "mixed", "--pool", "NOPOOL", "--out", "out"],
+        ["train", "--mode", "mixed", "--pool", "notjson", "--out", "out"],
+        ["train", "--mode", "mixed", "--pool", "nomembers", "--out", "out"],
+        ["train", "--mode", "mixed", "--pool", "nofile", "--out", "out"],
+        ["train", "--mode", "mixed", "--pool", "noalgo", "--out", "out"],
+        ["train", "--scenario", "wide.ini", "--out", "out"],
+        ["train", "--scenario", "count.ini", "--out", "out"],
+        ["train", "--config", "batch.json", "--out", "out"],
+        ["train", "--config", "interval.json", "--out", "out"],
+        ["train", "--config", "step.json", "--out", "out"],
     ],
     ids=" ".join,
 )
 def test_failed_commands_leave_no_output_directory(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert cli.main(argv) == 2
+    for name, text in _BAD_INPUTS.items():
+        Path(name).parent.mkdir(exist_ok=True)
+        Path(name).write_text(text)
+    assert cli.main([*argv, "--steps", "30", "--seeds", "1"] if argv[0] == "train" else argv) == 2
     assert not (tmp_path / "out").exists()
 
 
@@ -249,7 +288,9 @@ def test_mixed_training_against_a_pool_of_another_scenario_is_a_usage_error(tmp_
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("kind", ["not a checkpoint", "wrong shape", "format 1"])
+@pytest.mark.parametrize(
+    "kind", ["not a checkpoint", "wrong shape", "format 1", "no config", "unknown config key", "config out of range"]
+)
 @pytest.mark.parametrize(
     "argv",
     [
@@ -282,7 +323,6 @@ def test_scenario_errors_exit_2(tmp_path):
     scenario = tmp_path / "slow.ini"
     scenario.write_text("[scenario]\nbase = 3m\n\n[engine]\nstep_dt = 5.0\n")
     assert cli.main(["bench", "--scenario", str(scenario), "--steps", "10"]) == 2
-    assert cli.main(["bench", "--scenario", "3m", "--spawn-spread", "-1", "--steps", "10"]) == 2
 
 
 def test_pool_resolves_the_whole_config(tmp_path):

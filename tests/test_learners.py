@@ -2,18 +2,19 @@
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
 
 from skirmish import nn
+from skirmish.config import ConfigError, read_config
 from skirmish.engine import CATALOG, Team
 from skirmish.env import ACTION_MOVE_EAST, ACTION_NOOP, TARGET_OFFSET, BattleEnv, TeamSpec
 from skirmish.learners import (
     CHECKPOINT_FORMAT,
     CheckpointError,
     LearnerConfig,
-    LearnerError,
     NoAvailableAction,
     RandomPolicy,
     ScriptedBot,
@@ -731,14 +732,25 @@ def write_broken_checkpoint(path, learner, kind: str) -> str:
         arrays["p0"], expect = arrays["p0"][:, 1:], "p0 is float32"
     elif kind == "float64 arrays":
         arrays["p0"], expect = arrays["p0"].astype(np.float64), "p0 is float64"
-    else:  # "format 1", as it was written: float64 parameters and Adam moments
+    elif kind == "format 1":  # as it was written: float64 parameters and Adam moments
         arrays = {k: a.astype(np.float64) if a.dtype == np.float32 else a for k, a in arrays.items()}
         arrays["format_version"], expect = np.array([1], dtype=np.int64), "checkpoint format 1"
+    else:  # a learner config that is missing or that no learner takes
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        config = json.loads(meta.pop("config"))
+        if kind == "unknown config key":
+            meta["config"], expect = json.dumps(dict(config, mixer_layers=2)), "mixer_layers"
+        elif kind == "config out of range":
+            meta["config"], expect = json.dumps(dict(config, batch_episodes=0)), "batch_episodes must be at least 1"
+        else:
+            expect = "unusable checkpoint meta: KeyError"
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     np.savez(path, **arrays)
     return expect
 
 
-@pytest.mark.parametrize("kind", ["not a checkpoint", "wrong shape", "float64 arrays", "format 1"])
+@pytest.mark.parametrize("kind", ["not a checkpoint", "wrong shape", "float64 arrays", "format 1", "no config",
+                                  "unknown config key", "config out of range"])
 def test_load_refuses_what_the_learner_cannot_use(tmp_path, kind):
     learner = ValueLearner("qmix", toy_spec(), LearnerConfig(hidden=(8,), mixer_embed=4), seed=0)
     expect = write_broken_checkpoint(tmp_path / "broken.npz", learner, kind)
@@ -757,10 +769,29 @@ def test_load_refuses_a_file_that_is_no_archive(tmp_path):
 
 def test_config_with_an_unknown_key_is_rejected_by_name():
     data = json.loads(LearnerConfig().to_json())
-    assert LearnerConfig.from_json(json.dumps(data)) == LearnerConfig()
+    assert read_config(LearnerConfig, data, "learner config") == LearnerConfig()
     data["mixer_layers"] = 2  # written by versions that had a one-layer mixer
-    with pytest.raises(LearnerError, match="mixer_layers"):
-        LearnerConfig.from_json(json.dumps(data))
+    with pytest.raises(ConfigError, match="mixer_layers"):
+        read_config(LearnerConfig, data, "learner config")
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("batch_episodes", 0), ("buffer_episodes", 31), ("target_interval", 0), ("hidden", (64, 0)),
+        ("mixer_embed", 0), ("lr", -1e-4), ("lr", math.inf), ("grad_clip", math.nan), ("gamma", 1.01),
+        ("epsilon_start", -0.1), ("epsilon_end", 1.5),
+    ],
+)
+def test_learner_config_rejects_values_out_of_range(field, value):
+    with pytest.raises(ConfigError, match=f"learner {field} must be"):
+        LearnerConfig(**{field: value})
+
+
+def test_learner_config_accepts_the_edges_of_its_ranges():
+    LearnerConfig(batch_episodes=1, buffer_episodes=1, target_interval=1, hidden=(1,), mixer_embed=1,
+                  lr=0.0, grad_clip=0.0, gamma=0.0, epsilon_start=1.0, epsilon_end=0.0)
+    LearnerConfig(gamma=1.0, epsilon_start=0.0, epsilon_end=1.0)
 
 
 def test_bot_checkpoint_round_trip(tmp_path):

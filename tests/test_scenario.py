@@ -6,6 +6,7 @@ import math
 import pytest
 
 from skirmish.engine import CATALOG
+from skirmish.env import BattleEnv
 from skirmish.scenario import (
     ArenaTooSmall,
     NonPositiveCount,
@@ -64,7 +65,7 @@ def test_layout_point_reflection_exact():
 
 
 def test_layout_zero_jitter_columns():
-    layout = spawn_layout(get_scenario("3m"), seed=0, spread=0.0)
+    layout = spawn_layout(dataclasses.replace(get_scenario("3m"), spawn_spread=0.0), seed=0)
     assert layout.red_positions == ((10.0, 14.0), (10.0, 16.0), (10.0, 18.0))
     assert layout.blue_positions == ((22.0, 18.0), (22.0, 16.0), (22.0, 14.0))
     # teams start outside each other's sight range
@@ -81,7 +82,7 @@ def test_layout_deterministic_and_jitter_bounded():
     assert a == b
     c = spawn_layout(spec, seed=124)
     assert a != c
-    clean = spawn_layout(spec, seed=123, spread=0.0)
+    clean = spawn_layout(dataclasses.replace(spec, spawn_spread=0.0), seed=123)
     for (jx, jy), (sx, sy) in zip(a.red_positions, clean.red_positions):
         assert abs(jx - sx) <= spec.spawn_spread and abs(jy - sy) <= spec.spawn_spread
 
@@ -92,7 +93,7 @@ def test_layout_asymmetric_counts():
 
 
 def test_large_formation_wraps_files():
-    layout = spawn_layout(get_scenario("25m"), seed=0, spread=0.0)
+    layout = spawn_layout(dataclasses.replace(get_scenario("25m"), spawn_spread=0.0), seed=0)
     xs = {x for x, _ in layout.red_positions}
     assert xs == {10.0, 8.0}
     for x, y in layout.red_positions:
@@ -100,14 +101,23 @@ def test_large_formation_wraps_files():
 
 
 def test_arena_too_small():
-    spec = ScenarioSpec(
-        name="cramped",
-        red_composition=((CATALOG["marine"], 3),),
-        blue_composition=((CATALOG["marine"], 3),),
-        arena=(14.0, 14.0),
-    )
-    with pytest.raises(ArenaTooSmall):
-        spawn_layout(spec, seed=0)
+    with pytest.raises(ArenaTooSmall):  # when the spec is built, not at its first spawn
+        ScenarioSpec(
+            name="cramped",
+            red_composition=((CATALOG["marine"], 3),),
+            blue_composition=((CATALOG["marine"], 3),),
+            arena=(14.0, 14.0),
+        )
+
+
+@pytest.mark.parametrize("name,room", [("3m", 10.0), ("25m", 4.0)])
+def test_spawn_spread_may_fill_the_room_between_formation_and_wall(name, room):
+    spec = dataclasses.replace(get_scenario(name), spawn_spread=room)
+    env = BattleEnv(spec)
+    for seed in range(2_000):  # a spread past the wall failed on 3m's reset seed 25
+        env.reset(seed)
+    with pytest.raises(ScenarioError, match="spawn_spread must be at most"):
+        dataclasses.replace(spec, spawn_spread=room + 0.01)
 
 
 @pytest.mark.parametrize(
@@ -128,8 +138,12 @@ def test_spec_rejects_values_out_of_range(field, value):
 
 
 def test_spec_accepts_the_edges_of_its_ranges():
-    spec = dataclasses.replace(get_scenario("3m"), episode_step_limit=1, spawn_spread=0, arena=[1, 0.5])
+    spec = dataclasses.replace(get_scenario("3m"), episode_step_limit=1, spawn_spread=0, arena=(24, 4))
     assert spec.episode_step_limit == 1 and spec.spawn_spread == 0
+    BattleEnv(spec).reset(0)  # three files of one marine each, 2 from the wall
+    for smaller in ((23.9, 4), (24, 3.9)):
+        with pytest.raises(ArenaTooSmall):
+            dataclasses.replace(spec, arena=smaller)
 
 
 # -- config format -------------------------------------------------------------
@@ -177,6 +191,14 @@ def test_parse_scenario_overrides():
     assert spec.arena == (40.0, 32.0)
     assert spec.episode_step_limit == 99
     assert spec.spawn_spread == 0.0
+
+
+def test_parse_checks_the_whole_spec_once():
+    grown = "[scenario]\nbase = 3m\n\n[red]\nmarines = 100\n"  # seven files of marines
+    with pytest.raises(ArenaTooSmall):
+        parse_scenario_config(grown)
+    spec = parse_scenario_config(grown.replace("base = 3m\n", "base = 3m\narena_width = 48\n"))
+    assert spec.n_red == 100 and spec.arena == (48.0, 32.0)
 
 
 def test_round_trip_all_builtins():
