@@ -91,7 +91,7 @@ class ScenarioSpec:
         width, height = arena
         if height < 2.0 * EDGE_MARGIN:
             raise ArenaTooSmall(f"arena height {height} leaves no room to spawn")
-        for count in (self.n_red, self.n_blue):
+        for count in {self.n_red, self.n_blue}:
             slots = _formation(count, arena)
             deepest = max(-x for x, _ in slots)
             if deepest > width / 2.0 - EDGE_MARGIN:
