@@ -27,6 +27,7 @@ import importlib.util
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -175,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
 _SECTIONS = {"engine": EngineConfig, "reward": RewardConfig, "learner": LearnerConfig}
 
 
-def _resolve_run(args) -> tuple[ScenarioSpec, dict, dict]:
-    """The scenario a command runs, every ``--config`` section built, and the overrides as read.
+def _resolve_run(args) -> tuple[ScenarioSpec, dict]:
+    """The scenario a command runs and every ``--config`` section built.
 
     Each section is built and checked whether or not the command uses it.
     """
@@ -196,7 +197,7 @@ def _resolve_run(args) -> tuple[ScenarioSpec, dict, dict]:
     sections = {key: read_config(cls, overrides.get(key, {}), f"--config {key}") for key, cls in _SECTIONS.items()}
     path = Path(args.scenario)
     scenario = parse_scenario_config(path.read_text(encoding="utf-8")) if path.is_file() else get_scenario(args.scenario)
-    return scenario, sections, overrides
+    return scenario, sections
 
 
 def _check_fits(learner: Learner, label: str, env: BattleEnv, team: Team) -> Learner:
@@ -272,7 +273,7 @@ def cmd_train(args) -> int:
     if args.mode == "mixed" and args.pool is None:
         print("train: --mode mixed requires --pool", file=sys.stderr)
         return 2
-    scenario, sections, overrides = _resolve_run(args)
+    scenario, sections = _resolve_run(args)
     config = TrainConfig(total_env_steps=args.steps, test_interval=args.test_interval,
                          test_episodes=args.test_episodes, **sections)
     pool = (_load_pool(Path(args.pool), BattleEnv(scenario, config.engine, config.reward))
@@ -298,13 +299,13 @@ def cmd_train(args) -> int:
         "median_win_rate": curve_to_json(median_win_rate(primary)),
     }
     (out / "aggregate.json").write_text(json.dumps(aggregate, indent=2, sort_keys=True), encoding="utf-8")
-    _manifest(out / "manifest.json", args, {"seeds": seeds, "config_file": overrides})
+    _manifest(out / "manifest.json", args, {"seeds": seeds, "config": {key: asdict(c) for key, c in sections.items()}})
     print(f"wrote {len(seeds)} run(s) to {out}")
     return 0
 
 
 def _eval_common(args) -> tuple[ScenarioSpec, BattleEnv, Learner, Learner]:
-    scenario, sections, _ = _resolve_run(args)
+    scenario, sections = _resolve_run(args)
     env = BattleEnv(scenario, sections["engine"], sections["reward"])
     red = _policy(args.red, scenario, Team.RED, env)
     blue = _policy(args.blue, scenario, Team.BLUE, env)
@@ -375,7 +376,7 @@ def _load_pool(directory: Path, env: BattleEnv) -> OpponentPool:
 
 
 def cmd_pool(args) -> int:
-    scenario, sections, _ = _resolve_run(args)
+    scenario, sections = _resolve_run(args)
     config = TrainConfig(total_env_steps=args.steps_per_member, **sections)
     if not args.algos and args.no_bot:
         raise CliError("empty pool: pass --algos or leave out --no-bot")
@@ -402,7 +403,7 @@ def cmd_pool(args) -> int:
 def cmd_serve(args) -> int:
     from .protocol import BattleServer
 
-    scenario, sections, _ = _resolve_run(args)
+    scenario, sections = _resolve_run(args)
     server = BattleServer(
         scenario, host=args.host, port=args.port, seed=args.seed, episodes=args.episodes,
         engine_config=sections["engine"], reward_config=sections["reward"],
@@ -477,7 +478,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    scenario, sections, _ = _resolve_run(args)
+    scenario, sections = _resolve_run(args)
     env = BattleEnv(scenario, sections["engine"], sections["reward"])
     red = make_learner("random", env.team_spec(Team.RED))
     blue = make_learner("random", env.team_spec(Team.BLUE))

@@ -1,7 +1,8 @@
 """The one reader of the engine, reward and learner configs, for ``--config`` files and checkpoints alike.
 
 :func:`read_config` checks every key and value type; each config's
-``__post_init__`` checks its ranges through :func:`check_ranges`.
+``__post_init__`` checks its ranges, and a value it refuses is raised
+here as a :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -36,11 +37,8 @@ def read_config(cls, data, where: str):
                 or (isinstance(value, list) and not all(type(v) is int for v in value))):
             raise ConfigError(f"{where} {f.name} must be {noun}, not {json.dumps(value)}")
         values[f.name] = tuple(value) if isinstance(value, list) else value
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:  # a value outside the range the config's own __post_init__ allows
+        raise ConfigError(str(exc)) from exc
 
-
-def check_ranges(section: str, config, rules) -> None:
-    """Raise :class:`ConfigError` for the first ``(field, ok, rule)`` of ``rules`` that is not ok."""
-    for name, ok, rule in rules:
-        if not ok:
-            raise ConfigError(f"{section} {name} must be {rule}, not {getattr(config, name)!r}")

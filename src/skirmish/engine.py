@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import check_ranges
-
 
 class EngineError(ValueError):
     """Base class for combat-rule violations."""
@@ -113,7 +111,8 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         # A step of 0 runs battles in which nothing moves.
-        check_ranges("engine", self, [("step_dt", 0 < self.step_dt < math.inf, "a finite number above 0")])
+        if not 0 < self.step_dt < math.inf:
+            raise EngineError(f"engine step_dt must be a finite number above 0, not {self.step_dt!r}")
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
-from .config import check_ranges, read_config
+from .config import ConfigError, read_config
 from .engine import Team
 from .env import ACTION_MOVE_EAST, ACTION_NOOP, ACTION_STOP, TARGET_OFFSET, TeamSpec, ally_slots, team_layout
 from .scenario import ScenarioSpec, parse_scenario_config, scenario_config
@@ -66,7 +66,7 @@ class LearnerConfig:
     def __post_init__(self) -> None:
         """The one range check, which defaults, ``--config`` and checkpoints all pass."""
         unit = "a number in [0, 1]"
-        check_ranges("learner", self, [
+        for name, ok, rule in [
             ("batch_episodes", self.batch_episodes >= 1, "at least 1"),
             ("buffer_episodes", self.buffer_episodes >= self.batch_episodes, "at least batch_episodes"),
             ("target_interval", self.target_interval >= 1, "at least 1"),
@@ -77,7 +77,9 @@ class LearnerConfig:
             ("gamma", 0 <= self.gamma <= 1, unit),
             ("epsilon_start", 0 <= self.epsilon_start <= 1, unit),
             ("epsilon_end", 0 <= self.epsilon_end <= 1, unit),
-        ])
+        ]:
+            if not ok:
+                raise ConfigError(f"learner {name} must be {rule}, not {getattr(self, name)!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -606,7 +608,7 @@ def load_learner(path) -> Learner:
             algo = meta["algo"]
             if algo not in ("bot", "random"):
                 config = read_config(LearnerConfig, json.loads(meta["config"]), "learner config")
-        except (ValueError, KeyError) as exc:  # ValueError includes the ConfigError of a config no learner takes
+        except (ValueError, KeyError, TypeError) as exc:  # ValueError includes the ConfigError of a config no learner takes
             raise CheckpointError(f"{path}: unusable checkpoint meta: {exc!r}") from exc
         if algo == "bot":
             learner: Learner = ScriptedBot(parse_scenario_config(meta["scenario_config"]), team_spec.team)

@@ -90,13 +90,14 @@ class ScenarioSpec:
                     raise NonPositiveCount(f"{team} {unit.name} count must be an integer of at least 1, not {count!r}")
         width, height = arena
         if height < 2.0 * EDGE_MARGIN:
-            raise ArenaTooSmall(f"arena height {height} leaves no room to spawn")
+            raise ArenaTooSmall(f"arena height must be at least {2.0 * EDGE_MARGIN}, not {height}")
         for count in {self.n_red, self.n_blue}:
-            slots = _formation(count, arena)
-            deepest = max(-x for x, _ in slots)
+            # By arithmetic, not by laying out the slots: a count of 10**9 fails here at once.
+            n_files, rows = _files(count, height)
+            deepest = FILE_OFFSET + (n_files - 1) * FILE_SPACING
             if deepest > width / 2.0 - EDGE_MARGIN:
-                raise ArenaTooSmall(f"{count} units need files {deepest} deep; arena width {width} is too small")
-            room = min(width / 2.0 - deepest, height / 2.0 - max(abs(y) for _, y in slots))
+                raise ArenaTooSmall(f"arena width must be at least {2.0 * (deepest + EDGE_MARGIN)} for {count} units, not {width}")
+            room = min(width / 2.0 - deepest, height / 2.0 - (rows - 1) / 2.0 * ROW_SPACING)
             if spread > room:  # jitter past the wall fails the engine's spawn check on some seeds
                 raise ScenarioError(f"spawn_spread must be at most {room!r}, the room between a {count}-unit "
                                     f"formation and the wall, not {spread!r}")
@@ -188,10 +189,16 @@ ROW_SPACING = 2.0
 EDGE_MARGIN = 2.0
 
 
+def _files(count: int, height: float) -> tuple[int, int]:
+    """How many column files ``count`` units fill, and the rows of the longest file."""
+    max_rows = int((height - 2.0 * EDGE_MARGIN) // ROW_SPACING) + 1
+    n_files = -(-count // max_rows)
+    return n_files, -(-count // n_files)
+
+
 def _formation(count: int, arena: tuple[float, float]) -> list[tuple[float, float]]:
     """Centre-origin slots for ``count`` units in west-side column files."""
-    max_rows = int((arena[1] - 2.0 * EDGE_MARGIN) // ROW_SPACING) + 1
-    n_files = math.ceil(count / max_rows)
+    n_files, _ = _files(count, arena[1])
     base, extra = divmod(count, n_files)
     slots: list[tuple[float, float]] = []
     for f in range(n_files):

@@ -126,6 +126,7 @@ def test_a_config_scenario_section_names_scenario_files(tmp_path, capsys):
         "[red]\nmarines = x\n\n[blue]\nmarines = 3\n",  # numbers that do not parse
         "[scenario]\nbase = 3m\narena_width = wide\n",
         "[scenario]\nbase = 3m\nspawn_spread = 10.2\n",  # jitter past the wall: reset seed 25 failed mid-run
+        "[scenario]\nbase = 3m\n\n[red]\nmarines = 1000000000\n",  # refused by arithmetic, before any slot is laid out
     ],
 )
 def test_out_of_range_scenario_files_exit_2(tmp_path, lines, capsys):
@@ -289,7 +290,8 @@ def test_mixed_training_against_a_pool_of_another_scenario_is_a_usage_error(tmp_
 
 
 @pytest.mark.parametrize(
-    "kind", ["not a checkpoint", "wrong shape", "format 1", "no config", "unknown config key", "config out of range"]
+    "kind", ["not a checkpoint", "wrong shape", "format 1", "meta is a list", "no config", "unknown config key",
+             "config out of range"]
 )
 @pytest.mark.parametrize(
     "argv",

@@ -735,6 +735,9 @@ def write_broken_checkpoint(path, learner, kind: str) -> str:
     elif kind == "format 1":  # as it was written: float64 parameters and Adam moments
         arrays = {k: a.astype(np.float64) if a.dtype == np.float32 else a for k, a in arrays.items()}
         arrays["format_version"], expect = np.array([1], dtype=np.int64), "checkpoint format 1"
+    elif kind == "meta is a list":
+        meta, expect = [json.loads(bytes(arrays["meta"]).decode("utf-8"))], "unusable checkpoint meta: TypeError"
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     else:  # a learner config that is missing or that no learner takes
         meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
         config = json.loads(meta.pop("config"))
@@ -749,8 +752,8 @@ def write_broken_checkpoint(path, learner, kind: str) -> str:
     return expect
 
 
-@pytest.mark.parametrize("kind", ["not a checkpoint", "wrong shape", "float64 arrays", "format 1", "no config",
-                                  "unknown config key", "config out of range"])
+@pytest.mark.parametrize("kind", ["not a checkpoint", "wrong shape", "float64 arrays", "format 1", "meta is a list",
+                                  "no config", "unknown config key", "config out of range"])
 def test_load_refuses_what_the_learner_cannot_use(tmp_path, kind):
     learner = ValueLearner("qmix", toy_spec(), LearnerConfig(hidden=(8,), mixer_embed=4), seed=0)
     expect = write_broken_checkpoint(tmp_path / "broken.npz", learner, kind)
