@@ -140,9 +140,12 @@ class DiversityReport:
         }
 
 
-def default_bandwidth(projection: np.ndarray, sample: int = 2048) -> float:
-    """Half the median pairwise distance of (a deterministic slice of) the sample."""
-    pts = projection[:sample]
+BANDWIDTH_SAMPLE = 2048  # points of the projection the default bandwidth looks at
+
+
+def default_bandwidth(projection: np.ndarray) -> float:
+    """Half the median pairwise distance of the first ``BANDWIDTH_SAMPLE`` points."""
+    pts = projection[:BANDWIDTH_SAMPLE]
     d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
     upper = d[np.triu_indices(len(pts), k=1)]
     if len(upper) == 0:
@@ -169,19 +172,19 @@ def action_diversity(log: JointActionLog, bandwidth: float | None = None) -> Div
     return DiversityReport(projection, labels, int(labels.max()) + 1, ratios, bandwidth)
 
 
-def log_from_replay(records: list[dict], team: str = "red", n_actions: int | None = None) -> JointActionLog:
-    """Collect one team's joint actions from replay records."""
+def log_from_replay(records: list[dict]) -> JointActionLog:
+    """Collect red's joint actions from replay records, over the action codes it used."""
     rows = []
     top = 0
     for rec in records:
         actions = rec.get("actions")
-        if actions and actions.get(team) is not None:
-            row = actions[team]
+        if actions and actions.get("red") is not None:
+            row = actions["red"]
             rows.append(row)
             top = max(top, max(row) + 1)
     if not rows:
         raise AnalysisError("replay has no recorded actions")
-    return JointActionLog(np.array(rows, dtype=np.int64), n_actions or top)
+    return JointActionLog(np.array(rows, dtype=np.int64), top)
 
 
 # -- cross-run aggregation ---------------------------------------------------

@@ -1,9 +1,10 @@
 """Command-line entry points.
 
-Subcommands: train, eval, pit, pool, serve, analyze, scenarios, replay,
-bench.  A scenario is a built-in name or a scenario document file
-(``--scenario FILE``); the ``--config`` JSON file overrides the ``engine``,
-``reward`` and ``learner`` defaults, and command-line flags set the rest.
+Subcommands: train, eval (``--replay-out`` also records the episodes),
+pool, serve, analyze, scenarios, replay, bench.  A scenario is a built-in
+name or a scenario document file (``--scenario FILE``); the ``--config``
+JSON file overrides the ``engine``, ``reward`` and ``learner`` defaults,
+and command-line flags set the rest.
 Every run directory gets a manifest with the fully resolved configuration
 so it can be reproduced bit-for-bit.
 
@@ -23,8 +24,10 @@ so a failed command leaves no output directory behind.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -128,13 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=count, default=32, help="evaluation episodes")
     p.add_argument("--seed", type=int, default=0, help="evaluation seed")
     p.add_argument("--out", default=None, help="write the result as JSON here")
-
-    p = sub.add_parser("pit", help="pit two policies and optionally record replays", formatter_class=fmt)
-    _add_common(p)
-    p.add_argument("--red", default="bot", help="checkpoint path, 'bot' or 'random'")
-    p.add_argument("--blue", default="random", help="checkpoint path, 'bot' or 'random'")
-    p.add_argument("--episodes", type=count, default=32, help="episodes to play")
-    p.add_argument("--seed", type=int, default=0, help="evaluation seed")
     p.add_argument("--replay-out", default=None, help="write replay JSONL here")
 
     p = sub.add_parser("pool", help="build a frozen opponent pool", formatter_class=fmt)
@@ -229,6 +225,10 @@ def _manifest(path: Path, args, extra: dict) -> None:
         "numba": importlib.util.find_spec("numba") is not None,
         "checkpoint_format": CHECKPOINT_FORMAT,
         "learner_dtype": np.dtype(nn.DTYPE).name,
+        # Seeded learner outputs depend on the BLAS thread count.
+        "thread_env": {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                                               "MKL_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
     }
     payload.update(extra)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str), encoding="utf-8")
@@ -304,51 +304,27 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_common(args) -> tuple[ScenarioSpec, BattleEnv, Learner, Learner]:
+def cmd_eval(args) -> int:
     scenario, sections = _resolve_run(args)
     env = BattleEnv(scenario, sections["engine"], sections["reward"])
     red = _policy(args.red, scenario, Team.RED, env)
     blue = _policy(args.blue, scenario, Team.BLUE, env)
-    return scenario, env, red, blue
-
-
-def cmd_eval(args) -> int:
-    scenario, env, red, blue = _eval_common(args)
-    result = evaluate(red, blue, scenario, n_episodes=args.episodes, seed=args.seed,
-                      engine_config=env.engine_config, reward_config=env.reward_config)
+    if args.replay_out:
+        Path(args.replay_out).parent.mkdir(parents=True, exist_ok=True)
+    with ReplayWriter(args.replay_out) if args.replay_out else contextlib.nullcontext() as writer:
+        point = evaluate(red, blue, scenario, n_episodes=args.episodes, seed=args.seed,
+                         engine_config=env.engine_config, reward_config=env.reward_config, replay=writer)
     payload = {
         "scenario": scenario.name, "red": args.red, "blue": args.blue,
         "episodes": args.episodes, "seed": args.seed,
-        "wins": result.wins, "draws": result.draws, "losses": result.losses,
-        "win_rate": result.wins / args.episodes,
-        "mean_return_red": result.mean_return_red, "mean_return_blue": result.mean_return_blue,
+        "wins": point.wins, "draws": point.draws, "losses": point.losses, "win_rate": point.win_rate,
+        "mean_return_red": point.mean_return_red, "mean_return_blue": point.mean_return_blue,
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(text, encoding="utf-8")
     print(text)
-    return 0
-
-
-def cmd_pit(args) -> int:
-    """``eval`` with a human-readable report and an optional replay log."""
-    scenario, env, red, blue = _eval_common(args)
-    writer = None
-    if args.replay_out:
-        Path(args.replay_out).parent.mkdir(parents=True, exist_ok=True)
-        writer = ReplayWriter(args.replay_out)
-    try:
-        result = evaluate(red, blue, scenario, n_episodes=args.episodes, seed=args.seed,
-                          engine_config=env.engine_config, reward_config=env.reward_config, replay=writer)
-    finally:
-        if writer is not None:
-            writer.close()
-    print(f"scenario {scenario.name}: {args.red} (red) vs {args.blue} (blue), {args.episodes} episodes")
-    print(f"  red wins {result.wins}  draws {result.draws}  red losses {result.losses}")
-    print(f"  mean return red {result.mean_return_red:.4f}  blue {result.mean_return_blue:.4f}")
-    if args.replay_out:
-        print(f"  replay written to {args.replay_out}")
     return 0
 
 
@@ -511,7 +487,6 @@ def cmd_bench(args) -> int:
 _COMMANDS = {
     "train": cmd_train,
     "eval": cmd_eval,
-    "pit": cmd_pit,
     "pool": cmd_pool,
     "serve": cmd_serve,
     "analyze": cmd_analyze,

@@ -18,7 +18,8 @@ healer never reaches this module.
 Positions are stored relative to the arena centre.  Point reflection of a
 world is then plain negation of coordinates, which IEEE arithmetic carries
 out exactly; that is what makes mirror-symmetric rollouts bit-reproducible.
-The public :class:`Unit` view converts back to map coordinates.
+Adding a world's ``(half_w, half_h)`` gives map coordinates, as replay
+lines do.
 """
 
 from __future__ import annotations
@@ -113,21 +114,6 @@ class EngineConfig:
         # A step of 0 runs battles in which nothing moves.
         if not 0 < self.step_dt < math.inf:
             raise EngineError(f"engine step_dt must be a finite number above 0, not {self.step_dt!r}")
-
-
-@dataclass(frozen=True)
-class Unit:
-    """Value snapshot of one battlefield unit, in map coordinates."""
-
-    unit_id: int
-    team: Team
-    spec: UnitSpec
-    pos: tuple[float, float]
-    health: float
-    shield: float
-    weapon_cooldown: float
-    alive: bool
-    last_damaged_at: float
 
 
 @dataclass
@@ -248,25 +234,6 @@ class WorldState:
 
     def team_slice(self, team: Team) -> slice:
         return slice(0, self.n_red) if team is Team.RED else slice(self.n_red, self.n_units)
-
-    def unit(self, index: int) -> Unit:
-        """Materialise a value view of one unit, in map coordinates."""
-        team = Team(int(self.team_of[index]))
-        slot = index if team is Team.RED else index - self.n_red
-        return Unit(
-            unit_id=slot,
-            team=team,
-            spec=self.specs[index],
-            pos=(float(self.pos_x[index]) + self.half_w, float(self.pos_y[index]) + self.half_h),
-            health=float(self.health[index]),
-            shield=float(self.shield[index]),
-            weapon_cooldown=float(self.cooldown[index]),
-            alive=bool(self.alive[index]),
-            last_damaged_at=float(self.last_damaged[index]),
-        )
-
-    def units(self) -> list[Unit]:
-        return [self.unit(i) for i in range(self.n_units)]
 
 
 def new_world(

@@ -17,7 +17,8 @@ position and width of every observation block and the state length.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -76,6 +77,14 @@ class RewardConfig:
     loss_penalty: float = 50.0
     scale_target: float = 20.0
 
+    def __post_init__(self) -> None:
+        # With every weight at least 0, reward_scale divides by at least the enemy health pool.
+        for f in fields(self):
+            value, positive = getattr(self, f.name), f.name == "scale_target"
+            if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+                raise EnvError(f"reward {f.name} must be a finite number {'above' if positive else 'of at least'} 0, "
+                               f"not {value!r}")
+
 
 def reward_scale(scenario: ScenarioSpec, team: Team, config: RewardConfig) -> float:
     """Normalises the maximum achievable positive reward to ``scale_target``."""
@@ -118,15 +127,14 @@ class TeamStepResult:
     execution-time consumers never pay for it.
     """
 
-    __slots__ = ("observations", "masks", "reward", "terminated", "outcome", "info", "_state", "_state_fn")
+    __slots__ = ("observations", "masks", "reward", "terminated", "outcome", "_state", "_state_fn")
 
-    def __init__(self, observations, masks, reward, terminated, outcome, info, state_fn):
+    def __init__(self, observations, masks, reward, terminated, outcome, state_fn):
         self.observations = observations
         self.masks = masks
         self.reward = reward
         self.terminated = terminated
         self.outcome = outcome
-        self.info = info
         self._state = None
         self._state_fn = state_fn
 
@@ -256,7 +264,8 @@ class BattleEnv:
     """Two-team environment over one scenario.
 
     One instance owns one world; run independent instances for parallel
-    rollouts.  All stochasticity lives in the reset seed.
+    rollouts.  All stochasticity lives in the reset seed.  ``events`` holds
+    what happened in the last step, and is ``None`` after a reset or restore.
     """
 
     def __init__(
@@ -283,6 +292,7 @@ class BattleEnv:
         self._terminated = True
         self._outcome: Outcome | None = None
         self._masks: dict[Team, np.ndarray] = {}
+        self.events: StepEvents | None = None
 
     def _build_world(self, layout, stats=None) -> WorldState:
         members = [(s, Team.RED) for s in self.scenario.team_units(Team.RED)]
@@ -305,10 +315,11 @@ class BattleEnv:
 
     def _install(self, world: WorldState) -> tuple[TeamStepResult, TeamStepResult]:
         self._world = world
+        self.events = None
         self._outcome = terminal_status(world, self.scenario.episode_step_limit)
         self._terminated = self._outcome is not Outcome.ONGOING
         outcome = self._outcome if self._terminated else None
-        return self._results(dict.fromkeys(Team, 0.0), outcome, {t: {} for t in Team})
+        return self._results(dict.fromkeys(Team, 0.0), outcome)
 
     @property
     def world(self) -> WorldState:
@@ -340,23 +351,13 @@ class BattleEnv:
         self._fill_commands(Team.BLUE, np.asarray(blue_actions), kind, dir_x, dir_y, target)
         world, events = step_world_arrays(self._world, kind, dir_x, dir_y, target)
         self._world = world
+        self.events = events
         outcome = terminal_status(world, self.scenario.episode_step_limit)
         self._outcome = outcome
         self._terminated = outcome is not Outcome.ONGOING
         rewards = {t: compute_reward(events, outcome, t, self.reward_config, self._scale[t]) for t in Team}
         reported = self._outcome if self._terminated else None
-        return self._results(rewards, reported, {t: self._info(events, t) for t in Team})
-
-    @staticmethod
-    def _info(events: StepEvents, team: Team) -> dict:
-        te = events.for_team(team)
-        return {
-            "damage_dealt": te.damage_dealt,
-            "kills": te.kills,
-            "damage_taken": te.damage_taken,
-            "deaths": te.deaths,
-            "heals": te.heals,
-        }
+        return self._results(rewards, reported)
 
     def _fill_commands(self, team: Team, actions: np.ndarray, kind, dir_x, dir_y, target) -> None:
         view = self.views[team]
@@ -384,7 +385,7 @@ class BattleEnv:
 
     # -- encoding ----------------------------------------------------------
 
-    def _results(self, rewards: dict, outcome, info: dict) -> tuple[TeamStepResult, TeamStepResult]:
+    def _results(self, rewards: dict, outcome) -> tuple[TeamStepResult, TeamStepResult]:
         """Both teams' results for the current world, from one geometry pass.
 
         ``dx[i, j]``, ``dy[i, j]`` and ``dist[i, j]`` run from unit ``i`` to
@@ -411,7 +412,6 @@ class BattleEnv:
                     reward=rewards[team],
                     terminated=self._terminated,
                     outcome=outcome,
-                    info=info[team],
                     state_fn=lambda team=team: self.encode_state(team, world),
                 )
             )
@@ -499,25 +499,27 @@ def replay_record(
     step: int,
     actions: dict[str, list[int]] | None,
     rewards: dict[str, float],
-    info: dict | None,
     outcome: Outcome | None,
 ) -> dict:
-    """One replay line: full unit state plus what both teams just did."""
+    """One replay line: every unit of ``env.world`` in map coordinates, what both
+    teams just did, and ``env.events`` per team (``None`` after a reset)."""
     world = env.world
     units = []
-    for u in world.units():
+    for i in range(world.n_units):
+        team = Team(int(world.team_of[i]))
         units.append(
             {
-                "team": u.team.name.lower(),
-                "id": u.unit_id,
-                "x": u.pos[0],
-                "y": u.pos[1],
-                "health": u.health,
-                "shield": u.shield,
-                "cooldown": u.weapon_cooldown,
-                "alive": u.alive,
+                "team": team.name.lower(),
+                "id": i if team is Team.RED else i - world.n_red,
+                "x": float(world.pos_x[i]) + world.half_w,
+                "y": float(world.pos_y[i]) + world.half_h,
+                "health": float(world.health[i]),
+                "shield": float(world.shield[i]),
+                "cooldown": float(world.cooldown[i]),
+                "alive": bool(world.alive[i]),
             }
         )
+    events = env.events
     return {
         "v": REPLAY_SCHEMA_VERSION,
         "episode": episode,
@@ -525,7 +527,7 @@ def replay_record(
         "units": units,
         "actions": actions,
         "rewards": rewards,
-        "events": info,
+        "events": None if events is None else {t.name.lower(): asdict(events.for_team(t)) for t in Team},
         "outcome": outcome.value if outcome is not None else None,
     }
 

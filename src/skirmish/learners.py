@@ -606,12 +606,14 @@ def load_learner(path) -> Learner:
                 scenario=meta["scenario"],
             )
             algo = meta["algo"]
-            if algo not in ("bot", "random"):
+            if algo == "bot":
+                scenario = parse_scenario_config(meta["scenario_config"])
+            elif algo != "random":
                 config = read_config(LearnerConfig, json.loads(meta["config"]), "learner config")
-        except (ValueError, KeyError, TypeError) as exc:  # ValueError includes the ConfigError of a config no learner takes
+        except (ValueError, KeyError, TypeError) as exc:  # ValueError includes the ConfigError and ScenarioError
             raise CheckpointError(f"{path}: unusable checkpoint meta: {exc!r}") from exc
         if algo == "bot":
-            learner: Learner = ScriptedBot(parse_scenario_config(meta["scenario_config"]), team_spec.team)
+            learner: Learner = ScriptedBot(scenario, team_spec.team)
         elif algo == "random":
             learner = RandomPolicy(team_spec)
         else:

@@ -202,7 +202,7 @@ def run_episode(
     rec_r = _Recorder(r_res, collect_red, limit)
     rec_b = _Recorder(b_res, collect_blue, limit)
     if replay is not None:
-        replay.write(replay_record(env, episode_id, 0, None, {"red": 0.0, "blue": 0.0}, None, None))
+        replay.write(replay_record(env, episode_id, 0, None, {"red": 0.0, "blue": 0.0}, None))
     ret_r = 0.0
     ret_b = 0.0
     steps = 0
@@ -216,17 +216,9 @@ def run_episode(
         rec_r.record(a_r, r_res)
         rec_b.record(a_b, b_res)
         if replay is not None:
-            replay.write(
-                replay_record(
-                    env,
-                    episode_id,
-                    steps,
-                    {"red": [int(a) for a in a_r], "blue": [int(a) for a in a_b]},
-                    {"red": r_res.reward, "blue": b_res.reward},
-                    {"red": r_res.info, "blue": b_res.info},
-                    r_res.outcome,
-                )
-            )
+            actions = {"red": [int(a) for a in a_r], "blue": [int(a) for a in a_b]}
+            rewards = {"red": r_res.reward, "blue": b_res.reward}
+            replay.write(replay_record(env, episode_id, steps, actions, rewards, r_res.outcome))
     return EpisodeResult(
         outcome=r_res.outcome,
         length=steps,
@@ -235,15 +227,6 @@ def run_episode(
         red_episode=rec_r.episode(),
         blue_episode=rec_b.episode(),
     )
-
-
-@dataclass
-class EvalResult:
-    wins: int
-    draws: int
-    losses: int
-    mean_return_red: float
-    mean_return_blue: float
 
 
 def evaluate(
@@ -255,12 +238,12 @@ def evaluate(
     engine_config: EngineConfig | None = None,
     reward_config: RewardConfig | None = None,
     replay: ReplayWriter | None = None,
-) -> EvalResult:
+) -> EvalPoint:
     """Greedy head-to-head: no exploration, per-episode seeds from (seed, i).
 
-    Counts are from red's perspective.  When ``blue`` is a pool, blue is
-    redrawn from it for every episode.  With ``replay``, every episode is
-    also written to that replay log.
+    Counts are from red's perspective, in a point with ``env_step`` 0.  When
+    ``blue`` is a pool, blue is redrawn from it for every episode.  With
+    ``replay``, every episode is also written to that replay log.
     """
     if n_episodes < 1:
         raise TrainingError("n_episodes must be >= 1")
@@ -285,7 +268,7 @@ def evaluate(
             draws += 1
         ret_r += ep.return_red
         ret_b += ep.return_blue
-    return EvalResult(wins, draws, losses, ret_r / n_episodes, ret_b / n_episodes)
+    return EvalPoint(0, wins, draws, losses, ret_r / n_episodes, ret_b / n_episodes)
 
 
 def _eval_schedule(total: int, interval: int) -> list[int]:
@@ -344,14 +327,15 @@ def _train(
         while pending and steps >= pending[0]:
             nominal = pending.pop(0)
             if record is not None:
-                res = evaluate(
+                point = evaluate(
                     red, blue, scenario,
                     n_episodes=config.test_episodes,
                     seed=derive_seed(STREAM_EVAL, seed, point_idx),
                     engine_config=config.engine,
                     reward_config=config.reward,
                 )
-                record(EvalPoint(nominal, res.wins, res.draws, res.losses, res.mean_return_red, res.mean_return_blue))
+                point.env_step = nominal
+                record(point)
             point_idx += 1
         if not pending:  # the last scheduled point is the budget itself
             return

@@ -40,21 +40,25 @@ def test_train_then_analyze(tmp_path):
     assert (tmp_path / "analysis" / "summary.json").is_file()
 
 
-def _pit_counts(text):
-    line = next(ln for ln in text.splitlines() if "red wins" in ln).split()
-    return int(line[2]), int(line[4]), int(line[7])
-
-
-def test_eval_and_pit_agree(tmp_path, capsys):
+def test_eval_reports_the_same_with_and_without_a_replay(tmp_path, capsys):
     common = ["--scenario", "3m", "--red", "random", "--blue", "random", "--seed", "0", "--episodes", "8"]
     assert cli.main(["eval", *common]) == 0
-    evaluated = json.loads(capsys.readouterr().out)
-    replay = tmp_path / "pit.jsonl"
-    assert cli.main(["pit", *common, "--replay-out", str(replay)]) == 0
-    pitted = _pit_counts(capsys.readouterr().out)
-    assert pitted == (evaluated["wins"], evaluated["draws"], evaluated["losses"])
+    plain = capsys.readouterr().out
+    replay = tmp_path / "replay.jsonl"
+    assert cli.main(["eval", *common, "--replay-out", str(replay)]) == 0
+    assert capsys.readouterr().out == plain
     episodes = {json.loads(line)["episode"] for line in replay.read_text().splitlines()}
     assert episodes == set(range(8))
+
+
+def test_the_manifest_records_the_thread_settings(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    assert cli.main(["pool", "--scenario", "3m", "--algos", "", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["thread_env"]["OPENBLAS_NUM_THREADS"] == "3"
+    assert manifest["thread_env"]["MKL_NUM_THREADS"] is None
+    assert manifest["cpu_count"] == os.cpu_count()
 
 
 def test_runtime_value_error_exits_1(monkeypatch, capsys):
@@ -96,6 +100,8 @@ def test_runtime_value_error_exits_1(monkeypatch, capsys):
         {"learner": {"epsilon_start": -0.5}},
         {"learner": {"epsilon_end": 2}},
         {"learner": {"hidden": [0]}},
+        {"reward": {"win_bonus": -165}},     # cancelled the 3m health pool: ZeroDivisionError mid-run
+        {"reward": {"scale_target": -20}},   # flipped the sign of every reward
     ],
 )
 def test_config_errors_exit_2(tmp_path, config):
@@ -167,7 +173,7 @@ def test_bench_json_prints_one_line(capsys):
     [
         ["train", "--steps", "-5"], ["train", "--seeds", "0"], ["train", "--test-interval", "0"],
         ["train", "--test-episodes", "0"], ["train", "--jobs", "0"], ["eval", "--episodes", "0"],
-        ["pit", "--episodes", "0"], ["pool", "--steps-per-member", "0"], ["serve", "--episodes", "0"],
+        ["pool", "--steps-per-member", "0"], ["serve", "--episodes", "0"],
         ["serve", "--timeout", "0"], ["serve", "--timeout", "-1.5"], ["serve", "--timeout", "inf"],
         ["bench", "--steps", "0"],
     ],
@@ -189,7 +195,6 @@ def test_out_of_range_numbers_are_usage_errors(argv, capsys):
         ["eval", "--red", "MISSING.npz"],
         ["bench", "--config", "MISSING.json"],
         ["analyze", "--replays", "MISSING.jsonl"],
-        ["pit", "--red", "MISSING.npz"],
     ],
     ids=" ".join,
 )
@@ -291,13 +296,12 @@ def test_mixed_training_against_a_pool_of_another_scenario_is_a_usage_error(tmp_
 
 @pytest.mark.parametrize(
     "kind", ["not a checkpoint", "wrong shape", "format 1", "meta is a list", "no config", "unknown config key",
-             "config out of range"]
+             "config out of range", "no scenario config", "scenario config that does not parse"]
 )
 @pytest.mark.parametrize(
     "argv",
     [
-        ["eval", "--red", "pool/member.npz", "--out", "out/eval.json"],
-        ["pit", "--red", "pool/member.npz", "--replay-out", "out/pit.jsonl"],
+        ["eval", "--red", "pool/member.npz", "--out", "out/eval.json", "--replay-out", "out/replay.jsonl"],
         ["train", "--mode", "mixed", "--pool", "pool", "--steps", "30", "--seeds", "1", "--out", "out"],
     ],
     ids=lambda argv: argv[0],
@@ -305,7 +309,11 @@ def test_mixed_training_against_a_pool_of_another_scenario_is_a_usage_error(tmp_
 def test_checkpoints_that_cannot_load_are_usage_errors(tmp_path, monkeypatch, capsys, argv, kind):
     monkeypatch.chdir(tmp_path)
     team = Team.BLUE if argv[0] == "train" else Team.RED  # pool members play blue
-    learner = make_learner("iql", BattleEnv(get_scenario("3m")).team_spec(team), LearnerConfig(hidden=(8,)))
+    spec = BattleEnv(get_scenario("3m")).team_spec(team)
+    if "scenario" in kind:  # a bot's checkpoint
+        learner = make_learner("bot", spec, scenario=get_scenario("3m"))
+    else:
+        learner = make_learner("iql", spec, LearnerConfig(hidden=(8,)))
     Path("pool").mkdir()
     expect = write_broken_checkpoint(Path("pool/member.npz"), learner, kind)
     Path("pool/pool_manifest.json").write_text(json.dumps({"members": [{"algo": "iql", "file": "member.npz"}]}))
@@ -314,9 +322,9 @@ def test_checkpoints_that_cannot_load_are_usage_errors(tmp_path, monkeypatch, ca
     assert not (tmp_path / "out").exists()
 
 
-def test_pit_creates_the_replay_directory(tmp_path):
+def test_eval_creates_the_replay_directory(tmp_path):
     replay = tmp_path / "nodir" / "x.jsonl"
-    assert cli.main(["pit", "--scenario", "3m", "--episodes", "1", "--replay-out", str(replay)]) == 0
+    assert cli.main(["eval", "--scenario", "3m", "--episodes", "1", "--replay-out", str(replay)]) == 0
     assert replay.read_text().count("\n") >= 1
 
 
@@ -347,13 +355,13 @@ def test_pool_resolves_the_whole_config(tmp_path):
 
 
 def _pipeline(root, config):
-    """train (2 seeds) -> analyze --metrics-dir -> pit --replay-out -> analyze --replays."""
+    """train (2 seeds) -> analyze --metrics-dir -> eval --replay-out -> analyze --replays."""
     train = root / "train"
     assert cli.main(["train", "--scenario", "3m", "--steps", "300", "--seeds", "2", "--test-interval", "150",
                      "--test-episodes", "2", "--config", str(config), "--out", str(train)]) == 0
     assert cli.main(["analyze", "--metrics-dir", str(train), "--out", str(root / "curves")]) == 0
-    replay = root / "pit.jsonl"
-    assert cli.main(["pit", "--scenario", "3m", "--red", str(train / "checkpoint_seed1_iql_red.npz"),
+    replay = root / "replay.jsonl"
+    assert cli.main(["eval", "--scenario", "3m", "--red", str(train / "checkpoint_seed1_iql_red.npz"),
                      "--blue", "bot", "--episodes", "3", "--seed", "4", "--replay-out", str(replay)]) == 0
     assert cli.main(["analyze", "--replays", str(replay), "--out", str(root / "diversity")]) == 0
     outputs = {path.relative_to(root).as_posix(): path.read_bytes()
@@ -369,7 +377,7 @@ def test_pipeline_outputs_are_byte_identical_across_runs(tmp_path):
     config.write_text(json.dumps({"learner": {"hidden": [16], "batch_episodes": 2, "epsilon_anneal_steps": 300}}))
     first = _pipeline(tmp_path / "a", config)
     assert sorted(first[0]) == [
-        "curves/curves.csv", "curves/summary.json", "diversity/pit_diversity.json", "pit.jsonl",
+        "curves/curves.csv", "curves/summary.json", "diversity/replay_diversity.json", "replay.jsonl",
         "train/aggregate.json", "train/metrics_seed0.csv", "train/metrics_seed1.csv",
     ]
     assert sorted(first[1]) == ["checkpoint_seed0_iql_red.npz", "checkpoint_seed1_iql_red.npz"]
@@ -378,10 +386,10 @@ def test_pipeline_outputs_are_byte_identical_across_runs(tmp_path):
 
 
 def test_replay_prints_one_line_per_episode(tmp_path, capsys):
-    replay = tmp_path / "pit.jsonl"
-    assert cli.main(["pit", "--scenario", "3m", "--red", "bot", "--blue", "random", "--episodes", "3",
+    replay = tmp_path / "replay.jsonl"
+    assert cli.main(["eval", "--scenario", "3m", "--red", "bot", "--blue", "random", "--episodes", "3",
                      "--replay-out", str(replay)]) == 0
-    wins = _pit_counts(capsys.readouterr().out)[0]
+    wins = json.loads(capsys.readouterr().out)["wins"]
     assert cli.main(["replay", "--file", str(replay)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines[1:]] == [f"  episode {k}" for k in range(3)]

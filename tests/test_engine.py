@@ -39,6 +39,11 @@ def move(unit, dx, dy):
     return Cmd(unit, MOVE, (dx, dy))
 
 
+def map_pos(world, i):
+    """Unit ``i``'s position in map coordinates (the world stores it centre-origin)."""
+    return float(world.pos_x[i]) + world.half_w, float(world.pos_y[i]) + world.half_h
+
+
 def stop(unit):
     return Cmd(unit, STOP)
 
@@ -167,7 +172,7 @@ def test_apply_heal_rejects_bad_targets():
 def test_move_displacement():
     world = make_world([("marine", Team.RED, (10.0, 10.0)), ("marine", Team.BLUE, (30.0, 30.0))])
     nxt, _ = step(world, [move(0, 1.0, 0.0), stop(1)])
-    assert nxt.unit(0).pos == (11.125, 10.0)  # 2.25 speed x 0.5 dt
+    assert map_pos(nxt, 0) == (11.125, 10.0)  # 2.25 speed x 0.5 dt
     assert nxt.time == 0.5 and nxt.step_count == 1
 
 
@@ -183,12 +188,12 @@ def test_mutual_kill_same_step():
 def test_cooldown_set_on_fire():
     world = make_world([("marine", Team.RED, (10.0, 16.0)), ("marine", Team.BLUE, (14.0, 16.0))])
     nxt, events = step(world, [attack(0, 1), stop(1)])
-    assert nxt.unit(0).weapon_cooldown == 0.86
+    assert nxt.cooldown[0] == 0.86
     assert events.red.damage_dealt == 6.0
     # waiting in range: cooldown ticks down, no second shot until ready
     nxt2, ev2 = step(nxt, [attack(0, 1), stop(1)])
     assert ev2.red.damage_dealt == 0.0
-    assert nxt2.unit(0).weapon_cooldown == pytest.approx(0.36)
+    assert nxt2.cooldown[0] == pytest.approx(0.36)
 
 
 def test_no_double_damage_within_period():
@@ -207,13 +212,13 @@ def test_attack_move_approach_then_fire():
     # out of range: approach along the line, no damage
     world = make_world([("marine", Team.RED, (0.0, 0.0)), ("marine", Team.BLUE, (8.0, 0.0))], arena=(64, 64))
     nxt, events = step(world, [attack(0, 1), stop(1)])
-    assert nxt.unit(0).pos == (1.125, 0.0)
+    assert map_pos(nxt, 0) == (1.125, 0.0)
     assert events.red.damage_dealt == 0.0
 
     # in range and ready: fires immediately without moving
     world = make_world([("marine", Team.RED, (0.0, 0.0)), ("marine", Team.BLUE, (5.0, 0.0))], arena=(64, 64))
     nxt, events = step(world, [attack(0, 1), stop(1)])
-    assert nxt.unit(0).pos == (0.0, 0.0)
+    assert map_pos(nxt, 0) == (0.0, 0.0)
     assert events.red.damage_dealt == 6.0
 
 
@@ -222,11 +227,11 @@ def test_attack_move_two_step_trace():
     world = make_world([("marine", Team.RED, (0.0, 0.0)), ("marine", Team.BLUE, (6.5, 0.0))], arena=(64, 64))
     mid, events = step(world, [attack(0, 1), stop(1)])
     assert events.red.damage_dealt == 0.0
-    assert mid.unit(0).pos == (1.125, 0.0)
-    assert math.dist(mid.unit(0).pos, mid.unit(1).pos) == 5.375
+    assert map_pos(mid, 0) == (1.125, 0.0)
+    assert math.dist(map_pos(mid, 0), map_pos(mid, 1)) == 5.375
     nxt, events = step(mid, [attack(0, 1), stop(1)])
     assert events.red.damage_dealt == 6.0
-    assert nxt.unit(0).pos == (1.125, 0.0)
+    assert map_pos(nxt, 0) == (1.125, 0.0)
 
 
 def test_resolve_attack_move_cases():
@@ -240,12 +245,12 @@ def test_resolve_attack_move_cases():
     world.alive[3] = False
     world.health[3] = 0.0
     approach, events = step(world, [attack(0, 1)])
-    assert approach.unit(0).pos == (1.125, 0.0) and events.red.damage_dealt == 0.0
+    assert map_pos(approach, 0) == (1.125, 0.0) and events.red.damage_dealt == 0.0
     fire, events = step(world, [attack(0, 2)])
-    assert fire.unit(0).pos == (0.0, 0.0) and events.red.damage_dealt == 6.0
+    assert map_pos(fire, 0) == (0.0, 0.0) and events.red.damage_dealt == 6.0
     assert fire.cooldown[0] == MARINE.attack_period
     dissolved, events = step(world, [attack(0, 3)])
-    assert dissolved.unit(0).pos == (0.0, 0.0) and events.red.damage_dealt == 0.0
+    assert map_pos(dissolved, 0) == (0.0, 0.0) and events.red.damage_dealt == 0.0
     assert dissolved.cooldown[0] == 0.0  # no shot: the macro became a stop
 
 
@@ -289,7 +294,7 @@ def test_heal_approaches_out_of_range_patient():
     world.health[1] = 30.0
     nxt, events = step(world, [heal(0, 1), stop(1), stop(2)])
     assert events.red.heals == 0.0
-    assert nxt.unit(0).pos == (1.125, 0.0)
+    assert map_pos(nxt, 0) == (1.125, 0.0)
 
 
 def test_shield_regen_delay_and_clamp():

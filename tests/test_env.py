@@ -293,7 +293,7 @@ def test_medivac_target_codes_heal_and_never_damage():
         red = all_stop(env, Team.RED)
         red[0] = code
         r, _ = env.step(red, all_stop(env, Team.BLUE))
-        assert r.info["damage_dealt"] == 0.0 and r.info["heals"] == 7.0
+        assert env.events.red.damage_dealt == 0.0 and env.events.red.heals == 7.0
         assert (env.world.health[3:] == 45.0).all()
         assert list(np.flatnonzero(env.world.health[1:3] > 20.0)) == [code - TARGET_OFFSET]
 
@@ -363,7 +363,7 @@ def test_damage_only_rewards():
     r, b = env.step(np.array([TARGET_OFFSET, ACTION_STOP]), all_stop(env, Team.BLUE))
     assert r.reward == pytest.approx(6.0 * scale)
     assert b.reward == pytest.approx(-0.5 * 6.0 * scale)
-    assert r.info["damage_dealt"] == 6.0 and b.info["damage_taken"] == 6.0
+    assert env.events.red.damage_dealt == 6.0 and env.events.blue.damage_taken == 6.0
 
 
 def test_reward_formula_example_values():
@@ -488,8 +488,8 @@ def test_state_not_affected_by_sight():
 
 # -- seeded outputs -----------------------------------------------------------------
 
-# sha256 of every result below; any change to an encoding, mask, reward or info
-# byte on any built-in scenario changes it.
+# sha256 of every result below and each step's events; any change to an
+# encoding, mask, reward or event byte on any built-in scenario changes it.
 PINNED_OUTPUT_DIGEST = "331039b748724c25f554fc1b2c58e5075c9047453089d2515a09ace606094314"
 
 
@@ -504,10 +504,11 @@ def seeded_output_digest():
             rng = np.random.default_rng(7)
             results = env.reset(seed=5)
             while True:
-                for res in results:
+                for team, res in zip(Team, results):
                     for array in (res.observations, res.masks, res.state, np.float64(res.reward)):
                         digest.update(array.tobytes())
-                    digest.update(json.dumps([res.info, str(res.outcome)], sort_keys=True).encode())
+                    events = {} if env.events is None else dataclasses.asdict(env.events.for_team(team))
+                    digest.update(json.dumps([events, str(res.outcome)], sort_keys=True).encode())
                 if env.terminated:
                     break
                 r, b = results
@@ -527,17 +528,10 @@ def test_replay_round_trip(tmp_path):
     env.reset(seed=0)
     path = tmp_path / "replay.jsonl"
     with ReplayWriter(path) as writer:
-        writer.write(replay_record(env, 0, 0, None, {"red": 0.0, "blue": 0.0}, None, None))
+        writer.write(replay_record(env, 0, 0, None, {"red": 0.0, "blue": 0.0}, None))
         r, b = env.step(all_stop(env, Team.RED), all_stop(env, Team.BLUE))
-        writer.write(
-            replay_record(
-                env, 0, 1,
-                {"red": [1, 1, 1], "blue": [1, 1, 1]},
-                {"red": r.reward, "blue": b.reward},
-                {"red": r.info, "blue": b.info},
-                r.outcome,
-            )
-        )
+        writer.write(replay_record(env, 0, 1, {"red": [1, 1, 1], "blue": [1, 1, 1]},
+                                   {"red": r.reward, "blue": b.reward}, r.outcome))
     records = read_replay(path)
     assert len(records) == 2
     assert records[0]["v"] == 1
@@ -545,4 +539,7 @@ def test_replay_round_trip(tmp_path):
     unit = records[0]["units"][0]
     assert set(unit) == {"team", "id", "x", "y", "health", "shield", "cooldown", "alive"}
     assert records[1]["actions"]["red"] == [1, 1, 1]
+    assert records[0]["events"] is None  # nothing has happened yet after a reset
+    assert records[1]["events"] == {t: dataclasses.asdict(env.events.for_team(Team[t.upper()])) for t in ("red", "blue")}
+    assert (unit["x"], unit["y"]) == (env.world.pos_x[0] + env.world.half_w, env.world.pos_y[0] + env.world.half_h)
     assert json.dumps(records[1])  # serialisable as-is

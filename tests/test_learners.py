@@ -738,6 +738,14 @@ def write_broken_checkpoint(path, learner, kind: str) -> str:
     elif kind == "meta is a list":
         meta, expect = [json.loads(bytes(arrays["meta"]).decode("utf-8"))], "unusable checkpoint meta: TypeError"
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    elif kind in ("no scenario config", "scenario config that does not parse"):  # a bot's
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        if kind == "no scenario config":
+            del meta["scenario_config"]
+            expect = "unusable checkpoint meta: KeyError"
+        else:
+            meta["scenario_config"], expect = "[red]\nmarines = x\n", "marines must be an integer"
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     else:  # a learner config that is missing or that no learner takes
         meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
         config = json.loads(meta.pop("config"))
@@ -753,9 +761,13 @@ def write_broken_checkpoint(path, learner, kind: str) -> str:
 
 
 @pytest.mark.parametrize("kind", ["not a checkpoint", "wrong shape", "float64 arrays", "format 1", "meta is a list",
-                                  "no config", "unknown config key", "config out of range"])
+                                  "no config", "unknown config key", "config out of range", "no scenario config",
+                                  "scenario config that does not parse"])
 def test_load_refuses_what_the_learner_cannot_use(tmp_path, kind):
-    learner = ValueLearner("qmix", toy_spec(), LearnerConfig(hidden=(8,), mixer_embed=4), seed=0)
+    if "scenario" in kind:  # a bot's checkpoint
+        learner = ScriptedBot(tiny_scenario(), Team.BLUE)
+    else:
+        learner = ValueLearner("qmix", toy_spec(), LearnerConfig(hidden=(8,), mixer_embed=4), seed=0)
     expect = write_broken_checkpoint(tmp_path / "broken.npz", learner, kind)
     with pytest.raises(CheckpointError, match=expect):
         load_learner(tmp_path / "broken.npz")
