@@ -108,17 +108,14 @@ def mean_shift(points: np.ndarray, bandwidth: float) -> np.ndarray:
 class JointActionLog:
     """Per-step joint actions of recorded episodes, one row per step."""
 
-    actions: np.ndarray  # (N, n_agents) int
+    actions: np.ndarray  # (N, n_agents) int, each code below n_actions
     n_actions: int
-    padding_code: int = -1
 
     def one_hot(self) -> np.ndarray:
         n, agents = self.actions.shape
         out = np.zeros((n, agents * self.n_actions))
         for a in range(agents):
-            codes = self.actions[:, a]
-            valid = codes != self.padding_code
-            out[np.arange(n)[valid], a * self.n_actions + codes[valid]] = 1.0
+            out[np.arange(n), a * self.n_actions + self.actions[:, a]] = 1.0
         return out
 
 

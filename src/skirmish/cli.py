@@ -4,18 +4,21 @@ Subcommands: train, eval (``--replay-out`` also records the episodes),
 pool, serve, analyze, scenarios, replay, bench.  A scenario is a built-in
 name or a scenario document file (``--scenario FILE``); the ``--config``
 JSON file overrides the ``engine``, ``reward`` and ``learner`` defaults,
-and command-line flags set the rest.
+and command-line flags set the rest.  ``eval --red/--blue`` and each
+``train --mode mixed --pool`` entry name a policy the one way: ``bot``,
+``random`` or a value learner's checkpoint, such as a ``pool`` member file.
 Every run directory gets a manifest with the fully resolved configuration
 so it can be reproduced bit-for-bit.
 
 Exit codes: 0 success; 2 usage or configuration error, found before the
 run starts (bad flags, a missing input file, a :class:`CliError` such as
-an unknown ``--config`` section or a malformed pool manifest, a
+an unknown ``--config`` section, a
 :class:`~skirmish.config.ConfigError` for a ``--config`` key, type or
 range, a :class:`~skirmish.scenario.ScenarioError`, or a
-:class:`~skirmish.learners.CheckpointError` for a file that is no
-checkpoint, one of another format or one whose learner config no learner
-takes); 1 any other failure while running, domain ``ValueError``
+:class:`~skirmish.learners.CheckpointError` for a directory or a file that
+is no checkpoint, one of another format, one that holds no value learner
+or one whose learner config no learner takes); 1 any other failure while
+running, domain ``ValueError``
 subclasses included.  Commands create the directories they write to, so a
 missing file is always an input, and only once their inputs have loaded,
 so a failed command leaves no output directory behind.
@@ -39,7 +42,8 @@ from . import __version__, nn
 from .engine import EngineConfig, Team
 from .env import BattleEnv, ReplayWriter, RewardConfig
 from .config import ConfigError, read_config
-from .learners import CHECKPOINT_FORMAT, CheckpointError, Learner, LearnerConfig, load_learner, make_learner, save_learner
+from .learners import (CHECKPOINT_FORMAT, VALUE_ALGOS, CheckpointError, Learner, LearnerConfig, load_learner,
+                       make_learner, save_learner)
 from .scenario import ScenarioError, ScenarioSpec, builtin_scenarios, get_scenario, parse_scenario_config
 from .seeding import STREAM_BENCH, STREAM_INIT, derive_seed
 from .training import (
@@ -65,9 +69,6 @@ class CheckpointScenarioMismatch(CliError):
     pass
 
 
-ALGOS = ("iql", "vdn", "qmix")
-
-
 def count(text: str) -> int:
     """argparse type of the counts and budgets: an integer of at least 1."""
     value = int(text)
@@ -77,11 +78,13 @@ def count(text: str) -> int:
 
 
 def algo_list(text: str) -> list[str]:
-    """argparse type of a comma-separated list of learner algorithms, possibly empty."""
+    """argparse type of a comma-separated list of at least one value-learner algorithm."""
     algos = [a for a in text.split(",") if a]
-    unknown = sorted(set(algos) - set(ALGOS))
+    if not algos:
+        raise argparse.ArgumentTypeError("names no algorithm (the bot joins a mixed-mode --pool as 'bot')")
+    unknown = sorted(set(algos) - set(VALUE_ALGOS))
     if unknown:
-        raise argparse.ArgumentTypeError(f"unknown algorithm(s) {', '.join(unknown)} (expected {', '.join(ALGOS)})")
+        raise argparse.ArgumentTypeError(f"unknown algorithm(s) {', '.join(unknown)} (expected {', '.join(VALUE_ALGOS)})")
     return algos
 
 
@@ -113,9 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one side in bot, paired or mixed mode", formatter_class=fmt)
     _add_common(p)
     p.add_argument("--mode", choices=("bot", "paired", "mixed"), default="bot", help="training controller")
-    p.add_argument("--algo", default="iql", choices=ALGOS, help="learning algorithm")
-    p.add_argument("--algo-b", default=None, choices=ALGOS, help="second learner (paired mode)")
-    p.add_argument("--pool", default=None, help="opponent pool directory (mixed mode)")
+    p.add_argument("--algo", default="iql", choices=VALUE_ALGOS, help="learning algorithm")
+    p.add_argument("--algo-b", default=None, choices=VALUE_ALGOS, help="second learner (paired mode)")
+    p.add_argument("--pool", nargs="+", default=None, metavar="POLICY",
+                   help="opponents drawn one per episode (mixed mode): checkpoint paths, 'bot' or 'random'")
     p.add_argument("--steps", type=count, default=300_000, help="training env steps per seed")
     p.add_argument("--seeds", type=count, default=5, help="number of seeded runs")
     p.add_argument("--seed-base", type=int, default=0, help="first seed value")
@@ -137,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--algos", type=algo_list, default="iql,vdn,qmix", help="comma-separated member algorithms")
     p.add_argument("--steps-per-member", type=count, default=150_000, help="training env steps per member")
-    p.add_argument("--no-bot", action="store_true", help="leave the scripted bot out of the pool")
     p.add_argument("--seed", type=int, default=0, help="pool build seed")
     p.add_argument("--out", default="runs/pool", help="output directory")
 
@@ -207,12 +210,13 @@ def _check_fits(learner: Learner, label: str, env: BattleEnv, team: Team) -> Lea
     return learner
 
 
-def _policy(label: str, scenario: ScenarioSpec, team: Team, env: BattleEnv) -> Learner:
-    if label == "bot":
-        return make_learner("bot", env.team_spec(team), scenario=scenario)
-    if label == "random":
-        return make_learner("random", env.team_spec(team))
-    return _check_fits(load_learner(label), f"checkpoint {label}", env, team)
+def _policy(label: str, env: BattleEnv, team: Team) -> Learner:
+    """The frozen policy ``label`` names for ``team`` in ``env``: 'bot', 'random' or a checkpoint path."""
+    if label in ("bot", "random"):
+        return make_learner(label, env.team_spec(team), scenario=env.scenario)
+    learner = _check_fits(load_learner(label), f"checkpoint {label}", env, team)
+    learner.freeze()
+    return learner
 
 
 def _manifest(path: Path, args, extra: dict) -> None:
@@ -276,8 +280,10 @@ def cmd_train(args) -> int:
     scenario, sections = _resolve_run(args)
     config = TrainConfig(total_env_steps=args.steps, test_interval=args.test_interval,
                          test_episodes=args.test_episodes, **sections)
-    pool = (_load_pool(Path(args.pool), BattleEnv(scenario, config.engine, config.reward))
-            if args.mode == "mixed" else None)
+    pool = None
+    if args.mode == "mixed":
+        env = BattleEnv(scenario, config.engine, config.reward)
+        pool = OpponentPool([_policy(label, env, Team.BLUE) for label in args.pool])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seeds = [args.seed_base + k for k in range(args.seeds)]
@@ -307,8 +313,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     scenario, sections = _resolve_run(args)
     env = BattleEnv(scenario, sections["engine"], sections["reward"])
-    red = _policy(args.red, scenario, Team.RED, env)
-    blue = _policy(args.blue, scenario, Team.BLUE, env)
+    red = _policy(args.red, env, Team.RED)
+    blue = _policy(args.blue, env, Team.BLUE)
     if args.replay_out:
         Path(args.replay_out).parent.mkdir(parents=True, exist_ok=True)
     with ReplayWriter(args.replay_out) if args.replay_out else contextlib.nullcontext() as writer:
@@ -328,51 +334,20 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _load_pool(directory: Path, env: BattleEnv) -> OpponentPool:
-    """The frozen members in ``directory``; each must fit blue in ``env``."""
-    manifest_path = directory / "pool_manifest.json"
-    if not manifest_path.is_file():
-        raise CliError(f"{directory} has no pool_manifest.json")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
-        manifest = None
-    entries = manifest.get("members") if isinstance(manifest, dict) else None
-    if not (isinstance(entries, list) and entries and all(
-            isinstance(e, dict) and isinstance(e.get("file"), str) and isinstance(e.get("algo"), str) for e in entries)):
-        raise CliError(f"{manifest_path} must be a JSON object whose members list gives each file and algo")
-    members = []
-    names = []
-    for entry in entries:
-        learner = _check_fits(load_learner(directory / entry["file"]), f"pool member {entry['file']}", env, Team.BLUE)
-        learner.freeze()
-        members.append(learner)
-        names.append(entry["algo"])
-    return OpponentPool(members=members, names=names)
-
-
 def cmd_pool(args) -> int:
     scenario, sections = _resolve_run(args)
     config = TrainConfig(total_env_steps=args.steps_per_member, **sections)
-    if not args.algos and args.no_bot:
-        raise CliError("empty pool: pass --algos or leave out --no-bot")
-    pool = build_opponent_pool(scenario, args.algos, not args.no_bot, config, seed=args.seed)
+    members = build_opponent_pool(scenario, args.algos, config, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
-    for name, member in zip(pool.names, pool.members):
-        filename = f"member_{len(entries)}_{name}.npz"
+    for k, member in enumerate(members):
+        filename = f"member_{k}_{member.algo}.npz"
         save_learner(out / filename, member, {"pool_seed": args.seed})
-        entries.append({
-            "algo": name, "file": filename, "scenario": scenario.name,
-            "steps": member.env_steps, "hash": member.checkpoint_hash(),
-        })
-    (out / "pool_manifest.json").write_text(
-        json.dumps({"scenario": scenario.name, "seed": args.seed, "members": entries}, indent=2),
-        encoding="utf-8",
-    )
-    _manifest(out / "manifest.json", args, {})
-    print(f"built pool of {len(entries)} members in {out}")
+        entries.append({"algo": member.algo, "file": filename, "steps": member.env_steps,
+                        "hash": member.checkpoint_hash()})
+    _manifest(out / "manifest.json", args, {"members": entries})
+    print(f"built pool of {len(entries)} members in {out}:", *(out / e["file"] for e in entries))
     return 0
 
 

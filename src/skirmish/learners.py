@@ -13,7 +13,8 @@ evaluates each distinct input row of its batch once; the rows of agents
 whose observation is all zero are keyed by agent and last action.  The
 update computes in its networks' dtype, float32, as PyMARL's learners do.
 :func:`save_learner` and :func:`load_learner` are the one checkpoint
-format for all of them.
+format, and only the Q-learners (:data:`VALUE_ALGOS`) have checkpoints: the
+bot and the random policy are named, not saved.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import nn
 from .config import ConfigError, read_config
 from .engine import Team
 from .env import ACTION_MOVE_EAST, ACTION_NOOP, ACTION_STOP, TARGET_OFFSET, TeamSpec, ally_slots, team_layout
-from .scenario import ScenarioSpec, parse_scenario_config, scenario_config
+from .scenario import ScenarioSpec
 from .seeding import STREAM_INIT, derive_seed
 
 
@@ -195,10 +196,8 @@ class ScriptedBot(Learner):
         enemies = scenario.team_units(team.other)
         layout = team_layout(scenario, team)
         A = layout.n_agents
-        self.scenario = scenario
         self.team = team
         super().__init__(layout.team_spec(team, scenario.name))
-        self.enemy_pool = np.array([s.max_health + s.max_shield for s in enemies])
         self.enemy_max_h = np.array([s.max_health for s in enemies])
         self.enemy_max_s = np.array([s.max_shield for s in enemies])
         self.is_healer = np.array([u.is_healer for u in units])
@@ -308,6 +307,8 @@ def _mixer_backward(mixer: tuple[nn.Mlp, ...], cache: dict, d_qtot: np.ndarray) 
 
 # -- the value learner ---------------------------------------------------------
 
+VALUE_ALGOS = ("iql", "vdn", "qmix")
+
 
 class ValueLearner(Learner):
     """Shared-parameter episodic Q-learner; ``algo`` picks the mixing rule.
@@ -318,7 +319,7 @@ class ValueLearner(Learner):
     """
 
     def __init__(self, algo: str, team_spec: TeamSpec, config: LearnerConfig, seed: int):
-        if algo not in ("iql", "vdn", "qmix"):
+        if algo not in VALUE_ALGOS:
             raise LearnerError(f"unknown value learner {algo!r}")
         super().__init__(team_spec)
         self.frozen = False
@@ -495,8 +496,6 @@ def team_td_train_step(learner: ValueLearner, episodes: list[TeamEpisode]) -> fl
 
 # -- construction and checkpoints --------------------------------------------
 
-ALGORITHMS = ("iql", "vdn", "qmix", "bot", "random")
-
 
 def make_learner(
     algo: str,
@@ -506,7 +505,7 @@ def make_learner(
     scenario: ScenarioSpec | None = None,
 ) -> Learner:
     config = config or LearnerConfig()
-    if algo in ("iql", "vdn", "qmix"):
+    if algo in VALUE_ALGOS:
         return ValueLearner(algo, team_spec, config, seed)
     if algo == "random":
         return RandomPolicy(team_spec)
@@ -514,7 +513,7 @@ def make_learner(
         if scenario is None:
             raise LearnerError("the scripted bot needs the scenario")
         return ScriptedBot(scenario, team_spec.team)
-    raise LearnerError(f"unknown algorithm {algo!r} (expected one of {ALGORITHMS})")
+    raise LearnerError(f"unknown algorithm {algo!r} (expected one of {(*VALUE_ALGOS, 'bot', 'random')})")
 
 
 # Format 1 held float64 parameters; format 2 holds the float32 ones the learners train.
@@ -522,15 +521,17 @@ CHECKPOINT_FORMAT = 2
 
 
 def save_learner(path, learner: Learner, notes: dict | None = None) -> None:
-    """One-file checkpoint, format :data:`CHECKPOINT_FORMAT`: an ``.npz`` archive.
+    """A value learner's one-file checkpoint, format :data:`CHECKPOINT_FORMAT`: an ``.npz`` archive.
 
     It holds ``format_version``, the parameter arrays ``p0, p1, ...`` in
-    ``parameter_arrays()`` order and in the learner's dtype (float32), for a
-    value learner its Adam state (``opt_scalars`` and the moments ``opt_m<i>``
-    and ``opt_v<i>``, shaped and typed as their parameters), and ``meta``,
-    the UTF-8 JSON manifest that rebuilds the learner and also carries
+    ``parameter_arrays()`` order and in the learner's dtype (float32), the
+    Adam state (``opt_scalars`` and the moments ``opt_m<i>`` and
+    ``opt_v<i>``, shaped and typed as their parameters), and ``meta``, the
+    UTF-8 JSON manifest that rebuilds the learner and also carries
     ``notes``.
     """
+    if not isinstance(learner, ValueLearner):
+        raise LearnerError(f"the {learner.algo} policy has no checkpoint; name it {learner.algo!r}")
     spec = learner.team_spec
     meta = {
         "algo": learner.algo,
@@ -544,19 +545,16 @@ def save_learner(path, learner: Learner, notes: dict | None = None) -> None:
         "env_steps": learner.env_steps,
     }
     meta.update(notes or {})
+    meta.update(config=learner.config.to_json(), train_steps=learner.train_steps, seed=learner.seed)
     arrays: dict[str, np.ndarray] = {"format_version": np.array([CHECKPOINT_FORMAT], dtype=np.int64)}
     for i, p in enumerate(learner.parameter_arrays()):
         arrays[f"p{i}"] = p
-    if isinstance(learner, ValueLearner):
-        meta.update(config=learner.config.to_json(), train_steps=learner.train_steps, seed=learner.seed)
-        arrays["opt_scalars"] = np.array(
-            [learner.opt.lr, learner.opt.beta1, learner.opt.beta2, learner.opt.eps, float(learner.opt.step)]
-        )
-        for i, (m, v) in enumerate(zip(learner.opt.m, learner.opt.v)):
-            arrays[f"opt_m{i}"] = m
-            arrays[f"opt_v{i}"] = v
-    if isinstance(learner, ScriptedBot):
-        meta["scenario_config"] = scenario_config(learner.scenario)
+    arrays["opt_scalars"] = np.array(
+        [learner.opt.lr, learner.opt.beta1, learner.opt.beta2, learner.opt.eps, float(learner.opt.step)]
+    )
+    for i, (m, v) in enumerate(zip(learner.opt.m, learner.opt.v)):
+        arrays[f"opt_m{i}"] = m
+        arrays[f"opt_v{i}"] = v
     blob = json.dumps(meta, sort_keys=True)
     arrays["meta"] = np.frombuffer(blob.encode("utf-8"), dtype=np.uint8)
     np.savez(path, **arrays)
@@ -572,15 +570,19 @@ def _stored(data, key: str, like: np.ndarray, path) -> np.ndarray:
     return stored
 
 
-def load_learner(path) -> Learner:
+def load_learner(path) -> ValueLearner:
     """The learner :func:`save_learner` wrote to ``path``.
 
-    Raises :class:`CheckpointError` for a file that is no checkpoint, one of
-    another format (format 1 held float64 parameters and is not converted)
-    and one whose arrays do not fit the learner its manifest describes.
+    Raises :class:`CheckpointError` for a directory or a file that is no
+    checkpoint, one of another format (format 1 held float64 parameters and
+    is not converted), one that holds no value learner and one whose arrays
+    do not fit the learner its manifest describes.
     """
     try:
         data = np.load(path)
+    except IsADirectoryError as exc:
+        raise CheckpointError(f"{path} is a directory, not a checkpoint: name the checkpoint files in it, "
+                              "such as a pool's member_0_iql.npz") from exc
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # ValueError: pickled or malformed data
         raise CheckpointError(f"{path} is not a checkpoint: not an .npz archive") from exc
     if not isinstance(data, np.lib.npyio.NpzFile):  # a plain .npy array
@@ -606,29 +608,25 @@ def load_learner(path) -> Learner:
                 scenario=meta["scenario"],
             )
             algo = meta["algo"]
-            if algo == "bot":
-                scenario = parse_scenario_config(meta["scenario_config"])
-            elif algo != "random":
+            if algo in VALUE_ALGOS:
                 config = read_config(LearnerConfig, json.loads(meta["config"]), "learner config")
-        except (ValueError, KeyError, TypeError) as exc:  # ValueError includes the ConfigError and ScenarioError
+        except (ValueError, KeyError, TypeError) as exc:  # ValueError includes the ConfigError
             raise CheckpointError(f"{path}: unusable checkpoint meta: {exc!r}") from exc
-        if algo == "bot":
-            learner: Learner = ScriptedBot(scenario, team_spec.team)
-        elif algo == "random":
-            learner = RandomPolicy(team_spec)
-        else:
-            learner = ValueLearner(algo, team_spec, config, seed=meta.get("seed", 0))
-            params = learner.parameter_arrays()
-            for i, p in enumerate(params):
-                np.copyto(p, _stored(data, f"p{i}", p, path))
-            learner.sync_targets()
-            if "opt_scalars" in data:
-                lr, b1, b2, eps, step = data["opt_scalars"]
-                learner.opt = nn.OptimState(
-                    lr=float(lr), beta1=float(b1), beta2=float(b2), eps=float(eps), step=int(step),
-                    m=[_stored(data, f"opt_m{i}", p, path) for i, p in enumerate(params)],
-                    v=[_stored(data, f"opt_v{i}", p, path) for i, p in enumerate(params)],
-                )
-            learner.train_steps = meta.get("train_steps", 0)
+        if algo not in VALUE_ALGOS:  # earlier versions also saved the bot and the random policy
+            hint = f": name it {algo!r}" if algo in ("bot", "random") else ""
+            raise CheckpointError(f"{path} holds the {algo!r} policy, and only {', '.join(VALUE_ALGOS)} "
+                                  f"have checkpoints{hint}")
+        learner = ValueLearner(algo, team_spec, config, seed=meta.get("seed", 0))
+        params = learner.parameter_arrays()
+        for i, p in enumerate(params):
+            np.copyto(p, _stored(data, f"p{i}", p, path))
+        learner.sync_targets()
+        lr, b1, b2, eps, step = _stored(data, "opt_scalars", np.zeros(5), path)
+        learner.opt = nn.OptimState(
+            lr=float(lr), beta1=float(b1), beta2=float(b2), eps=float(eps), step=int(step),
+            m=[_stored(data, f"opt_m{i}", p, path) for i, p in enumerate(params)],
+            v=[_stored(data, f"opt_v{i}", p, path) for i, p in enumerate(params)],
+        )
+        learner.train_steps = meta.get("train_steps", 0)
         learner.env_steps = meta.get("env_steps", 0)
     return learner

@@ -12,7 +12,7 @@ greedy :func:`evaluate` set, and the caller records the result.
 * :func:`train_mixed`: red learns against a per-episode pool draw, and
   evaluation draws from the pool too;
 * :func:`build_opponent_pool`: each member learns as blue against the red
-  bot, unevaluated, and is then frozen.
+  bot, unevaluated, and is then frozen; the bot joins a pool as one more member.
 
 Every run is reproducible from its seed, because episode seeds,
 exploration, opponent draws and evaluation each use their own derived
@@ -283,14 +283,13 @@ class OpponentPool:
     """Frozen opponents for the mixed mode; one is drawn per episode."""
 
     members: list[Learner]
-    names: list[str]
 
     def __post_init__(self):
         if not self.members:
             raise TrainingError("opponent pool must not be empty")
-        for name, member in zip(self.names, self.members):
+        for k, member in enumerate(self.members):
             if not member.frozen:
-                raise MutablePoolMember(f"pool member {name!r} is not frozen")
+                raise MutablePoolMember(f"pool member {k} ({member.algo}) is not frozen")
 
     def draw(self, rng) -> Learner:
         return self.members[int(rng.integers(0, len(self.members)))]
@@ -403,19 +402,14 @@ def train_mixed(
     return metrics
 
 
-def build_opponent_pool(
-    scenario, algos: Sequence[str], include_bot: bool, config: TrainConfig, seed: int = 0
-) -> OpponentPool:
-    """Train one blue member per algorithm against the red bot, then freeze it.
+def build_opponent_pool(scenario, algos: Sequence[str], config: TrainConfig, seed: int = 0) -> list[Learner]:
+    """Train one blue member per algorithm against the red bot, freeze it, and return the members in order.
 
     Each member trains for ``config.total_env_steps`` with ``config``'s
     learner, engine and reward settings, and is not evaluated.  Members
     are trained as blue so their shapes fit the opponent slot even on
-    asymmetric scenarios.  With ``include_bot``, the blue scripted bot
-    joins the pool last.
+    asymmetric scenarios.
     """
-    if not algos and not include_bot:
-        raise TrainingError("empty pool recipe")
     spec = BattleEnv(scenario, config.engine, config.reward).team_spec(Team.BLUE)
     members: list[Learner] = []
     for k, algo_name in enumerate(algos):
@@ -424,11 +418,7 @@ def build_opponent_pool(
         _train(ScriptedBot(scenario, Team.RED), learner, scenario, config, member_seed)
         learner.freeze()
         members.append(learner)
-    names = list(algos)
-    if include_bot:
-        members.append(ScriptedBot(scenario, Team.BLUE))
-        names.append("bot")
-    return OpponentPool(members=members, names=names)
+    return members
 
 
 # -- aggregation and persistence ----------------------------------------------

@@ -1,11 +1,22 @@
 """Run aggregation on hand-written metrics files; diversity analysis: PCA against
-scipy's eigensolver, and mean-shift clustering."""
+scipy's eigensolver, mean-shift clustering, and joint-action logs from replays."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from skirmish.analysis import ADVANTAGE_MARGIN, aggregate_runs, mean_shift, pca_2d
+from skirmish.analysis import (
+    ADVANTAGE_MARGIN,
+    AnalysisError,
+    JointActionLog,
+    action_diversity,
+    aggregate_runs,
+    log_from_replay,
+    mean_shift,
+    pca_2d,
+)
+from skirmish.env import BattleEnv, replay_record
+from skirmish.scenario import get_scenario
 
 
 def blobs(centres, n=30, spread=0.3, seed=0):
@@ -50,6 +61,35 @@ def test_mean_shift_shuffle_permutes_labels_but_keeps_the_partition(seed):
     assert same_partition(labels, truth)
     assert same_partition(shuffled, labels[order])
     assert shuffled[0] == 0  # labels follow first appearance in the caller's order
+
+
+def test_one_repeated_joint_action_is_one_cluster():
+    report = action_diversity(JointActionLog(np.tile([1, 4, 2], (20, 1)), 5))  # zero variance: no PCA
+    assert (report.n_clusters, report.bandwidth) == (1, 0.0)
+    assert not report.labels.any() and not report.projection.any()
+
+
+def test_bandwidth_0_gives_one_cluster():
+    actions = np.random.default_rng(0).integers(0, 5, (40, 3))
+    report = action_diversity(JointActionLog(actions, 5), bandwidth=0.0)
+    assert report.n_clusters == 1 and not report.labels.any()
+    assert report.explained_variance.sum() > 0  # the rows did vary
+
+
+def test_two_separated_joint_action_patterns_give_two_clusters():
+    patterns = np.array([[0, 0, 1], [4, 3, 4]])
+    truth = np.arange(30) % 2
+    report = action_diversity(JointActionLog(patterns[truth], 5))  # the adaptive bandwidth
+    assert report.n_clusters == 2
+    assert same_partition(report.labels, truth)
+
+
+def test_a_replay_with_no_recorded_actions_is_refused():
+    env = BattleEnv(get_scenario("3m"))
+    env.reset(0)
+    first = replay_record(env, 0, 0, None, {"red": 0.0, "blue": 0.0}, None)  # a reset line carries no actions
+    with pytest.raises(AnalysisError, match="no recorded actions"):
+        log_from_replay([first, first])
 
 
 def metrics_csv(directory, scenario, algo, opponent, seed, wins, episodes=32):

@@ -17,6 +17,7 @@ from skirmish.env import BattleEnv, UnavailableAction
 from skirmish.learners import LearnerConfig, load_learner, make_learner
 from skirmish.protocol import bot_client, client_loop
 from skirmish.scenario import get_scenario
+from skirmish.training import read_metrics_csv
 
 from test_learners import write_broken_checkpoint
 
@@ -54,7 +55,8 @@ def test_eval_reports_the_same_with_and_without_a_replay(tmp_path, capsys):
 def test_the_manifest_records_the_thread_settings(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-    assert cli.main(["pool", "--scenario", "3m", "--algos", "", "--out", str(tmp_path)]) == 0
+    assert cli.main(["pool", "--scenario", "3m", "--algos", "iql", "--steps-per-member", "30",
+                     "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["thread_env"]["OPENBLAS_NUM_THREADS"] == "3"
     assert manifest["thread_env"]["MKL_NUM_THREADS"] is None
@@ -193,6 +195,7 @@ def test_out_of_range_numbers_are_usage_errors(argv, capsys):
     [
         ["replay", "--file", "MISSING.jsonl"],
         ["eval", "--red", "MISSING.npz"],
+        ["train", "--mode", "mixed", "--pool", "bot", "MISSING.npz"],
         ["bench", "--config", "MISSING.json"],
         ["analyze", "--replays", "MISSING.jsonl"],
     ],
@@ -215,7 +218,7 @@ def _exit_code(argv):
     "argv",
     [
         ["pool", "--algos", "bogus"],
-        ["pool", "--algos", "", "--no-bot"],
+        ["pool", "--algos="],  # no algorithm: the bot joins a mixed-mode --pool by name
         ["analyze"],
         ["analyze", "--metrics-dir", "."],  # a directory with no metrics CSV in it
     ],
@@ -228,10 +231,7 @@ def test_bad_pool_and_analyze_inputs_are_usage_errors(argv, tmp_path, monkeypatc
 
 # Inputs the cases below may name, each wrong in one way.
 _BAD_INPUTS = {
-    "notjson/pool_manifest.json": "not json",
-    "nomembers/pool_manifest.json": json.dumps({"scenario": "3m"}),
-    "nofile/pool_manifest.json": json.dumps({"members": [{"algo": "iql"}]}),
-    "noalgo/pool_manifest.json": json.dumps({"members": [{"file": "member_0_iql.npz"}]}),
+    "pool/manifest.json": "{}",  # a pool directory, named where its member files belong
     "wide.ini": "[scenario]\nbase = 3m\nspawn_spread = 10.2\n",
     "count.ini": "[scenario]\nbase = 3m\n\n[red]\nmarines = x\n",
     "batch.json": json.dumps({"learner": {"batch_episodes": 0}}),
@@ -245,11 +245,9 @@ _BAD_INPUTS = {
     [
         ["analyze", "--replays", "MISSING.jsonl", "--out", "out"],
         ["analyze", "--out", "out"],
-        ["train", "--mode", "mixed", "--pool", "NOPOOL", "--out", "out"],
-        ["train", "--mode", "mixed", "--pool", "notjson", "--out", "out"],
-        ["train", "--mode", "mixed", "--pool", "nomembers", "--out", "out"],
-        ["train", "--mode", "mixed", "--pool", "nofile", "--out", "out"],
-        ["train", "--mode", "mixed", "--pool", "noalgo", "--out", "out"],
+        ["train", "--mode", "mixed", "--pool", "NOPOOL", "--out", "out"],  # a member file that does not exist
+        ["train", "--mode", "mixed", "--pool", "pool", "--out", "out"],
+        ["eval", "--red", "pool", "--out", "out/eval.json"],
         ["train", "--scenario", "wide.ini", "--out", "out"],
         ["train", "--scenario", "count.ini", "--out", "out"],
         ["train", "--config", "batch.json", "--out", "out"],
@@ -288,35 +286,30 @@ def test_eval_with_a_checkpoint_of_another_scenario_is_a_usage_error(tmp_path, m
 def test_mixed_training_against_a_pool_of_another_scenario_is_a_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["pool", "--scenario", "3m", "--algos", "iql", "--steps-per-member", "30", "--out", "pool"]) == 0
-    assert cli.main(["train", "--mode", "mixed", "--pool", "pool", "--scenario", "8m", "--steps", "30",
-                     "--seeds", "1", "--out", "out"]) == 2
-    assert "pool member member_0_iql.npz was saved for blue on '3m'" in capsys.readouterr().err
+    assert cli.main(["train", "--mode", "mixed", "--pool", "pool/member_0_iql.npz", "--scenario", "8m",
+                     "--steps", "30", "--seeds", "1", "--out", "out"]) == 2
+    assert "checkpoint pool/member_0_iql.npz was saved for blue on '3m'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
     "kind", ["not a checkpoint", "wrong shape", "format 1", "meta is a list", "no config", "unknown config key",
-             "config out of range", "no scenario config", "scenario config that does not parse"]
+             "config out of range", "no scenario config", "scenario config that does not parse", "random checkpoint"]
 )
 @pytest.mark.parametrize(
     "argv",
     [
         ["eval", "--red", "pool/member.npz", "--out", "out/eval.json", "--replay-out", "out/replay.jsonl"],
-        ["train", "--mode", "mixed", "--pool", "pool", "--steps", "30", "--seeds", "1", "--out", "out"],
+        ["train", "--mode", "mixed", "--pool", "pool/member.npz", "--steps", "30", "--seeds", "1", "--out", "out"],
     ],
     ids=lambda argv: argv[0],
 )
 def test_checkpoints_that_cannot_load_are_usage_errors(tmp_path, monkeypatch, capsys, argv, kind):
     monkeypatch.chdir(tmp_path)
     team = Team.BLUE if argv[0] == "train" else Team.RED  # pool members play blue
-    spec = BattleEnv(get_scenario("3m")).team_spec(team)
-    if "scenario" in kind:  # a bot's checkpoint
-        learner = make_learner("bot", spec, scenario=get_scenario("3m"))
-    else:
-        learner = make_learner("iql", spec, LearnerConfig(hidden=(8,)))
+    learner = make_learner("iql", BattleEnv(get_scenario("3m")).team_spec(team), LearnerConfig(hidden=(8,)))
     Path("pool").mkdir()
     expect = write_broken_checkpoint(Path("pool/member.npz"), learner, kind)
-    Path("pool/pool_manifest.json").write_text(json.dumps({"members": [{"algo": "iql", "file": "member.npz"}]}))
     assert cli.main([*argv, "--scenario", "3m"]) == 2
     assert expect in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -338,7 +331,8 @@ def test_scenario_errors_exit_2(tmp_path):
 def test_pool_resolves_the_whole_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"engine": {"bogus": 1}}))
-    assert cli.main(["pool", "--algos", "", "--config", str(bad), "--out", str(tmp_path / "bad")]) == 2
+    assert cli.main(["pool", "--algos", "iql", "--config", str(bad), "--out", str(tmp_path / "bad")]) == 2
+    assert not (tmp_path / "bad").exists()
 
     # A [reward] override reaches the members: the same seed trains a different network.
     learner = {"hidden": [8], "batch_episodes": 1}
@@ -348,9 +342,9 @@ def test_pool_resolves_the_whole_config(tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(config))
         out = tmp_path / name
-        assert cli.main(["pool", "--algos", "iql", "--no-bot", "--steps-per-member", "60",
+        assert cli.main(["pool", "--algos", "iql", "--steps-per-member", "60",
                          "--config", str(path), "--out", str(out)]) == 0
-        hashes.append(json.loads((out / "pool_manifest.json").read_text())["members"][0]["hash"])
+        hashes.append(json.loads((out / "manifest.json").read_text())["members"][0]["hash"])
     assert hashes[0] != hashes[1]
 
 
@@ -383,6 +377,56 @@ def test_pipeline_outputs_are_byte_identical_across_runs(tmp_path):
     assert sorted(first[1]) == ["checkpoint_seed0_iql_red.npz", "checkpoint_seed1_iql_red.npz"]
     assert len(set(first[1].values())) == 2  # the seeds train different networks
     assert _pipeline(tmp_path / "b", config) == first
+
+
+def test_paired_training_writes_both_sides_of_every_seed(tmp_path):
+    out = tmp_path / "paired"
+    assert cli.main(["train", "--mode", "paired", "--algo", "iql", "--algo-b", "qmix", "--scenario", "3m",
+                     "--steps", "60", "--seeds", "2", "--seed-base", "3", "--test-interval", "30",
+                     "--test-episodes", "2", "--out", str(out)]) == 0
+    assert sorted(path.name for path in out.glob("*.csv")) == [
+        "metrics_seed3_blue.csv", "metrics_seed3_red.csv", "metrics_seed4_blue.csv", "metrics_seed4_red.csv",
+    ]
+    assert sorted(path.name for path in out.glob("*.npz")) == [
+        "checkpoint_seed3_iql_red.npz", "checkpoint_seed3_qmix_blue.npz",
+        "checkpoint_seed4_iql_red.npz", "checkpoint_seed4_qmix_blue.npz",
+    ]
+    for seed in (3, 4):
+        red = read_metrics_csv(out / f"metrics_seed{seed}_red.csv")
+        blue = read_metrics_csv(out / f"metrics_seed{seed}_blue.csv")
+        assert (red.algo_red, red.algo_blue, blue.algo_red, blue.algo_blue) == ("iql", "qmix", "qmix", "iql")
+        assert [p.env_step for p in red.points] == [p.env_step for p in blue.points] == [0, 30, 60]
+        for r, b in zip(red.points, blue.points):
+            assert (r.wins, r.draws, r.losses) == (b.losses, b.draws, b.wins)
+            assert (r.mean_return_red, r.mean_return_blue) == (b.mean_return_blue, b.mean_return_red)
+
+
+def _pool_then_mixed(root, config):
+    """pool (iql, vdn) -> train --mode mixed against both members and the bot (2 seeds)."""
+    pool = root / "pool"
+    assert cli.main(["pool", "--scenario", "3m", "--algos", "iql,vdn", "--steps-per-member", "60", "--seed", "3",
+                     "--config", str(config), "--out", str(pool)]) == 0
+    members = json.loads((pool / "manifest.json").read_text())["members"]
+    assert [(m["algo"], m["file"]) for m in members] == [("iql", "member_0_iql.npz"), ("vdn", "member_1_vdn.npz")]
+    assert cli.main(["train", "--mode", "mixed", "--pool", *(str(pool / m["file"]) for m in members), "bot",
+                     "--algo", "qmix", "--scenario", "3m", "--steps", "120", "--seeds", "2", "--test-interval", "60",
+                     "--test-episodes", "2", "--config", str(config), "--out", str(root / "mixed")]) == 0
+    assert read_metrics_csv(root / "mixed" / "metrics_seed1.csv").algo_blue == "pool"
+    outputs = {path.relative_to(root).as_posix(): path.read_bytes()
+               for path in sorted(root.rglob("*")) if path.is_file() and path.name != "manifest.json"}
+    return outputs, members  # manifests record the output paths; compare the members they list
+
+
+@pytest.mark.slow
+def test_pool_then_mixed_outputs_are_byte_identical_across_runs(tmp_path):
+    config = tmp_path / "learner.json"
+    config.write_text(json.dumps({"learner": {"hidden": [16], "batch_episodes": 2, "epsilon_anneal_steps": 100}}))
+    first = _pool_then_mixed(tmp_path / "a", config)
+    assert sorted(first[0]) == [
+        "mixed/aggregate.json", "mixed/checkpoint_seed0_qmix_red.npz", "mixed/checkpoint_seed1_qmix_red.npz",
+        "mixed/metrics_seed0.csv", "mixed/metrics_seed1.csv", "pool/member_0_iql.npz", "pool/member_1_vdn.npz",
+    ]
+    assert _pool_then_mixed(tmp_path / "b", config) == first
 
 
 def test_replay_prints_one_line_per_episode(tmp_path, capsys):

@@ -15,6 +15,7 @@ from skirmish.learners import (
     CHECKPOINT_FORMAT,
     CheckpointError,
     LearnerConfig,
+    LearnerError,
     NoAvailableAction,
     RandomPolicy,
     ScriptedBot,
@@ -738,14 +739,18 @@ def write_broken_checkpoint(path, learner, kind: str) -> str:
     elif kind == "meta is a list":
         meta, expect = [json.loads(bytes(arrays["meta"]).decode("utf-8"))], "unusable checkpoint meta: TypeError"
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    elif kind in ("no scenario config", "scenario config that does not parse"):  # a bot's
+    elif kind in ("no scenario config", "scenario config that does not parse", "random checkpoint"):
+        # A bot's or the random policy's checkpoint as earlier versions wrote it: meta and no arrays.
+        # Whatever its scenario config holds, a bot's is refused by name.
+        algo = "random" if kind == "random checkpoint" else "bot"
         meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-        if kind == "no scenario config":
-            del meta["scenario_config"]
-            expect = "unusable checkpoint meta: KeyError"
-        else:
-            meta["scenario_config"], expect = "[red]\nmarines = x\n", "marines must be an integer"
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        for key in ("config", "train_steps", "seed"):
+            del meta[key]
+        meta["algo"], expect = algo, f"name it '{algo}'"
+        if kind == "scenario config that does not parse":
+            meta["scenario_config"] = "[red]\nmarines = x\n"
+        arrays = {"format_version": arrays["format_version"],
+                  "meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
     else:  # a learner config that is missing or that no learner takes
         meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
         config = json.loads(meta.pop("config"))
@@ -762,12 +767,9 @@ def write_broken_checkpoint(path, learner, kind: str) -> str:
 
 @pytest.mark.parametrize("kind", ["not a checkpoint", "wrong shape", "float64 arrays", "format 1", "meta is a list",
                                   "no config", "unknown config key", "config out of range", "no scenario config",
-                                  "scenario config that does not parse"])
+                                  "scenario config that does not parse", "random checkpoint"])
 def test_load_refuses_what_the_learner_cannot_use(tmp_path, kind):
-    if "scenario" in kind:  # a bot's checkpoint
-        learner = ScriptedBot(tiny_scenario(), Team.BLUE)
-    else:
-        learner = ValueLearner("qmix", toy_spec(), LearnerConfig(hidden=(8,), mixer_embed=4), seed=0)
+    learner = ValueLearner("qmix", toy_spec(), LearnerConfig(hidden=(8,), mixer_embed=4), seed=0)
     expect = write_broken_checkpoint(tmp_path / "broken.npz", learner, kind)
     with pytest.raises(CheckpointError, match=expect):
         load_learner(tmp_path / "broken.npz")
@@ -780,6 +782,8 @@ def test_load_refuses_a_file_that_is_no_archive(tmp_path):
     np.save(tmp_path / "array.npy", np.zeros(3))
     with pytest.raises(CheckpointError, match="not an .npz archive"):
         load_learner(tmp_path / "array.npy")
+    with pytest.raises(CheckpointError, match="is a directory, not a checkpoint: name the checkpoint files in it"):
+        load_learner(tmp_path)
 
 
 def test_config_with_an_unknown_key_is_rejected_by_name():
@@ -809,14 +813,13 @@ def test_learner_config_accepts_the_edges_of_its_ranges():
     LearnerConfig(gamma=1.0, epsilon_start=0.0, epsilon_end=1.0)
 
 
-def test_bot_checkpoint_round_trip(tmp_path):
+@pytest.mark.parametrize("algo", ["bot", "random"])
+def test_only_value_learners_have_checkpoints(tmp_path, algo):
     scn = tiny_scenario()
-    bot = ScriptedBot(scn, Team.BLUE)
-    save_learner(tmp_path / "bot.npz", bot)
-    loaded = load_learner(tmp_path / "bot.npz")
-    assert isinstance(loaded, ScriptedBot)
-    assert loaded.team_spec == bot.team_spec
-    assert loaded.scenario == scn
+    policy = make_learner(algo, BattleEnv(scn).team_spec(Team.BLUE), scenario=scn)
+    with pytest.raises(LearnerError, match=f"name it '{algo}'"):
+        save_learner(tmp_path / "policy.npz", policy)
+    assert not (tmp_path / "policy.npz").exists()
 
 
 def test_make_learner_factory():

@@ -30,8 +30,9 @@ def learner(algo, team=Team.RED, seed=0):
     return make_learner(algo, BattleEnv(SCENARIO).team_spec(team), LEARNER, seed=seed)
 
 
-def small_pool(algos=("vdn",), include_bot=True, seed=0):
-    return build_opponent_pool(SCENARIO, algos, include_bot, TrainConfig(total_env_steps=120, learner=LEARNER), seed)
+def small_pool(algos=("vdn",), bot=True, seed=0):
+    members = build_opponent_pool(SCENARIO, algos, TrainConfig(total_env_steps=120, learner=LEARNER), seed)
+    return OpponentPool(members + ([ScriptedBot(SCENARIO, Team.BLUE)] if bot else []))
 
 
 def points(metrics):
@@ -65,7 +66,7 @@ def test_mixed_trains_red_and_leaves_the_pool_unchanged():
 
 
 def test_mixed_rejects_a_member_that_changes():
-    pool = small_pool(include_bot=False)
+    pool = small_pool(bot=False)
     member = pool.members[0]
     act = member.act
 
@@ -77,24 +78,22 @@ def test_mixed_rejects_a_member_that_changes():
     with pytest.raises(MutablePoolMember):
         train_mixed(learner("iql"), pool, SCENARIO, CONFIG, seed=0)
     with pytest.raises(MutablePoolMember):
-        OpponentPool(members=[learner("iql", Team.BLUE)], names=["iql"])
+        OpponentPool([learner("iql", Team.BLUE)])
+    with pytest.raises(TrainingError):
+        OpponentPool([])
 
 
 def test_build_opponent_pool_trains_frozen_blue_members():
-    with pytest.raises(TrainingError):
-        build_opponent_pool(SCENARIO, (), False, CONFIG)
     budget = 120
-    pool = small_pool(("iql", "qmix"))
-    assert pool.names == ["iql", "qmix", "bot"]
-    assert isinstance(pool.members[-1], ScriptedBot)
+    members = small_pool(("iql", "qmix"), bot=False).members
+    assert [m.algo for m in members] == ["iql", "qmix"]
     fresh = [learner(algo, Team.BLUE).checkpoint_hash() for algo in ("iql", "qmix")]
-    for member, untrained in zip(pool.members[:2], fresh):
+    for member, untrained in zip(members, fresh):
         assert member.frozen
         assert member.team_spec.team is Team.BLUE
         assert budget <= member.env_steps < budget + SCENARIO.episode_step_limit
         assert member.train_steps > 0
         assert member.checkpoint_hash() != untrained
-    assert pool.members[-1].frozen and pool.members[-1].team_spec.team is Team.BLUE
 
 
 def test_same_seed_gives_identical_runs():
