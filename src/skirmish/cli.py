@@ -271,12 +271,11 @@ def _train_one_seed(payload: tuple) -> list[RunMetrics]:
 
 
 def cmd_train(args) -> int:
-    if args.mode == "paired" and args.algo_b is None:
-        print("train: --mode paired requires --algo-b", file=sys.stderr)
-        return 2
-    if args.mode == "mixed" and args.pool is None:
-        print("train: --mode mixed requires --pool", file=sys.stderr)
-        return 2
+    for flag, value, mode in (("--algo-b", args.algo_b, "paired"), ("--pool", args.pool, "mixed")):
+        if (value is None) == (args.mode == mode):  # a flag is read in its mode, and only there
+            wrong = f"--mode {mode} requires {flag}" if value is None else f"{flag} needs --mode {mode}"
+            print(f"train: {wrong}", file=sys.stderr)
+            return 2
     scenario, sections = _resolve_run(args)
     config = TrainConfig(total_env_steps=args.steps, test_interval=args.test_interval,
                          test_episodes=args.test_episodes, **sections)

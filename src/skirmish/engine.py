@@ -305,24 +305,28 @@ def step_world_arrays(
     regeneration, (7) clock.
     """
     stats = world.stats
-    team_of = world.team_of
     n = world.n_units
     dt = world.config.step_dt
     half_w, half_h, now = world.half_w, world.half_h, world.time
-    move_speed, attack_range, max_health = stats.move_speed, stats.attack_range, stats.max_health
+    # The loops run on Python floats, which are the same IEEE doubles as the
+    # arrays' elements but far cheaper to read and write one at a time.
+    kind, dir_x, dir_y, target, team_of = (a.tolist() for a in (kind, dir_x, dir_y, target, world.team_of))
+    (move_speed, attack_range, max_health, base_damage, bonus_damage, bonus_class, armor_class, splash_radius,
+     heal_amount, attack_period) = (a.tolist() for a in (
+        stats.move_speed, stats.attack_range, stats.max_health, stats.base_damage, stats.bonus_damage,
+        stats.bonus_class, stats.armor_class, stats.splash_radius, stats.heal_amount, stats.attack_period))
     # Every decision reads the start-of-step snapshot; the copies take the results.
-    px0, py0, health0, shield0 = world.pos_x, world.pos_y, world.health, world.shield
-    cd0, alive0 = world.cooldown, world.alive
+    px0, py0, health0, shield0, cd0, alive0, last_damaged = (a.tolist() for a in (
+        world.pos_x, world.pos_y, world.health, world.shield, world.cooldown, world.alive, world.last_damaged))
     px = px0.copy()
     py = py0.copy()
     health = health0.copy()
     shield = shield0.copy()
-    cooldown = np.empty(n)
+    cooldown = [0.0] * n
     alive = alive0.copy()
-    last_damaged = world.last_damaged.copy()
-    incoming = np.zeros(n)
-    fired = np.zeros(n, dtype=bool)
-    heal_target = np.full(n, -1, dtype=np.int64)
+    incoming = [0.0] * n
+    fired = [False] * n
+    heal_target = [-1] * n
 
     for i in range(n):
         k = kind[i]
@@ -353,8 +357,8 @@ def step_world_arrays(
         elif k == 2:
             if cd0[i] <= 0.0:
                 fired[i] = True
-                dmg = stats.bonus_damage[i] if stats.bonus_class[i] == stats.armor_class[t] else stats.base_damage[i]
-                radius = stats.splash_radius[i]
+                dmg = bonus_damage[i] if bonus_class[i] == armor_class[t] else base_damage[i]
+                radius = splash_radius[i]
                 if radius > 0.0:
                     for j in range(n):
                         if alive0[j] and team_of[j] != team_of[i]:
@@ -388,20 +392,20 @@ def step_world_arrays(
         t = heal_target[i]
         if t < 0 or not alive[t]:
             continue
-        healed = min(max_health[t] - health[t], stats.heal_amount[i])
+        healed = min(max_health[t] - health[t], heal_amount[i])
         if healed > 0.0:
             health[t] += healed
             tallies[team_of[i]].heals += healed
 
     for i in range(n):
         if fired[i]:
-            cooldown[i] = stats.attack_period[i]
+            cooldown[i] = attack_period[i]
         else:
             c = cd0[i] - dt
             cooldown[i] = c if c > 0.0 else 0.0
 
     if stats.has_shields:
-        max_shield = stats.max_shield
+        max_shield = stats.max_shield.tolist()
         gain = world.config.shield_regen_rate * dt
         delay = world.config.shield_regen_delay
         for i in range(n):
@@ -412,15 +416,15 @@ def step_world_arrays(
         config=world.config,
         specs=world.specs,
         stats=stats,
-        team_of=team_of,
+        team_of=world.team_of,
         n_red=world.n_red,
-        pos_x=px,
-        pos_y=py,
-        health=health,
-        shield=shield,
-        cooldown=cooldown,
-        alive=alive,
-        last_damaged=last_damaged,
+        pos_x=np.array(px),
+        pos_y=np.array(py),
+        health=np.array(health),
+        shield=np.array(shield),
+        cooldown=np.array(cooldown),
+        alive=np.array(alive),
+        last_damaged=np.array(last_damaged),
         time=now + dt,
         step_count=world.step_count + 1,
         half_w=half_w,

@@ -12,6 +12,10 @@ in the canonical frame, ``6+k`` target action on slot ``k`` — enemies for
 armed units, own-team patients (self excluded) for healers.
 :func:`team_layout` is the one place that derives the action count, the
 position and width of every observation block and the state length.
+
+Each reset or step encodes both teams in one pass over every pair of units;
+each team's observations and masks are gathered from it through index tables
+built once per environment, as are the tables that turn codes into commands.
 """
 
 from __future__ import annotations
@@ -167,9 +171,12 @@ class TeamLayout:
     row per other ally (the same without the id) from ``ally_off``, and the
     agent's own health, shield and type one-hot from ``own_off``.  Distances
     and offsets are in units of the agent's sight range; a row the agent
-    cannot see, and every row of a dead agent, is zero.  The state is one row per enemy (health, weapon
-    cooldown, x, y, shield, type one-hot), then one per ally (the same
-    without cooldown), over every unit regardless of sight.
+    cannot see, and every row of a dead agent, is zero.  An ally row is the
+    tail of the enemy row the same observer and unit would give, which is
+    what lets one table of unit pairs serve every block of both teams.  The
+    state is one row per enemy (health, weapon cooldown, x, y, shield, type
+    one-hot), then one per ally (the same without cooldown), over every unit
+    regardless of sight.
     """
 
     n_agents: int
@@ -224,7 +231,7 @@ def ally_slots(n_agents: int) -> np.ndarray:
 
 
 class _TeamView:
-    """One team's constants, precomputed once per environment."""
+    """One team's constants, from which the env builds its gather and command tables once."""
 
     def __init__(self, env: "BattleEnv", team: Team):
         world = env._proto_world
@@ -236,10 +243,6 @@ class _TeamView:
         self.agents = np.arange(world.n_units)[self.own]
         self.enemies = np.arange(world.n_units)[self.other]
         self.is_healer = world.stats.is_healer[self.own]
-        self.enemy_id_norm = np.arange(layout.n_enemies, dtype=float) / layout.n_enemies
-        self.sight = world.stats.sight_range[self.own][:, None]
-        self.inv_sight = 1.0 / self.sight
-        self.step_len = world.stats.move_speed[self.own] * env.engine_config.step_dt
 
         # Row a of ally_gather lists the unit ids of agent a's ally rows.
         self.ally_gather = self.agents[ally_slots(A)]
@@ -247,17 +250,13 @@ class _TeamView:
         # Target code TARGET_OFFSET + k of agent a addresses unit
         # slot_unit[a, k]: enemy k for an armed agent, ally k for a healer.
         # slot_ok is False on padding slots and where a healer meets a healer.
-        n_targets = layout.n_actions - TARGET_OFFSET
-        self.slot_unit = np.zeros((A, n_targets), dtype=np.intp)
-        self.slot_ok = np.zeros((A, n_targets), dtype=bool)
-        for a in range(A):
-            slots = self.ally_gather[a] if self.is_healer[a] else self.enemies
-            self.slot_unit[a, : len(slots)] = slots
-            self.slot_ok[a, : len(slots)] = ~(self.is_healer[a] & world.stats.is_healer[slots])
-
-        # The same, as flat indices into a per-agent (A, n_units) table.
-        self.ally_flat = np.arange(A)[:, None] * world.n_units + self.ally_gather
-        self.slot_flat = np.arange(A)[:, None] * world.n_units + self.slot_unit
+        k = np.arange(layout.n_actions - TARGET_OFFSET)
+        healer = self.is_healer[:, None]
+        pad = np.zeros((A, len(k)), dtype=np.intp)
+        allies = np.concatenate([self.ally_gather, pad], axis=1)[:, : len(k)]
+        self.slot_unit = np.where(healer, allies, np.concatenate([self.enemies, pad[0]])[: len(k)])
+        self.slot_ok = k < np.where(healer, A - 1, layout.n_enemies)
+        self.slot_ok &= ~(healer & world.stats.is_healer[self.slot_unit])
 
 
 class BattleEnv:
@@ -280,13 +279,74 @@ class BattleEnv:
         self._proto_world = world = self._build_world(spawn_layout(scenario, seed=0))
         self.views = {Team.RED: _TeamView(self, Team.RED), Team.BLUE: _TeamView(self, Team.BLUE)}
         # Per-unit constants shared by both teams' encodings.
+        n, n_red, stats = world.n_units, world.n_red, world.stats
         type_col = {s.spec_id: k for k, s in enumerate(scenario.unit_types())}
-        self._onehot = np.zeros((world.n_units, len(type_col)))
-        self._onehot[np.arange(world.n_units), [type_col[s.spec_id] for s in world.specs]] = 1.0
-        stats = world.stats
+        self._onehot = np.zeros((n, len(type_col)))
+        self._onehot[np.arange(n), [type_col[s.spec_id] for s in world.specs]] = 1.0
         self._inv_h = 1.0 / stats.max_health
-        self._inv_s = np.divide(1.0, stats.max_shield, out=np.zeros(world.n_units), where=stats.max_shield > 0)
-        self._inv_p = np.divide(1.0, stats.attack_period, out=np.zeros(world.n_units), where=stats.attack_period > 0)
+        self._inv_s = np.divide(1.0, stats.max_shield, out=np.zeros(n), where=stats.max_shield > 0)
+        self._inv_p = np.divide(1.0, stats.attack_period, out=np.zeros(n), where=stats.attack_period > 0)
+        self._sign = np.where(world.team_of == Team.RED, 1.0, -1.0)
+        self._sight = stats.sight_range[:, None]
+        self._inv_sight = 1.0 / self._sight
+        # dx * (sign * inv_sight) is sign * dx * inv_sight bit for bit: IEEE
+        # rounding is symmetric, so a product's sign factors out exactly.
+        self._signed_inv_sight = self._sign[:, None] * self._inv_sight
+        self._step_len = stats.move_speed * self.engine_config.step_dt
+        # Rows: id as an enemy (index in its team / team size), health, shield (set per step), type one-hot.
+        ids = [np.arange(size, dtype=float) / size for size in (n_red, n - n_red)]
+        self._columns = np.concatenate([np.concatenate(ids)[None], np.zeros((2, n)), self._onehot.T])
+
+        # The per-step tables that _encode fills.  Plane p of _pairs holds,
+        # at cell (i, j), what observer i sees of unit j: p = 0, 1, 2 are
+        # distance, dx and dy, and p >= 3 is row p - 3 of _columns.  _bools
+        # holds seen, the move flags, dead, alive and one cell always False.
+        nn, planes = n * n, 3 + len(self._columns)
+        self._floats = np.empty(planes * nn + 4 * n)
+        self._pairs = self._floats[: planes * nn].reshape(planes, n, n)
+        self._float_moves = self._floats[planes * nn :].reshape(4, n)
+        self._bools = np.zeros(nn + 6 * n + 1, dtype=bool)
+        self._seen = self._bools[:nn].reshape(n, n)
+        self._bool_moves = self._bools[nn : nn + 4 * n].reshape(4, n)
+        self._life = self._bools[nn + 4 * n : nn + 6 * n].reshape(2, n)  # dead, alive
+
+        # Index tables gather each team's observations and masks from those.  Cell (i, j) of a plane is
+        # i * n + j.  An enemy row reads planes 3, 0, 1, 2, 4, ... (id first), an ally row the same without the
+        # id, and an agent's own block planes 4, ... on the diagonal, since seen[i, i] is i's alive flag.  A
+        # target slot that is never available reads the bool table's last cell.
+        row_planes = np.r_[3, 0:3, 4:planes] * nn
+        self._obs_index, self._mask_index = {}, {}
+        for team, v in self.views.items():
+            A, g = v.layout.n_agents, v.agents[:, None]
+            moves = np.arange(4) * n + g
+            self._obs_index[team] = np.concatenate([
+                planes * nn + moves,
+                (row_planes + (g * n + v.enemies)[:, :, None]).reshape(A, -1),
+                (row_planes[1:] + (g * n + v.ally_gather)[:, :, None]).reshape(A, -1),
+                row_planes[4:] + g * (n + 1),
+            ], axis=1)
+            self._mask_index[team] = np.concatenate([
+                nn + 4 * n + g,  # no-op: dead
+                nn + 5 * n + g,  # stop: alive
+                nn + moves,
+                np.where(v.slot_ok, g * n + v.slot_unit, self._bools.size - 1),
+            ], axis=1)
+
+        # Cell (u, c) of each command table holds the engine command of unit
+        # u's action code c: kind, world-frame move direction and target.
+        n_codes = max(v.layout.n_actions for v in self.views.values())
+        kind, target = np.zeros((n, n_codes), dtype=np.int8), np.full((n, n_codes), -1, dtype=np.int64)
+        dir_x, dir_y = np.zeros((n, n_codes)), np.zeros((n, n_codes))
+        moves = slice(ACTION_MOVE_NORTH, TARGET_OFFSET)
+        for v in self.views.values():
+            targets = slice(TARGET_OFFSET, v.layout.n_actions)
+            kind[v.own, moves] = 1
+            dir_x[v.own, moves] = [v.sign * x for x, _ in _DIRECTIONS]
+            dir_y[v.own, moves] = [v.sign * y for _, y in _DIRECTIONS]
+            kind[v.own, targets] = np.where(v.is_healer, 3, 2)[:, None]
+            target[v.own, targets] = v.slot_unit
+        self._commands = (kind, dir_x, dir_y, target)
+        self._command_row = np.arange(n) * n_codes
         self._scale = {t: reward_scale(scenario, t, self.reward_config) for t in Team}
         self._world: WorldState | None = None
         self._terminated = True
@@ -342,14 +402,9 @@ class BattleEnv:
             raise EnvError("reset the environment first")
         if self._terminated:
             raise EpisodeAlreadyTerminated("episode is over; call reset")
-        n = self._world.n_units
-        kind = np.zeros(n, dtype=np.int8)
-        dir_x = np.zeros(n)
-        dir_y = np.zeros(n)
-        target = np.full(n, -1, dtype=np.int64)
-        self._fill_commands(Team.RED, np.asarray(red_actions), kind, dir_x, dir_y, target)
-        self._fill_commands(Team.BLUE, np.asarray(blue_actions), kind, dir_x, dir_y, target)
-        world, events = step_world_arrays(self._world, kind, dir_x, dir_y, target)
+        codes = np.concatenate([self._codes(Team.RED, red_actions), self._codes(Team.BLUE, blue_actions)])
+        cells = self._command_row + codes
+        world, events = step_world_arrays(self._world, *(table.take(cells) for table in self._commands))
         self._world = world
         self.events = events
         outcome = terminal_status(world, self.scenario.episode_step_limit)
@@ -359,55 +414,31 @@ class BattleEnv:
         reported = self._outcome if self._terminated else None
         return self._results(rewards, reported)
 
-    def _fill_commands(self, team: Team, actions: np.ndarray, kind, dir_x, dir_y, target) -> None:
-        view = self.views[team]
-        A = view.layout.n_agents
-        if actions.shape != (A,):
-            raise EnvError(f"{team.name.lower()} actions must have shape ({A},)")
-        mask = self._masks[team]
-        sign = view.sign
-        agents = view.agents
-        for a in range(A):
-            code = int(actions[a])
-            if code < 0 or code >= view.layout.n_actions or not mask[a, code]:
-                raise UnavailableAction(team, a, code)
-            if code <= ACTION_STOP:
-                continue  # no-op (dead) or stop: nothing to fill
-            g = agents[a]
-            if code < TARGET_OFFSET:
-                dx, dy = _DIRECTIONS[code - 2]
-                kind[g] = 1
-                dir_x[g] = sign * dx
-                dir_y[g] = sign * dy
-            else:
-                kind[g] = 3 if view.is_healer[a] else 2
-                target[g] = view.slot_unit[a, code - TARGET_OFFSET]
+    def _codes(self, team: Team, actions) -> np.ndarray:
+        """``team``'s action codes, each checked against its agent's current mask."""
+        layout = self.views[team].layout
+        codes = np.asarray(actions).astype(np.int64, copy=False)
+        if codes.shape != (layout.n_agents,):
+            raise EnvError(f"{team.name.lower()} actions must have shape ({layout.n_agents},)")
+        ok = (codes >= 0) & (codes < layout.n_actions)
+        ok &= self._masks[team].take(np.arange(layout.n_agents) * layout.n_actions + codes, mode="clip")
+        if not ok.all():
+            a = int(np.argmin(ok))
+            raise UnavailableAction(team, a, int(codes[a]))
+        return codes
 
     # -- encoding ----------------------------------------------------------
 
     def _results(self, rewards: dict, outcome) -> tuple[TeamStepResult, TeamStepResult]:
-        """Both teams' results for the current world, from one geometry pass.
-
-        ``dx[i, j]``, ``dy[i, j]`` and ``dist[i, j]`` run from unit ``i`` to
-        unit ``j`` in world coordinates; ``units`` holds every unit's health
-        fraction, shield fraction and type one-hot.
-        """
+        """Both teams' results for the current world, from one encode."""
         world = self._world
-        px, py = world.pos_x, world.pos_y
-        dx = px[None, :] - px[:, None]
-        dy = py[None, :] - py[:, None]
-        geometry = (dx, dy, np.sqrt(dx * dx + dy * dy))
-        units = np.empty((world.n_units, 2 + self._onehot.shape[1]))
-        units[:, 0] = world.health * self._inv_h
-        units[:, 1] = world.shield * self._inv_s
-        units[:, 2:] = self._onehot
+        self._encode()
         results = []
         for team in Team:
-            obs, mask = self._encode_team(team, geometry, units)
-            self._masks[team] = mask
+            mask = self._masks[team] = self._bools.take(self._mask_index[team])
             results.append(
                 TeamStepResult(
-                    observations=obs,
+                    observations=self._floats.take(self._obs_index[team]),
                     masks=mask,
                     reward=rewards[team],
                     terminated=self._terminated,
@@ -417,50 +448,39 @@ class BattleEnv:
             )
         return tuple(results)
 
-    def _encode_team(self, team: Team, geometry, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-agent observations and action masks of one team (see :class:`TeamLayout`)."""
-        view = self.views[team]
-        layout = view.layout
+    def _encode(self) -> None:
+        """Fill the tables every observation and mask is gathered from.
+
+        ``dx[i, j]``, ``dy[i, j]`` and ``dist[i, j]`` run from unit ``i`` to
+        unit ``j``, in ``i``'s frame and sight range.  A cell ``i`` cannot see
+        is zeroed by multiplying it by its flag, never with np.where: a hidden
+        negative offset must become -0.0, or the seeded output bytes that
+        test_env pins would change.
+        """
         world = self._world
-        own, other, sign = view.own, view.other, view.sign
-        A, E = layout.n_agents, layout.n_enemies
-        dx, dy, dist = (g[own] for g in geometry)
-        alive_a = world.alive[own]
-        seen = world.alive[None, :] & (dist <= view.sight) & alive_a[:, None]
-        sx = sign * world.pos_x[own]
-        sy = sign * world.pos_y[own]
-        d = view.step_len
-        moves = np.stack([sy + d <= world.half_h, sy - d >= -world.half_h,
-                          sx + d <= world.half_w, sx - d >= -world.half_w], axis=1)
-        moves &= alive_a[:, None]
+        px, py, alive = world.pos_x, world.pos_y, world.alive
+        pairs, seen = self._pairs, self._seen
+        dx = np.subtract(px[None, :], px[:, None], out=pairs[1])
+        dy = np.subtract(py[None, :], py[:, None], out=pairs[2])
+        dist = np.sqrt(dx * dx + dy * dy, out=pairs[0])
+        np.less_equal(dist, self._sight, out=seen)
+        seen &= alive
+        seen &= alive[:, None]
+        dist *= self._inv_sight
+        pairs[1:3] *= self._signed_inv_sight
+        pairs[:3] *= seen
+        columns = self._columns
+        np.multiply(world.health, self._inv_h, out=columns[1])
+        np.multiply(world.shield, self._inv_s, out=columns[2])
+        np.multiply(columns[:, None, :], seen, out=pairs[3:])
 
-        # Mask: no-op for the dead, everything else gated on being alive.
-        mask = np.empty((A, layout.n_actions), dtype=bool)
-        mask[:, ACTION_NOOP] = ~alive_a
-        mask[:, ACTION_STOP] = alive_a
-        mask[:, ACTION_MOVE_NORTH:TARGET_OFFSET] = moves
-        mask[:, TARGET_OFFSET:] = np.take(seen, view.slot_flat) & view.slot_ok
-
-        # Row j of agent a describes unit j in a's frame.  A hidden entry is
-        # zeroed by multiplying it by its flag, never with np.where: a hidden
-        # negative offset must become -0.0, or the seeded output bytes that
-        # test_env pins would change.
-        rows = np.empty((A, world.n_units, layout.ally_width))
-        rows[:, :, 0] = dist * view.inv_sight
-        rows[:, :, 1] = sign * dx * view.inv_sight
-        rows[:, :, 2] = sign * dy * view.inv_sight
-        rows[:, :, 3:] = units
-        rows *= seen.astype(float)[:, :, None]
-
-        obs = np.empty((A, layout.obs_len))
-        obs[:, : layout.enemy_off] = moves
-        enemy = obs[:, layout.enemy_off : layout.ally_off].reshape(A, E, layout.enemy_width)
-        enemy[:, :, 0] = view.enemy_id_norm * seen[:, other]
-        enemy[:, :, 1:] = rows[:, other]
-        by_unit = rows.reshape(-1, layout.ally_width)
-        obs[:, layout.ally_off : layout.own_off] = np.take(by_unit, view.ally_flat, axis=0).reshape(A, -1)
-        obs[:, layout.own_off :] = units[own] * alive_a[:, None]
-        return obs, mask
+        sx, sy, d, moves = self._sign * px, self._sign * py, self._step_len, self._bool_moves
+        moves[...] = (sy + d <= world.half_h, sy - d >= -world.half_h,
+                      sx + d <= world.half_w, sx - d >= -world.half_w)
+        moves &= alive
+        self._float_moves[...] = moves
+        np.logical_not(alive, out=self._life[0])
+        self._life[1] = alive
 
     def encode_state(self, team: Team, world: WorldState | None = None) -> np.ndarray:
         """Centralized full-information encoding in the team's frame.
@@ -470,7 +490,7 @@ class BattleEnv:
         """
         view = self.views[team]
         world = self._world if world is None else world
-        inv_sight = view.inv_sight[0, 0]
+        inv_sight = self._inv_sight[view.agents[0], 0]
         table = np.empty((world.n_units, 5 + self._onehot.shape[1]))
         table[:, 0] = world.health * self._inv_h
         table[:, 1] = world.cooldown * self._inv_p

@@ -26,7 +26,7 @@ import math
 import mmap
 import warnings
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -126,6 +126,16 @@ def _mapped_arrays(specs) -> list[np.ndarray]:
     buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
     return [np.frombuffer(buf, dtype, math.prod(shape), offset).reshape(shape)
             for (shape, dtype), offset in zip(specs, offsets)]
+
+
+def _packed(episode: TeamEpisode) -> TeamEpisode:
+    """``episode`` copied into one mapping of its own size, for a replay buffer to keep: a recorder's views
+    also cost each array's partly written first and last pages, 7% of an MMM2 episode at random play."""
+    arrays = [getattr(episode, f.name) for f in fields(episode)]
+    packed = _mapped_arrays([(a.shape, a.dtype) for a in arrays])
+    for dst, src in zip(packed, arrays):
+        dst[...] = src
+    return TeamEpisode(*packed)
 
 
 class _Recorder:
@@ -353,7 +363,7 @@ def _train(
         steps += ep.length
         for learner, episode in ((red, ep.red_episode), (opponent, ep.blue_episode)):
             if episode is not None:
-                learner.observe(episode)
+                learner.observe(_packed(episode))
                 learner.train_step()
                 learner.env_steps = steps
 

@@ -253,6 +253,11 @@ _BAD_INPUTS = {
         ["train", "--config", "batch.json", "--out", "out"],
         ["train", "--config", "interval.json", "--out", "out"],
         ["train", "--config", "step.json", "--out", "out"],
+        ["train", "--algo-b", "qmix", "--out", "out"],  # flags outside the mode that reads them
+        ["train", "--mode", "mixed", "--pool", "bot", "--algo-b", "qmix", "--out", "out"],
+        ["train", "--pool", "bot", "--out", "out"],
+        ["train", "--mode", "paired", "--algo-b", "qmix", "--pool", "bot", "--out", "out"],
+        ["train", "--pool", "nonexistent.npz", "--algo-b", "qmix", "--scenario", "3m", "--out", "out"],
     ],
     ids=" ".join,
 )
@@ -263,6 +268,16 @@ def test_failed_commands_leave_no_output_directory(argv, tmp_path, monkeypatch):
         Path(name).write_text(text)
     assert cli.main([*argv, "--steps", "30", "--seeds", "1"] if argv[0] == "train" else argv) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_train_names_the_mode_a_flag_needs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["train", "--pool", "nonexistent.npz", "--algo-b", "qmix", "--scenario", "3m", "--steps", "30"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "train: --algo-b needs --mode paired\n"
+    assert cli.main(["train", "--pool", "bot", "--steps", "30"]) == 2
+    assert capsys.readouterr().err == "train: --pool needs --mode mixed\n"
+    assert not any(tmp_path.iterdir())
 
 
 def _custom_marines(path, n):

@@ -3,13 +3,16 @@
 import dataclasses
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from skirmish import env as env_mod
 from skirmish.engine import CATALOG, Outcome, Team, new_world
 from skirmish.env import (
     ACTION_MOVE_EAST,
+    ACTION_MOVE_NORTH,
     ACTION_MOVE_WEST,
     ACTION_NOOP,
     ACTION_STOP,
@@ -20,10 +23,12 @@ from skirmish.env import (
     ReplayWriter,
     RewardConfig,
     UnavailableAction,
+    ally_slots,
     compute_reward,
     read_replay,
     replay_record,
     reward_scale,
+    team_layout,
 )
 from skirmish.engine import StepEvents, TeamEvents
 from skirmish.learners import make_learner
@@ -484,6 +489,269 @@ def test_state_not_affected_by_sight():
     r, _ = env.reset(seed=0)
     enemy_rows = r.state[: 3 * 6].reshape(3, 6)
     assert (enemy_rows[:, 0] == 1.0).all()  # enemies visible in state despite fog
+
+
+# -- reference encoder and command loop -----------------------------------------------
+# The env encodes both teams in one pass and looks commands up in tables.  Below
+# are the per-team encoder and the per-agent command loop that it replaced: its
+# observations, masks and engine commands must equal theirs byte for byte.
+
+
+def reference_view(env, team):
+    """One team's constants, derived as the per-team encoder derived them."""
+    world = env.world
+    layout = team_layout(env.scenario, team)
+    own, other = world.team_slice(team), world.team_slice(team.other)
+    agents, enemies = np.arange(world.n_units)[own], np.arange(world.n_units)[other]
+    is_healer = world.stats.is_healer[own]
+    ally_gather = agents[ally_slots(layout.n_agents)]
+    n_targets = layout.n_actions - TARGET_OFFSET
+    slot_unit = np.zeros((layout.n_agents, n_targets), dtype=np.intp)
+    slot_ok = np.zeros((layout.n_agents, n_targets), dtype=bool)
+    for a in range(layout.n_agents):
+        slots = ally_gather[a] if is_healer[a] else enemies
+        slot_unit[a, : len(slots)] = slots
+        slot_ok[a, : len(slots)] = ~(is_healer[a] & world.stats.is_healer[slots])
+    sight = world.stats.sight_range[own][:, None]
+    return SimpleNamespace(
+        layout=layout, own=own, other=other, agents=agents, enemies=enemies, is_healer=is_healer,
+        sign=1.0 if team is Team.RED else -1.0, sight=sight, inv_sight=1.0 / sight,
+        step_len=world.stats.move_speed[own] * env.engine_config.step_dt,
+        enemy_id_norm=np.arange(layout.n_enemies, dtype=float) / layout.n_enemies,
+        ally_gather=ally_gather, slot_unit=slot_unit, slot_ok=slot_ok,
+        ally_flat=np.arange(layout.n_agents)[:, None] * world.n_units + ally_gather,
+        slot_flat=np.arange(layout.n_agents)[:, None] * world.n_units + slot_unit,
+    )
+
+
+def reference_encode(env, team):
+    """Observations and masks of ``team`` in the current world, one team at a time."""
+    world, view = env.world, reference_view(env, team)
+    stats = world.stats
+    type_col = {s.spec_id: k for k, s in enumerate(env.scenario.unit_types())}
+    units = np.zeros((world.n_units, 2 + len(type_col)))
+    units[:, 0] = world.health * (1.0 / stats.max_health)
+    units[:, 1] = world.shield * np.divide(1.0, stats.max_shield, out=np.zeros(world.n_units),
+                                           where=stats.max_shield > 0)
+    units[np.arange(world.n_units), [2 + type_col[s.spec_id] for s in world.specs]] = 1.0
+    layout = view.layout
+    own, other, sign = view.own, view.other, view.sign
+    A, E = layout.n_agents, layout.n_enemies
+    dx = (world.pos_x[None, :] - world.pos_x[:, None])[own]
+    dy = (world.pos_y[None, :] - world.pos_y[:, None])[own]
+    dist = np.sqrt(dx * dx + dy * dy)
+    alive_a = world.alive[own]
+    seen = world.alive[None, :] & (dist <= view.sight) & alive_a[:, None]
+    sx = sign * world.pos_x[own]
+    sy = sign * world.pos_y[own]
+    d = view.step_len
+    moves = np.stack([sy + d <= world.half_h, sy - d >= -world.half_h,
+                      sx + d <= world.half_w, sx - d >= -world.half_w], axis=1)
+    moves &= alive_a[:, None]
+
+    mask = np.empty((A, layout.n_actions), dtype=bool)
+    mask[:, ACTION_NOOP] = ~alive_a
+    mask[:, ACTION_STOP] = alive_a
+    mask[:, ACTION_MOVE_NORTH:TARGET_OFFSET] = moves
+    mask[:, TARGET_OFFSET:] = np.take(seen, view.slot_flat) & view.slot_ok
+
+    rows = np.empty((A, world.n_units, layout.ally_width))
+    rows[:, :, 0] = dist * view.inv_sight
+    rows[:, :, 1] = sign * dx * view.inv_sight
+    rows[:, :, 2] = sign * dy * view.inv_sight
+    rows[:, :, 3:] = units
+    rows *= seen.astype(float)[:, :, None]
+
+    obs = np.empty((A, layout.obs_len))
+    obs[:, : layout.enemy_off] = moves
+    enemy = obs[:, layout.enemy_off : layout.ally_off].reshape(A, E, layout.enemy_width)
+    enemy[:, :, 0] = view.enemy_id_norm * seen[:, other]
+    enemy[:, :, 1:] = rows[:, other]
+    by_unit = rows.reshape(-1, layout.ally_width)
+    obs[:, layout.ally_off : layout.own_off] = np.take(by_unit, view.ally_flat, axis=0).reshape(A, -1)
+    obs[:, layout.own_off :] = units[own] * alive_a[:, None]
+    return obs, mask
+
+
+def reference_commands(env, red_actions, blue_actions):
+    """The engine's (kind, dir_x, dir_y, target) arrays, filled one agent at a time."""
+    n = env.world.n_units
+    kind = np.zeros(n, dtype=np.int8)
+    dir_x = np.zeros(n)
+    dir_y = np.zeros(n)
+    target = np.full(n, -1, dtype=np.int64)
+    directions = ((0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0))
+    for team, actions in ((Team.RED, np.asarray(red_actions)), (Team.BLUE, np.asarray(blue_actions))):
+        view = reference_view(env, team)
+        A = view.layout.n_agents
+        if actions.shape != (A,):
+            raise EnvError(f"{team.name.lower()} actions must have shape ({A},)")
+        mask = env.available_actions(team)
+        for a in range(A):
+            code = int(actions[a])
+            if code < 0 or code >= view.layout.n_actions or not mask[a, code]:
+                raise UnavailableAction(team, a, code)
+            if code <= ACTION_STOP:
+                continue
+            g = view.agents[a]
+            if code < TARGET_OFFSET:
+                dx, dy = directions[code - 2]
+                kind[g] = 1
+                dir_x[g] = view.sign * dx
+                dir_y[g] = view.sign * dy
+            else:
+                kind[g] = 3 if view.is_healer[a] else 2
+                target[g] = view.slot_unit[a, code - TARGET_OFFSET]
+    return kind, dir_x, dir_y, target
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_matches_reference(env, results):
+    for team, res in zip(Team, results):
+        obs, mask = reference_encode(env, team)
+        assert same_bytes(res.observations, obs), team
+        assert same_bytes(res.masks, mask), team
+
+
+def random_codes(masks, rng):
+    return np.array([rng.choice(np.flatnonzero(m)) for m in masks])
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """The command arrays of every engine step the env takes."""
+    calls = []
+    step = env_mod.step_world_arrays
+
+    def recording(world, *commands):
+        calls.append(commands)
+        return step(world, *commands)
+
+    monkeypatch.setattr(env_mod, "step_world_arrays", recording)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+def test_one_pass_encode_and_command_tables_match_the_reference(name, engine_calls):
+    env = BattleEnv(get_scenario(name))
+    rng = np.random.default_rng(11)
+    results, seed = env.reset(seed=0), 0
+    for _ in range(30):
+        assert_matches_reference(env, results)
+        if env.terminated:
+            seed += 1
+            results = env.reset(seed=seed)
+            continue
+        actions = [random_codes(res.masks, rng) for res in results]
+        expected = reference_commands(env, *actions)
+        results = env.step(*actions)
+        assert all(same_bytes(got, want) for got, want in zip(engine_calls[-1], expected, strict=True))
+
+
+def edge_world(env, seed):
+    """A reset world with some dead units and units on, near and beside each arena edge."""
+    env.reset(seed=seed)
+    world = env.world
+    n, hw, hh = world.n_units, world.half_w, world.half_h
+    rng = np.random.default_rng(seed)
+    # Everyone within a few sight ranges of the centre, so rows and targets are seen.
+    world.pos_x[:] = rng.uniform(-12.0, 12.0, n)
+    world.pos_y[:] = rng.uniform(-12.0, 12.0, n)
+    spots = [(hw, 0.0), (-hw, 0.0), (0.0, hh), (0.0, -hh), (hw, hh), (-hw, -hh),
+             (hw - 0.5, 1.0), (-hw + 1.125, -1.0), (-0.0, hh - 1.125), (0.0, -0.0)]
+    for i, (x, y) in zip(rng.permutation(n), spots):
+        world.pos_x[i], world.pos_y[i] = x, y
+    dead = rng.permutation(n)[: n // 4]
+    world.alive[dead] = False
+    world.health[dead] = 0.0
+    world.shield[dead] = 0.0
+    world.health[world.alive] *= rng.uniform(0.1, 1.0, int(world.alive.sum()))
+    world.shield *= rng.uniform(0.0, 1.0, n)
+    return world
+
+
+@pytest.mark.parametrize("name", ["3m", "MMM", "MMM2", "1c3s5z", "two medivacs"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_restored_worlds_match_the_reference(name, seed, engine_calls):
+    if name == "two medivacs":  # a healer that meets a healer in its target slots
+        comp = ((CATALOG["medivac"], 2), (CATALOG["marine"], 2))
+        scenario = dataclasses.replace(tiny_scenario(), red_composition=comp, blue_composition=comp)
+    else:
+        scenario = get_scenario(name)
+    env = BattleEnv(scenario)
+    world = edge_world(env, seed)
+    results = env.restore(world)
+    assert_matches_reference(env, results)
+    if env.terminated:
+        return
+    rng = np.random.default_rng(seed)
+    actions = [random_codes(res.masks, rng) for res in results]
+    expected = reference_commands(env, *actions)
+    assert_matches_reference(env, env.step(*actions))
+    assert all(same_bytes(got, want) for got, want in zip(engine_calls[-1], expected, strict=True))
+
+
+def test_unavailable_action_names_the_first_bad_agent_red_before_blue():
+    env = BattleEnv(get_scenario("8m"))
+    env.reset(seed=0)
+    red, blue = all_stop(env, Team.RED), all_stop(env, Team.BLUE)
+    n_actions = env.team_spec(Team.RED).n_actions
+    cases = [
+        (Team.RED, 2, {Team.RED: {2: -1, 5: n_actions}, Team.BLUE: {0: n_actions}}),
+        (Team.RED, 1, {Team.RED: {1: TARGET_OFFSET, 3: ACTION_NOOP}}),  # enemies out of sight; alive
+        (Team.BLUE, 4, {Team.BLUE: {4: ACTION_NOOP, 6: -3}}),
+    ]
+    for team, agent, bad in cases:
+        actions = {Team.RED: red.copy(), Team.BLUE: blue.copy()}
+        for t, codes in bad.items():
+            for a, code in codes.items():
+                actions[t][a] = code
+        for run in (lambda *acts: reference_commands(env, *acts), env.step):
+            with pytest.raises(UnavailableAction) as err:
+                run(actions[Team.RED], actions[Team.BLUE])
+            assert (err.value.team, err.value.agent, err.value.code) == (team, agent, bad[team][agent])
+    assert not env.terminated and env.world.step_count == 0
+
+
+# -- results do not share memory -----------------------------------------------------
+
+
+def test_results_outlive_later_steps_resets_and_restores():
+    env = BattleEnv(get_scenario("MMM2"))
+    rng = np.random.default_rng(5)
+    kept = []
+
+    def keep(results):
+        for team, res in zip(Team, results):
+            assert same_bytes(env.available_actions(team), res.masks)
+        kept.append((results, [(res.observations.copy(), res.masks.copy()) for res in results]))
+        return results
+
+    results = keep(env.reset(seed=2))
+    for _ in range(10):
+        results = keep(env.step(*(random_codes(res.masks, rng) for res in results)))
+    keep(env.reset(seed=3))
+    keep(env.restore(edge_world(BattleEnv(get_scenario("MMM2")), 1)))
+    for results, copies in kept:
+        for res, (obs, mask) in zip(results, copies):
+            assert same_bytes(res.observations, obs) and same_bytes(res.masks, mask)
+
+
+def test_writing_into_an_observation_changes_no_later_result():
+    env, twin = BattleEnv(get_scenario("MMM2")), BattleEnv(get_scenario("MMM2"))
+    rng = np.random.default_rng(6)
+    results, twin_results = env.reset(seed=4), twin.reset(seed=4)
+    for _ in range(10):
+        actions = [random_codes(res.masks, rng) for res in results]
+        for res in results:
+            res.observations.fill(7.0)
+        results, twin_results = env.step(*actions), twin.step(*actions)
+        for res, twin_res in zip(results, twin_results):
+            assert same_bytes(res.observations, twin_res.observations)
+            assert same_bytes(res.masks, twin_res.masks)
 
 
 # -- seeded outputs -----------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Training controllers: bot, paired and mixed runs and pool building share one loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from skirmish.training import (
     OpponentPool,
     TrainConfig,
     TrainingError,
+    _packed,
     build_opponent_pool,
     run_episode,
     train_mixed,
@@ -114,6 +117,29 @@ def test_same_seed_gives_identical_runs():
     first = run()
     assert run() == first
     assert [len(p) for p in first[0]] == [3, 3, 3, 3]
+
+
+def arrays_of(episode):
+    return [getattr(episode, f.name) for f in dataclasses.fields(episode)]
+
+
+def test_buffered_episodes_are_exact_copies_in_a_mapping_of_their_own_size():
+    env = BattleEnv(SCENARIO)
+    red, blue = learner("iql"), ScriptedBot(SCENARIO, Team.BLUE)
+    recorded = run_episode(env, red, blue, seed=3, epsilon_red=1.0, rng_red=np.random.default_rng(0),
+                           collect_red=True).red_episode
+    for want, got in zip(arrays_of(recorded), arrays_of(_packed(recorded))):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    train_vs_bot(red, SCENARIO, CONFIG)
+    for ep in red.buffer:  # not views of a recorder's mapping, which has room for the step limit
+        arrays = arrays_of(ep)
+        owners = []
+        for owner in arrays:
+            while isinstance(owner, np.ndarray):
+                owner = owner.base
+            owners.append(owner.obj)  # the mmap under np.frombuffer's memoryview
+        assert all(o is owners[0] for o in owners)
+        assert len(owners[0]) <= sum(a.nbytes for a in arrays) + 64 * len(arrays)
 
 
 def test_collected_episodes_match_the_env_step_by_step():
