@@ -4,9 +4,10 @@ Subcommands: train, eval (``--replay-out`` also records the episodes),
 pool, serve, analyze, scenarios, replay, bench.  A scenario is a built-in
 name or a scenario document file (``--scenario FILE``); the ``--config``
 JSON file overrides the ``engine``, ``reward`` and ``learner`` defaults,
-and command-line flags set the rest.  ``eval --red/--blue`` and each
-``train --mode mixed --pool`` entry name a policy the one way: ``bot``,
-``random`` or a value learner's checkpoint, such as a ``pool`` member file.
+and command-line flags set the rest.  ``eval --red/--blue`` and each entry
+of a ``train --vs`` pool name a policy the one way: ``bot``, ``random`` or a
+value learner's checkpoint, such as a ``pool`` member file; ``train --vs
+ALGO`` instead trains blue as a value learner beside red (paired).
 Every run directory gets a manifest with the fully resolved configuration
 so it can be reproduced bit-for-bit.
 
@@ -56,7 +57,6 @@ from .training import (
     median_win_rate,
     train_mixed,
     train_paired,
-    train_vs_bot,
     write_metrics_csv,
 )
 
@@ -69,27 +69,38 @@ class CheckpointScenarioMismatch(CliError):
     pass
 
 
-def count(text: str) -> int:
-    """argparse type of the counts and budgets: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def integer(low: int, high: int | None = None):
+    """argparse type of an integer from ``low`` to ``high`` (no upper limit when ``high`` is None)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its message for a value that is no integer
+    return parse
+
+
+count = integer(1)  # counts and budgets
+non_negative = integer(0)  # seeds: numpy's SeedSequence takes no negative integer
+port = integer(0, 65535)
 
 
 def algo_list(text: str) -> list[str]:
     """argparse type of a comma-separated list of at least one value-learner algorithm."""
     algos = [a for a in text.split(",") if a]
     if not algos:
-        raise argparse.ArgumentTypeError("names no algorithm (the bot joins a mixed-mode --pool as 'bot')")
+        raise argparse.ArgumentTypeError("names no algorithm (the bot joins a train --vs pool as 'bot')")
     unknown = sorted(set(algos) - set(VALUE_ALGOS))
     if unknown:
         raise argparse.ArgumentTypeError(f"unknown algorithm(s) {', '.join(unknown)} (expected {', '.join(VALUE_ALGOS)})")
     return algos
 
 
-def seconds(text: str) -> float:
-    """argparse type of a deadline: a finite number of seconds above 0 (sockets refuse inf)."""
+def positive(text: str) -> float:
+    """argparse type of a finite number above 0: a deadline in seconds (sockets refuse inf) or a bandwidth."""
     value = float(text)
     if not 0 < value < float("inf"):
         raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {value}")
@@ -113,16 +124,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
-    p = sub.add_parser("train", help="train one side in bot, paired or mixed mode", formatter_class=fmt)
+    p = sub.add_parser("train", help="train red against a learning or a frozen blue side", formatter_class=fmt)
     _add_common(p)
-    p.add_argument("--mode", choices=("bot", "paired", "mixed"), default="bot", help="training controller")
-    p.add_argument("--algo", default="iql", choices=VALUE_ALGOS, help="learning algorithm")
-    p.add_argument("--algo-b", default=None, choices=VALUE_ALGOS, help="second learner (paired mode)")
-    p.add_argument("--pool", nargs="+", default=None, metavar="POLICY",
-                   help="opponents drawn one per episode (mixed mode): checkpoint paths, 'bot' or 'random'")
+    p.add_argument("--algo", default="iql", choices=VALUE_ALGOS, help="red's learning algorithm")
+    p.add_argument("--vs", nargs="+", default=["bot"], metavar="POLICY",
+                   help=f"blue: one of {', '.join(VALUE_ALGOS)} learns beside red (paired), or else a frozen pool of "
+                        "'bot', 'random' and checkpoint paths, one drawn per episode (bot mode if just 'bot')")
     p.add_argument("--steps", type=count, default=300_000, help="training env steps per seed")
     p.add_argument("--seeds", type=count, default=5, help="number of seeded runs")
-    p.add_argument("--seed-base", type=int, default=0, help="first seed value")
+    p.add_argument("--seed-base", type=non_negative, default=0, help="first seed value")
     p.add_argument("--test-interval", type=count, default=10_000, help="env steps between evaluations")
     p.add_argument("--test-episodes", type=count, default=32, help="greedy episodes per evaluation point")
     p.add_argument("--jobs", type=count, default=1, help="seeds trained in parallel processes")
@@ -133,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--red", default="bot", help="checkpoint path, 'bot' or 'random'")
     p.add_argument("--blue", default="random", help="checkpoint path, 'bot' or 'random'")
     p.add_argument("--episodes", type=count, default=32, help="evaluation episodes")
-    p.add_argument("--seed", type=int, default=0, help="evaluation seed")
+    p.add_argument("--seed", type=non_negative, default=0, help="evaluation seed")
     p.add_argument("--out", default=None, help="write the result as JSON here")
     p.add_argument("--replay-out", default=None, help="write replay JSONL here")
 
@@ -141,22 +151,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--algos", type=algo_list, default="iql,vdn,qmix", help="comma-separated member algorithms")
     p.add_argument("--steps-per-member", type=count, default=150_000, help="training env steps per member")
-    p.add_argument("--seed", type=int, default=0, help="pool build seed")
+    p.add_argument("--seed", type=non_negative, default=0, help="pool build seed")
     p.add_argument("--out", default="runs/pool", help="output directory")
 
     p = sub.add_parser("serve", help="serve lockstep protocol sessions", formatter_class=fmt)
     _add_common(p)
     p.add_argument("--host", default="127.0.0.1", help="bind address")
-    p.add_argument("--port", type=int, default=7777, help="bind port (0 picks a free one)")
+    p.add_argument("--port", type=port, default=7777, help="bind port (0 picks a free one)")
     p.add_argument("--episodes", type=count, default=100, help="episodes per session")
-    p.add_argument("--seed", type=int, default=0, help="episode seed base")
+    p.add_argument("--seed", type=non_negative, default=0, help="episode seed base")
     p.add_argument("--bot-team", choices=("red", "blue"), default=None, help="play this side in-process")
-    p.add_argument("--timeout", type=seconds, default=None, help="act deadline in seconds (forfeit on miss)")
+    p.add_argument("--timeout", type=positive, default=None, help="act deadline in seconds (forfeit on miss)")
 
     p = sub.add_parser("analyze", help="aggregate metrics and analyze replays", formatter_class=fmt)
     p.add_argument("--metrics-dir", default=None, help="directory of metrics CSV files")
     p.add_argument("--replays", nargs="*", default=[], help="replay JSONL files for diversity analysis")
-    p.add_argument("--diversity-bandwidth", type=float, default=None, help="mean-shift bandwidth (default adaptive)")
+    p.add_argument("--diversity-bandwidth", type=positive, default=None, help="mean-shift bandwidth (default adaptive)")
     p.add_argument("--out", default="runs/analysis", help="output directory")
 
     p = sub.add_parser("scenarios", help="list the built-in scenarios", formatter_class=fmt)
@@ -167,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="measure env steps per second with random policies", formatter_class=fmt)
     _add_common(p)
     p.add_argument("--steps", type=count, default=30_000, help="env steps to run")
-    p.add_argument("--seed", type=int, default=0, help="benchmark seed")
+    p.add_argument("--seed", type=non_negative, default=0, help="benchmark seed")
     p.add_argument("--json", action="store_true", help="print one JSON line instead of the text summary")
     return parser
 
@@ -248,16 +258,14 @@ def _train_one_seed(payload: tuple) -> list[RunMetrics]:
     """
     args, scenario, config, pool, seed, out = payload
     env = BattleEnv(scenario, config.engine, config.reward)
-    sides = [(Team.RED, args.algo), (Team.BLUE, args.algo_b)] if args.mode == "paired" else [(Team.RED, args.algo)]
+    sides = [(Team.RED, args.algo)] + ([(Team.BLUE, args.vs[0])] if pool is None else [])
     learners = [
         # Paired sides' seeds carry a side index; a lone learner's seed does not.
         make_learner(algo, env.team_spec(team), config.learner,
                      seed=derive_seed(STREAM_INIT, seed, *([i] if len(sides) > 1 else [])))
         for i, (team, algo) in enumerate(sides)
     ]
-    if args.mode == "bot":
-        runs = [train_vs_bot(learners[0], scenario, config, seed=seed)]
-    elif args.mode == "paired":
+    if pool is None:
         runs = list(train_paired(*learners, scenario, config, seed=seed))
     else:
         runs = [train_mixed(learners[0], pool, scenario, config, seed=seed)]
@@ -266,23 +274,21 @@ def _train_one_seed(payload: tuple) -> list[RunMetrics]:
     for metrics, learner, (team, algo) in zip(runs, learners, sides):
         side = team.name.lower()
         write_metrics_csv(metrics, out / f"metrics_seed{seed}{'' if len(sides) == 1 else '_' + side}.csv")
-        save_learner(out / f"checkpoint_seed{seed}_{algo}_{side}.npz", learner, {"train_seed": seed, "mode": args.mode})
+        save_learner(out / f"checkpoint_seed{seed}_{algo}_{side}.npz", learner, {"train_seed": seed, "mode": metrics.mode})
     return runs
 
 
 def cmd_train(args) -> int:
-    for flag, value, mode in (("--algo-b", args.algo_b, "paired"), ("--pool", args.pool, "mixed")):
-        if (value is None) == (args.mode == mode):  # a flag is read in its mode, and only there
-            wrong = f"--mode {mode} requires {flag}" if value is None else f"{flag} needs --mode {mode}"
-            print(f"train: {wrong}", file=sys.stderr)
-            return 2
+    if len(args.vs) > 1 and set(args.vs) & set(VALUE_ALGOS):
+        raise CliError(f"--vs {' '.join(args.vs)}: a learning algorithm is the only --vs entry (paired mode); "
+                       "a pool names 'bot', 'random' or checkpoint paths")
     scenario, sections = _resolve_run(args)
     config = TrainConfig(total_env_steps=args.steps, test_interval=args.test_interval,
                          test_episodes=args.test_episodes, **sections)
     pool = None
-    if args.mode == "mixed":
+    if args.vs[0] not in VALUE_ALGOS:  # a frozen pool; else blue learns (paired)
         env = BattleEnv(scenario, config.engine, config.reward)
-        pool = OpponentPool([_policy(label, env, Team.BLUE) for label in args.pool])
+        pool = OpponentPool([_policy(label, env, Team.BLUE) for label in args.vs])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seeds = [args.seed_base + k for k in range(args.seeds)]
@@ -290,8 +296,8 @@ def cmd_train(args) -> int:
     if args.jobs > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            primary = [runs[0] for runs in pool.map(_train_one_seed, payloads)]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as executor:
+            primary = [runs[0] for runs in executor.map(_train_one_seed, payloads)]
     else:
         primary = [_train_one_seed(payload)[0] for payload in payloads]
 

@@ -6,11 +6,11 @@ learner against blue, which is a fixed learner or a draw from a frozen
 episode and takes one update.  At scheduled env-step counts red plays a
 greedy :func:`evaluate` set, and the caller records the result.
 
-* :func:`train_vs_bot`: red learns, the scripted bot plays blue;
 * :func:`train_paired`: red and blue learn from the same episodes, and one
   evaluation set is reported from both sides;
 * :func:`train_mixed`: red learns against a per-episode pool draw, and
-  evaluation draws from the pool too;
+  evaluation draws from the pool too; against a pool that is just the
+  scripted bot (:func:`train_vs_bot`) the run is labelled ``bot``;
 * :func:`build_opponent_pool`: each member learns as blue against the red
   bot, unevaluated, and is then frozen; the bot joins a pool as one more member.
 
@@ -290,7 +290,7 @@ def _eval_schedule(total: int, interval: int) -> list[int]:
 
 @dataclass
 class OpponentPool:
-    """Frozen opponents for the mixed mode; one is drawn per episode."""
+    """Frozen opponents, one drawn per episode: a mixed-mode pool, or the scripted bot alone."""
 
     members: list[Learner]
 
@@ -368,13 +368,6 @@ def _train(
                 learner.env_steps = steps
 
 
-def train_vs_bot(algo: Learner, scenario, config: TrainConfig, seed: int = 0) -> RunMetrics:
-    """Red trains against the frozen scripted bot on blue."""
-    metrics = RunMetrics(scenario.name, "bot", algo.algo, "bot", seed)
-    _train(algo, ScriptedBot(scenario, Team.BLUE), scenario, config, seed, metrics.points.append)
-    return metrics
-
-
 def train_paired(
     algo_a: Learner, algo_b: Learner, scenario, config: TrainConfig, seed: int = 0
 ) -> tuple[RunMetrics, RunMetrics]:
@@ -403,13 +396,19 @@ def train_paired(
 def train_mixed(
     algo: Learner, pool: OpponentPool, scenario, config: TrainConfig, seed: int = 0
 ) -> RunMetrics:
-    """Red trains against a per-episode draw from the frozen pool."""
+    """Red trains against a per-episode draw from the frozen pool; a pool of just the bot labels the run ``bot``."""
     before = pool.hashes()
-    metrics = RunMetrics(scenario.name, "mixed", algo.algo, "pool", seed)
+    mode, opponent = ("bot", "bot") if {m.algo for m in pool.members} == {"bot"} else ("mixed", "pool")
+    metrics = RunMetrics(scenario.name, mode, algo.algo, opponent, seed)
     _train(algo, pool, scenario, config, seed, metrics.points.append)
     if pool.hashes() != before:
         raise MutablePoolMember("a pool member's parameters changed during the run")
     return metrics
+
+
+def train_vs_bot(algo: Learner, scenario, config: TrainConfig, seed: int = 0) -> RunMetrics:
+    """Red trains against the scripted bot on blue, a one-member pool."""
+    return train_mixed(algo, OpponentPool([ScriptedBot(scenario, Team.BLUE)]), scenario, config, seed)
 
 
 def build_opponent_pool(scenario, algos: Sequence[str], config: TrainConfig, seed: int = 0) -> list[Learner]:

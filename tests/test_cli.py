@@ -178,6 +178,11 @@ def test_bench_json_prints_one_line(capsys):
         ["pool", "--steps-per-member", "0"], ["serve", "--episodes", "0"],
         ["serve", "--timeout", "0"], ["serve", "--timeout", "-1.5"], ["serve", "--timeout", "inf"],
         ["bench", "--steps", "0"],
+        ["train", "--seed-base", "-1"], ["eval", "--seed", "-1"], ["pool", "--seed", "-1"],  # numpy seeds are >= 0
+        ["serve", "--seed", "-1"], ["bench", "--seed", "-1"],
+        ["serve", "--port", "70000"], ["serve", "--port", "-5"],
+        ["analyze", "--diversity-bandwidth", "0"], ["analyze", "--diversity-bandwidth", "-1"],
+        ["analyze", "--diversity-bandwidth", "nan"], ["analyze", "--diversity-bandwidth", "inf"],
     ],
     ids=" ".join,
 )
@@ -187,7 +192,7 @@ def test_out_of_range_numbers_are_usage_errors(argv, capsys):
         parser.parse_args(argv)
     assert exc.value.code == 2
     assert f"argument {argv[1]}" in capsys.readouterr().err
-    parser.parse_args([argv[0], argv[1], "1"])  # the smallest valid value parses
+    parser.parse_args([argv[0], argv[1], "1"])  # 1 is in range for every flag here
 
 
 @pytest.mark.parametrize(
@@ -195,7 +200,7 @@ def test_out_of_range_numbers_are_usage_errors(argv, capsys):
     [
         ["replay", "--file", "MISSING.jsonl"],
         ["eval", "--red", "MISSING.npz"],
-        ["train", "--mode", "mixed", "--pool", "bot", "MISSING.npz"],
+        ["train", "--vs", "bot", "MISSING.npz"],
         ["bench", "--config", "MISSING.json"],
         ["analyze", "--replays", "MISSING.jsonl"],
     ],
@@ -218,7 +223,7 @@ def _exit_code(argv):
     "argv",
     [
         ["pool", "--algos", "bogus"],
-        ["pool", "--algos="],  # no algorithm: the bot joins a mixed-mode --pool by name
+        ["pool", "--algos="],  # no algorithm: the bot joins a train --vs pool by name
         ["analyze"],
         ["analyze", "--metrics-dir", "."],  # a directory with no metrics CSV in it
     ],
@@ -245,15 +250,16 @@ _BAD_INPUTS = {
     [
         ["analyze", "--replays", "MISSING.jsonl", "--out", "out"],
         ["analyze", "--out", "out"],
-        ["train", "--mode", "mixed", "--pool", "NOPOOL", "--out", "out"],  # a member file that does not exist
-        ["train", "--mode", "mixed", "--pool", "pool", "--out", "out"],
+        ["train", "--vs", "NOPOOL", "--out", "out"],  # a member file that does not exist
+        ["train", "--vs", "pool", "--out", "out"],
         ["eval", "--red", "pool", "--out", "out/eval.json"],
         ["train", "--scenario", "wide.ini", "--out", "out"],
         ["train", "--scenario", "count.ini", "--out", "out"],
         ["train", "--config", "batch.json", "--out", "out"],
         ["train", "--config", "interval.json", "--out", "out"],
         ["train", "--config", "step.json", "--out", "out"],
-        ["train", "--algo-b", "qmix", "--out", "out"],  # flags outside the mode that reads them
+        # The retired opponent flags: an old command line fails rather than running another experiment.
+        ["train", "--algo-b", "qmix", "--out", "out"],
         ["train", "--mode", "mixed", "--pool", "bot", "--algo-b", "qmix", "--out", "out"],
         ["train", "--pool", "bot", "--out", "out"],
         ["train", "--mode", "paired", "--algo-b", "qmix", "--pool", "bot", "--out", "out"],
@@ -266,18 +272,27 @@ def test_failed_commands_leave_no_output_directory(argv, tmp_path, monkeypatch):
     for name, text in _BAD_INPUTS.items():
         Path(name).parent.mkdir(exist_ok=True)
         Path(name).write_text(text)
-    assert cli.main([*argv, "--steps", "30", "--seeds", "1"] if argv[0] == "train" else argv) == 2
+    assert _exit_code([*argv, "--steps", "30", "--seeds", "1"] if argv[0] == "train" else argv) == 2
     assert not (tmp_path / "out").exists()
 
 
-def test_train_names_the_mode_a_flag_needs(tmp_path, monkeypatch, capsys):
+def test_train_refuses_a_learning_algorithm_inside_a_pool(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    argv = ["train", "--pool", "nonexistent.npz", "--algo-b", "qmix", "--scenario", "3m", "--steps", "30"]
-    assert cli.main(argv) == 2
-    assert capsys.readouterr().err == "train: --algo-b needs --mode paired\n"
-    assert cli.main(["train", "--pool", "bot", "--steps", "30"]) == 2
-    assert capsys.readouterr().err == "train: --pool needs --mode mixed\n"
+    for vs in (["bot", "qmix"], ["iql", "random"]):
+        assert cli.main(["train", "--vs", *vs, "--scenario", "3m", "--steps", "30", "--out", "out"]) == 2
+        assert capsys.readouterr().err.startswith(f"skirmish train: --vs {' '.join(vs)}: a learning algorithm is")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("vs, labels", [(["bot"], ("bot", "bot")), (["random"], ("mixed", "pool")),
+                                        (["bot", "random"], ("mixed", "pool"))], ids=["bot", "random", "bot random"])
+def test_train_labels_a_run_by_what_plays_blue(tmp_path, vs, labels):
+    out = tmp_path / "run"
+    assert cli.main(["train", "--vs", *vs, "--scenario", "3m", "--steps", "30", "--seeds", "1",
+                     "--test-interval", "30", "--test-episodes", "1", "--out", str(out)]) == 0
+    metrics = read_metrics_csv(out / "metrics_seed0.csv")
+    aggregate = json.loads((out / "aggregate.json").read_text())
+    assert (metrics.mode, metrics.algo_blue) == (aggregate["mode"], aggregate["algo_blue"]) == labels
 
 
 def _custom_marines(path, n):
@@ -301,7 +316,7 @@ def test_eval_with_a_checkpoint_of_another_scenario_is_a_usage_error(tmp_path, m
 def test_mixed_training_against_a_pool_of_another_scenario_is_a_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["pool", "--scenario", "3m", "--algos", "iql", "--steps-per-member", "30", "--out", "pool"]) == 0
-    assert cli.main(["train", "--mode", "mixed", "--pool", "pool/member_0_iql.npz", "--scenario", "8m",
+    assert cli.main(["train", "--vs", "pool/member_0_iql.npz", "--scenario", "8m",
                      "--steps", "30", "--seeds", "1", "--out", "out"]) == 2
     assert "checkpoint pool/member_0_iql.npz was saved for blue on '3m'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -315,7 +330,7 @@ def test_mixed_training_against_a_pool_of_another_scenario_is_a_usage_error(tmp_
     "argv",
     [
         ["eval", "--red", "pool/member.npz", "--out", "out/eval.json", "--replay-out", "out/replay.jsonl"],
-        ["train", "--mode", "mixed", "--pool", "pool/member.npz", "--steps", "30", "--seeds", "1", "--out", "out"],
+        ["train", "--vs", "pool/member.npz", "--steps", "30", "--seeds", "1", "--out", "out"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -396,7 +411,7 @@ def test_pipeline_outputs_are_byte_identical_across_runs(tmp_path):
 
 def test_paired_training_writes_both_sides_of_every_seed(tmp_path):
     out = tmp_path / "paired"
-    assert cli.main(["train", "--mode", "paired", "--algo", "iql", "--algo-b", "qmix", "--scenario", "3m",
+    assert cli.main(["train", "--algo", "iql", "--vs", "qmix", "--scenario", "3m",
                      "--steps", "60", "--seeds", "2", "--seed-base", "3", "--test-interval", "30",
                      "--test-episodes", "2", "--out", str(out)]) == 0
     assert sorted(path.name for path in out.glob("*.csv")) == [
@@ -417,13 +432,13 @@ def test_paired_training_writes_both_sides_of_every_seed(tmp_path):
 
 
 def _pool_then_mixed(root, config):
-    """pool (iql, vdn) -> train --mode mixed against both members and the bot (2 seeds)."""
+    """pool (iql, vdn) -> train --vs both members and the bot (2 seeds)."""
     pool = root / "pool"
     assert cli.main(["pool", "--scenario", "3m", "--algos", "iql,vdn", "--steps-per-member", "60", "--seed", "3",
                      "--config", str(config), "--out", str(pool)]) == 0
     members = json.loads((pool / "manifest.json").read_text())["members"]
     assert [(m["algo"], m["file"]) for m in members] == [("iql", "member_0_iql.npz"), ("vdn", "member_1_vdn.npz")]
-    assert cli.main(["train", "--mode", "mixed", "--pool", *(str(pool / m["file"]) for m in members), "bot",
+    assert cli.main(["train", "--vs", *(str(pool / m["file"]) for m in members), "bot",
                      "--algo", "qmix", "--scenario", "3m", "--steps", "120", "--seeds", "2", "--test-interval", "60",
                      "--test-episodes", "2", "--config", str(config), "--out", str(root / "mixed")]) == 0
     assert read_metrics_csv(root / "mixed" / "metrics_seed1.csv").algo_blue == "pool"
