@@ -15,10 +15,11 @@ Exit codes: 0 success; 2 usage or configuration error, found before the
 run starts (bad flags, a missing input file, a :class:`CliError` such as
 an unknown ``--config`` section, a
 :class:`~skirmish.config.ConfigError` for a ``--config`` key, type or
-range, a :class:`~skirmish.scenario.ScenarioError`, or a
+range, a :class:`~skirmish.scenario.ScenarioError`, a
 :class:`~skirmish.learners.CheckpointError` for a directory or a file that
 is no checkpoint, one of another format, one that holds no value learner
-or one whose learner config no learner takes); 1 any other failure while
+or one whose learner config no learner takes, or a replay or metrics file
+that does not parse as one, which names the file); 1 any other failure while
 running, domain ``ValueError``
 subclasses included.  Commands create the directories they write to, so a
 missing file is always an input, and only once their inputs have loaded,
@@ -41,13 +42,14 @@ import numpy as np
 
 from . import __version__, nn
 from .engine import EngineConfig, Team
-from .env import BattleEnv, ReplayWriter, RewardConfig
+from .env import BattleEnv, ReplayError, ReplayWriter, RewardConfig
 from .config import ConfigError, read_config
 from .learners import (CHECKPOINT_FORMAT, VALUE_ALGOS, CheckpointError, Learner, LearnerConfig, load_learner,
                        make_learner, save_learner)
 from .scenario import ScenarioError, ScenarioSpec, builtin_scenarios, get_scenario, parse_scenario_config
 from .seeding import STREAM_BENCH, STREAM_INIT, derive_seed
 from .training import (
+    MetricsFileError,
     OpponentPool,
     RunMetrics,
     TrainConfig,
@@ -195,7 +197,7 @@ def _resolve_run(args) -> tuple[ScenarioSpec, dict]:
         with open(args.config, encoding="utf-8") as fh:
             try:
                 overrides = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise CliError(f"--config {args.config}: {exc}") from exc
         if not isinstance(overrides, dict):
             raise CliError(f"--config {args.config}: expected a JSON object of sections")
@@ -205,8 +207,13 @@ def _resolve_run(args) -> tuple[ScenarioSpec, dict]:
             raise CliError(f"--config {args.config}: unknown section(s) {', '.join(sorted(unknown))}{hint}")
     sections = {key: read_config(cls, overrides.get(key, {}), f"--config {key}") for key, cls in _SECTIONS.items()}
     path = Path(args.scenario)
-    scenario = parse_scenario_config(path.read_text(encoding="utf-8")) if path.is_file() else get_scenario(args.scenario)
-    return scenario, sections
+    if not path.is_file():
+        return get_scenario(args.scenario), sections
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"--scenario {path}: {exc}") from exc
+    return parse_scenario_config(text), sections
 
 
 def _check_fits(learner: Learner, label: str, env: BattleEnv, team: Team) -> Learner:
@@ -376,8 +383,14 @@ def cmd_serve(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .analysis import action_diversity, aggregate_runs, log_from_replay, write_summary
+    from .analysis import AnalysisError, action_diversity, aggregate_runs, log_from_replay, write_summary
     from .env import read_replay
+
+    def joint_actions(path):
+        try:
+            return log_from_replay(read_replay(path))
+        except AnalysisError as exc:  # a replay with no recorded actions, such as an empty file
+            raise CliError(f"{path}: {exc}") from exc
 
     if not args.metrics_dir and not args.replays:
         raise CliError("nothing to analyze: pass --metrics-dir and/or --replays")
@@ -387,7 +400,7 @@ def cmd_analyze(args) -> int:
         if not files:
             raise CliError(f"no metrics CSV files in {args.metrics_dir}")
         summary = aggregate_runs(files)
-    reports = [(path, action_diversity(log_from_replay(read_replay(path)), args.diversity_bandwidth))
+    reports = [(path, action_diversity(joint_actions(path), args.diversity_bandwidth))
                for path in args.replays]
 
     out = Path(args.out)
@@ -481,7 +494,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (CliError, ConfigError, ScenarioError, CheckpointError) as exc:
+    except (CliError, ConfigError, ScenarioError, CheckpointError, ReplayError, MetricsFileError) as exc:
         print(f"skirmish {args.command}: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -571,6 +571,30 @@ class ReplayWriter:
         self.close()
 
 
+class ReplayError(ValueError):
+    """A replay file that is not UTF-8 text or has a line that is no replay record."""
+
+
 def read_replay(path) -> list[dict]:
+    """The records of a replay file, each a JSON object with integer ``v``, ``episode`` and ``step``.
+
+    Raises :class:`ReplayError`, naming the file, for a file that is not UTF-8 text or has any other line.
+    """
     with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ReplayError(f"{path} is not UTF-8 text: {exc}") from exc
+    records = []
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ReplayError(f"{path} line {number} is not JSON: {exc}") from exc
+        if not (isinstance(record, dict) and all(type(record.get(key)) is int for key in ("v", "episode", "step"))):
+            raise ReplayError(f"{path} line {number} is no replay record (a JSON object with integer v, "
+                              "episode and step)")
+        records.append(record)
+    return records

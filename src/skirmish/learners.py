@@ -12,6 +12,10 @@ values combine into the values that regress on the TD targets.  The update
 evaluates each distinct input row of its batch once; the rows of agents
 whose observation is all zero are keyed by agent and last action.  The
 update computes in its networks' dtype, float32, as PyMARL's learners do.
+Replay keeps each :class:`TeamEpisode` compact, its observation and state
+rows as nonzero bitmaps plus the nonzero values (:func:`pack_rows`), and
+the update's collate scatters them back (:func:`unpack_rows`), so it sees
+the same bits as from dense rows.
 :func:`save_learner` and :func:`load_learner` are the one checkpoint
 format, and only the Q-learners (:data:`VALUE_ALGOS`) have checkpoints: the
 bot and the random policy are named, not saved.
@@ -110,6 +114,22 @@ def epsilon_greedy(q_values: np.ndarray, mask: np.ndarray, epsilon: float, rng) 
     return np.where(explore, uniform, greedy)
 
 
+def pack_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stored form of float32 ``rows``: each row's bitmap of nonzero cells, and those cells' values in row order.
+
+    A cell counts as nonzero by its bits, so ``-0.0`` is kept as a value and
+    :func:`unpack_rows` gives back every bit.  Packed per row, the bitmaps
+    of several row blocks concatenate.
+    """
+    nonzero = rows.view(np.uint32) != 0
+    return np.packbits(nonzero, axis=1), rows[nonzero]
+
+
+def unpack_rows(bits: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
+    """Write the rows :func:`pack_rows` stored as ``bits`` and ``values`` into the zeroed ``(rows, width)`` ``out``."""
+    out[np.unpackbits(bits, axis=1, count=out.shape[1]).view(bool)] = values
+
+
 @dataclass
 class TeamEpisode:
     """One team's record of one episode, ready for episodic replay.
@@ -117,15 +137,21 @@ class TeamEpisode:
     A dead unit's observation is all zero, and such rows are most of an
     episode's (about 55% on MMM2 and 65% on 25m at random play), so
     observations are kept as a ``blank`` flag per row and agent plus the
-    observations of the other rows only.
+    observations of the other rows only.  Most cells of those rows are zero
+    too (62% on MMM2 and 58% on 25m at random play: one-hots, shields and
+    the blocks of units out of sight), so they and the state rows are
+    stored by :func:`pack_rows`, as a nonzero bitmap per row plus the
+    nonzero values; this halves an MMM2 or 25m episode's bytes.
     """
 
-    blank: np.ndarray     # (T+1, A) bool, True where the agent's observation is all zero
-    live_obs: np.ndarray  # (K, obs_len) float32, the observations of the other rows in (row, agent) order
-    state: np.ndarray     # (T+1, state_len) float32
-    masks: np.ndarray     # (T+1, A, n_actions) bool
-    actions: np.ndarray   # (T, A) int16
-    rewards: np.ndarray   # (T,) float64
+    blank: np.ndarray         # (T+1, A) bool, True where the agent's observation is all zero
+    obs_bits: np.ndarray      # (K, ceil(obs_len/8)) uint8, nonzero bitmaps of the other rows in (row, agent) order
+    obs_values: np.ndarray    # float32, the nonzero cells of those rows in order
+    state_bits: np.ndarray    # (T+1, ceil(state_len/8)) uint8, nonzero bitmap of each state row
+    state_values: np.ndarray  # float32, the nonzero cells of the state rows in order
+    masks: np.ndarray         # (T+1, A, n_actions) bool
+    actions: np.ndarray       # (T, A) int16
+    rewards: np.ndarray       # (T,) float64
 
     @property
     def length(self) -> int:
@@ -187,6 +213,14 @@ class ScriptedBot(Learner):
     Armed units focus-fire the reachable enemy with the lowest remaining
     health+shield; healers patch the most damaged patient in range; with
     nothing in sight everyone advances on the enemy side of the arena.
+
+    The rule is a table over (agent, target slot), so one act is a few
+    array operations for the whole team: a slot's score is two observation
+    cells times their weights (an enemy's health and shield times its
+    maximums, or a patient's health times its maximum), and the slot is a
+    candidate while its action is available and its score is below its cap
+    (a patient must be damaged; -inf where the slot holds no one the agent
+    may target).
     """
 
     algo = "bot"
@@ -195,54 +229,37 @@ class ScriptedBot(Learner):
         units = scenario.team_units(team)
         enemies = scenario.team_units(team.other)
         layout = team_layout(scenario, team)
-        A = layout.n_agents
+        A, E, W = layout.n_agents, layout.n_enemies, layout.n_actions - TARGET_OFFSET
         self.team = team
         super().__init__(layout.team_spec(team, scenario.name))
-        self.enemy_max_h = np.array([s.max_health for s in enemies])
-        self.enemy_max_s = np.array([s.max_shield for s in enemies])
-        self.is_healer = np.array([u.is_healer for u in units])
+        enemy = layout.enemy_off + np.arange(E) * layout.enemy_width
+        ally = layout.ally_off + np.arange(A - 1) * layout.ally_width
         # Patient slots mirror the observation's ally rows (self excluded).
-        self.ally_max_h = np.array([u.max_health for u in units])[ally_slots(A)]
-        self.enemy_row = layout.enemy_width
-        self.ally_row = layout.ally_width
-        self.enemy_off = layout.enemy_off
-        self.ally_off = layout.ally_off
+        patient_max_h = np.array([u.max_health for u in units])[ally_slots(A)]
+        self._cells = np.zeros((2, A, W), dtype=np.int64)  # flat indices into the (A, obs_len) observation
+        self._weights = np.zeros((2, A, W))
+        self._cap = np.full((A, W), -np.inf)
+        for a, unit in enumerate(units):
+            row = a * layout.obs_len
+            if unit.is_healer:  # the second cell's zero weight adds a signed zero, which changes no comparison
+                self._cells[:, a, : A - 1] = row + ally + 3
+                self._weights[0, a, : A - 1] = self._cap[a, : A - 1] = patient_max_h[a]
+            else:
+                self._cells[:, a, :E] = row + enemy + 4, row + enemy + 5
+                self._weights[:, a, :E] = [s.max_health for s in enemies], [s.max_shield for s in enemies]
+                self._cap[a, :E] = np.inf
+        self._agents = np.arange(A)
 
     def act(self, obs, masks, epsilon: float = 0.0, rng=None) -> np.ndarray:
-        obs = np.atleast_2d(obs)
         masks = np.atleast_2d(masks)
-        A, E = self.team_spec.n_agents, self.team_spec.n_enemies
-        actions = np.empty(A, dtype=np.int64)
-        for a in range(A):
-            mask = masks[a]
-            if mask[ACTION_NOOP]:
-                actions[a] = ACTION_NOOP
-                continue
-            chosen = -1
-            if self.is_healer[a]:
-                avail = mask[TARGET_OFFSET : TARGET_OFFSET + A - 1]
-                if avail.any():
-                    rows = obs[a, self.ally_off : self.ally_off + (A - 1) * self.ally_row]
-                    health = rows.reshape(A - 1, self.ally_row)[:, 3] * self.ally_max_h[a]
-                    damaged = avail & (health < self.ally_max_h[a])
-                    if damaged.any():
-                        pool = np.where(damaged, health, np.inf)
-                        chosen = int(pool.argmin())
-            else:
-                avail = mask[TARGET_OFFSET : TARGET_OFFSET + E]
-                if avail.any():
-                    rows = obs[a, self.enemy_off : self.enemy_off + E * self.enemy_row]
-                    rows = rows.reshape(E, self.enemy_row)
-                    pool = rows[:, 4] * self.enemy_max_h + rows[:, 5] * self.enemy_max_s
-                    pool = np.where(avail, pool, np.inf)
-                    chosen = int(pool.argmin())
-            if chosen >= 0:
-                actions[a] = TARGET_OFFSET + chosen
-            elif mask[ACTION_MOVE_EAST]:
-                actions[a] = ACTION_MOVE_EAST
-            else:
-                actions[a] = ACTION_STOP
-        return actions
+        cells = np.asarray(obs).take(self._cells)
+        score = cells[0] * self._weights[0] + cells[1] * self._weights[1]
+        candidate = masks[:, TARGET_OFFSET:] & (score < self._cap)
+        # Ties go to the lowest slot; candidates score below inf, so the slot found is a candidate if the agent has any.
+        slot = np.where(candidate, score, np.inf).argmin(axis=1)
+        actions = np.where(masks[:, ACTION_MOVE_EAST], ACTION_MOVE_EAST, ACTION_STOP)
+        actions = np.where(candidate[self._agents, slot], TARGET_OFFSET + slot, actions)
+        return np.where(masks[:, ACTION_NOOP], ACTION_NOOP, actions)
 
 
 # -- value mixing -----------------------------------------------------------
@@ -416,14 +433,19 @@ def _collate(learner: ValueLearner, episodes: list[TeamEpisode]) -> _Batch:
     prev_of = prev[rows, agents]
     acted = np.flatnonzero(prev_of >= 0)
     inputs = np.zeros((len(first), learner.input_dim), dtype=dtype)
-    # Blank keys sort first, and the live keys follow in (row, agent) order, the order of ``live_obs``.
-    K = sum(len(ep.live_obs) for ep in episodes)
-    np.concatenate([ep.live_obs for ep in episodes], out=inputs[len(first) - K :, :L])
+    states = np.zeros((len(blank), spec.state_len), dtype=dtype)
+    # Blank keys sort first, and the live keys follow in (row, agent) order, the order of the stored rows.
+    live = inputs[len(first) - sum(len(ep.obs_bits) for ep in episodes) :, :L]
+    k = row = 0
+    for ep in episodes:  # one episode at a time, which spares a concatenated copy of the stored arrays
+        unpack_rows(ep.obs_bits, ep.obs_values, live[k : k + len(ep.obs_bits)])
+        unpack_rows(ep.state_bits, ep.state_values, states[row : row + ep.length + 1])
+        k += len(ep.obs_bits)
+        row += ep.length + 1
     inputs[np.arange(len(first)), L + agents] = 1.0
     inputs[acted, L + A + prev_of[acted]] = 1.0
     return _Batch(
-        inputs, inverse.reshape(prev.shape), np.concatenate([ep.state for ep in episodes], dtype=dtype),
-        np.concatenate([ep.masks for ep in episodes]), now, actions,
+        inputs, inverse.reshape(prev.shape), states, np.concatenate([ep.masks for ep in episodes]), now, actions,
         np.concatenate([ep.rewards for ep in episodes], dtype=dtype), ~last[now + 1],
     )
 

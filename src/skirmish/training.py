@@ -26,13 +26,13 @@ import math
 import mmap
 import warnings
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .engine import EngineConfig, Outcome, Team
 from .env import BattleEnv, ReplayWriter, RewardConfig, replay_record
-from .learners import Learner, LearnerConfig, ScriptedBot, TeamEpisode, make_learner
+from .learners import Learner, LearnerConfig, ScriptedBot, TeamEpisode, make_learner, pack_rows
 from .seeding import STREAM_EVAL, STREAM_EXPLORE, STREAM_POOL, derive_seed, episode_seed
 
 
@@ -46,6 +46,10 @@ class MisalignedRuns(TrainingError):
 
 class MutablePoolMember(TrainingError):
     pass
+
+
+class MetricsFileError(TrainingError):
+    """A metrics CSV file that :func:`read_metrics_csv` cannot read."""
 
 
 class AsymmetricScenarioWarning(UserWarning):
@@ -111,7 +115,9 @@ class EpisodeResult:
 def _mapped_arrays(specs) -> list[np.ndarray]:
     """Zeroed arrays of ``(shape, dtype)`` carved from one private anonymous mapping.
 
-    The OS commits a page when it is first written and takes every page
+    A :class:`_Recorder`'s arrays come from here, and so do the arrays of
+    each episode it stores for replay, one mapping per episode.  The OS
+    commits a page when it is first written and takes every page
     back when the last array is dropped, so unwritten rows cost nothing.
     From malloc, arrays this large move to the heap once one of them has
     been freed (glibc then raises its mmap threshold), and the heap keeps
@@ -128,24 +134,17 @@ def _mapped_arrays(specs) -> list[np.ndarray]:
             for (shape, dtype), offset in zip(specs, offsets)]
 
 
-def _packed(episode: TeamEpisode) -> TeamEpisode:
-    """``episode`` copied into one mapping of its own size, for a replay buffer to keep: a recorder's views
-    also cost each array's partly written first and last pages, 7% of an MMM2 episode at random play."""
-    arrays = [getattr(episode, f.name) for f in fields(episode)]
-    packed = _mapped_arrays([(a.shape, a.dtype) for a in arrays])
-    for dst, src in zip(packed, arrays):
-        dst[...] = src
-    return TeamEpisode(*packed)
-
-
 class _Recorder:
     """One team's episode, written step by step into arrays with room for the longest episode.
 
-    The arrays share one mapping (``_mapped_arrays``) and ``episode`` returns
-    views of the rows written, so an episode costs its own rows once,
-    whatever the step limit, and gives its pages back when dropped.  Only
-    the observations that are not all zero are written, one after another
-    (see :class:`~skirmish.learners.TeamEpisode`).
+    The arrays share one mapping (``_mapped_arrays``), so a recorder costs
+    the rows it writes, whatever the step limit, and gives its pages back
+    when dropped.  Only the observations that are not all zero are written,
+    one after another.  ``episode`` stores the rows written in the
+    compact :class:`~skirmish.learners.TeamEpisode` form, in one mapping of
+    its own size: views of the recorder's arrays would also keep each one's
+    partly written first and last pages, 7% of a dense MMM2 episode at
+    random play.
     """
 
     def __init__(self, first, collect: bool, step_limit: int):
@@ -185,8 +184,12 @@ class _Recorder:
         if not self.collect:
             return None
         t = self.t
-        return TeamEpisode(blank=self.blank[: t + 1], live_obs=self.live_obs[: self.k], state=self.state[: t + 1],
-                           masks=self.masks[: t + 1], actions=self.actions[:t], rewards=self.rewards[:t])
+        arrays = [self.blank[: t + 1], *pack_rows(self.live_obs[: self.k]), *pack_rows(self.state[: t + 1]),
+                  self.masks[: t + 1], self.actions[:t], self.rewards[:t]]
+        stored = _mapped_arrays([(a.shape, a.dtype) for a in arrays])
+        for dst, src in zip(stored, arrays):
+            dst[...] = src
+        return TeamEpisode(*stored)
 
 
 def run_episode(
@@ -363,7 +366,7 @@ def _train(
         steps += ep.length
         for learner, episode in ((red, ep.red_episode), (opponent, ep.blue_episode)):
             if episode is not None:
-                learner.observe(_packed(episode))
+                learner.observe(episode)
                 learner.train_step()
                 learner.env_steps = steps
 
@@ -486,26 +489,39 @@ def write_metrics_csv(metrics: RunMetrics, path) -> None:
 
 
 def read_metrics_csv(path) -> RunMetrics:
+    """The run :func:`write_metrics_csv` wrote; raises :class:`MetricsFileError` naming ``path`` for any other file."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        try:
+            rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise MetricsFileError(f"{path} is not UTF-8 text: {exc}") from exc
+    if not reader.fieldnames:
+        raise MetricsFileError(f"empty metrics file {path}")
+    missing = [name for name in CSV_COLUMNS if name not in reader.fieldnames]
+    if missing:
+        raise MetricsFileError(f"{path} is no metrics file: its header lacks {', '.join(missing)}")
     if not rows:
-        raise TrainingError(f"empty metrics file {path}")
+        raise MetricsFileError(f"metrics file {path} holds no evaluation point")
     first = rows[0]
-    metrics = RunMetrics(
-        scenario=first["scenario"], mode=first["mode"],
-        algo_red=first["algo_red"], algo_blue=first["algo_blue"], seed=int(first["seed"]),
-    )
-    for row in rows:
-        metrics.points.append(
-            EvalPoint(
-                env_step=int(row["env_step"]),
-                wins=int(row["wins"]),
-                draws=int(row["draws"]),
-                losses=int(row["losses"]),
-                mean_return_red=float(row["mean_return_red"]),
-                mean_return_blue=float(row["mean_return_blue"]),
-            )
+    try:
+        metrics = RunMetrics(
+            scenario=first["scenario"], mode=first["mode"],
+            algo_red=first["algo_red"], algo_blue=first["algo_blue"], seed=int(first["seed"]),
         )
+        for row in rows:
+            metrics.points.append(
+                EvalPoint(
+                    env_step=int(row["env_step"]),
+                    wins=int(row["wins"]),
+                    draws=int(row["draws"]),
+                    losses=int(row["losses"]),
+                    mean_return_red=float(row["mean_return_red"]),
+                    mean_return_blue=float(row["mean_return_blue"]),
+                )
+            )
+    except (TypeError, ValueError) as exc:  # TypeError: a row shorter than the header reads None
+        raise MetricsFileError(f"{path}: unreadable metrics row: {exc}") from exc
     return metrics
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from skirmish.engine import CATALOG, EngineConfig, Team, new_world
-from skirmish.learners import TeamEpisode
+from skirmish.learners import TeamEpisode, pack_rows, unpack_rows
 from skirmish.scenario import ScenarioSpec, get_scenario
 
 
@@ -31,16 +31,26 @@ def tiny_scenario(red=("marine", 2), blue=("marine", 2), step_limit=40, arena=(3
 
 
 def compact_episode(obs, state, masks, actions, rewards) -> TeamEpisode:
-    """The episode of dense ``(T+1, A, L)`` observations, stored as the recorder stores it."""
+    """The episode of dense ``(T+1, A, L)`` observations and ``(T+1, S)`` states, stored as the recorder stores it."""
     obs = np.asarray(obs, dtype=np.float32)
     live = obs.any(axis=-1)
-    return TeamEpisode(blank=~live, live_obs=obs[live], state=state, masks=masks, actions=actions, rewards=rewards)
+    return TeamEpisode(~live, *pack_rows(obs[live]), *pack_rows(np.asarray(state, dtype=np.float32)),
+                       masks=masks, actions=actions, rewards=rewards)
 
 
-def dense_obs(episode: TeamEpisode) -> np.ndarray:
-    """The ``(T+1, A, L)`` observations of ``episode``, blank rows as zeros."""
-    out = np.zeros((*episode.blank.shape, episode.live_obs.shape[1]), dtype=episode.live_obs.dtype)
-    out[~episode.blank] = episode.live_obs
+def dense_obs(episode: TeamEpisode, obs_len: int) -> np.ndarray:
+    """The ``(T+1, A, obs_len)`` observations of ``episode``, blank rows as zeros."""
+    live = np.zeros((len(episode.obs_bits), obs_len), dtype=np.float32)
+    unpack_rows(episode.obs_bits, episode.obs_values, live)
+    out = np.zeros((*episode.blank.shape, obs_len), dtype=np.float32)
+    out[~episode.blank] = live
+    return out
+
+
+def dense_state(episode: TeamEpisode, state_len: int) -> np.ndarray:
+    """The ``(T+1, state_len)`` states of ``episode``."""
+    out = np.zeros((len(episode.state_bits), state_len), dtype=np.float32)
+    unpack_rows(episode.state_bits, episode.state_values, out)
     return out
 
 

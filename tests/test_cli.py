@@ -276,6 +276,46 @@ def test_failed_commands_leave_no_output_directory(argv, tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+# An input file of each kind that does not parse as one, named in the argv by the key.
+_MALFORMED = {
+    "replay-text": ("replay.jsonl", "not json\n"),
+    "replay-record": ("replay.jsonl", '{"x": 1}\n'),
+    "replay-array": ("replay.jsonl", "[1, 2]\n"),
+    "replay-empty": ("replay.jsonl", ""),
+    "replay-binary": ("replay.jsonl", b"\x80\xff\n"),
+    "metrics-headerless": ("metrics/metrics_seed0.csv", "0,1,0,1,0.5,1.0,-1.0,0,bot,3m,iql,bot\n"),
+    "metrics-binary": ("metrics/metrics_seed0.csv", b"\x80\xff\n"),
+    "config-binary": ("config.json", b"\x80\xff\n"),
+    "scenario-binary": ("scenario.ini", b"\x80\xff\n"),
+}
+
+
+@pytest.mark.parametrize(
+    ("argv", "bad"),
+    [
+        (["replay", "--file", "replay.jsonl"], "replay-text"),
+        (["replay", "--file", "replay.jsonl"], "replay-record"),
+        (["replay", "--file", "replay.jsonl"], "replay-array"),
+        (["analyze", "--replays", "replay.jsonl", "--out", "out"], "replay-text"),
+        (["analyze", "--replays", "replay.jsonl", "--out", "out"], "replay-empty"),
+        (["replay", "--file", "replay.jsonl"], "replay-binary"),
+        (["analyze", "--metrics-dir", "metrics", "--out", "out"], "metrics-headerless"),
+        (["analyze", "--metrics-dir", "metrics", "--out", "out"], "metrics-binary"),
+        (["train", "--config", "config.json", "--out", "out"], "config-binary"),
+        (["train", "--scenario", "scenario.ini", "--out", "out"], "scenario-binary"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_a_malformed_input_file_is_a_usage_error_that_names_it(argv, bad, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    name, text = _MALFORMED[bad]
+    Path(name).parent.mkdir(exist_ok=True)
+    Path(name).write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert cli.main(argv) == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_refuses_a_learning_algorithm_inside_a_pool(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for vs in (["bot", "qmix"], ["iql", "random"]):

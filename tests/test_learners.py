@@ -10,7 +10,8 @@ import pytest
 from skirmish import nn
 from skirmish.config import ConfigError, read_config
 from skirmish.engine import CATALOG, Team
-from skirmish.env import ACTION_MOVE_EAST, ACTION_NOOP, TARGET_OFFSET, BattleEnv, TeamSpec
+from skirmish.env import (ACTION_MOVE_EAST, ACTION_NOOP, ACTION_STOP, TARGET_OFFSET, BattleEnv, TeamSpec, ally_slots,
+                          team_layout)
 from skirmish.learners import (
     CHECKPOINT_FORMAT,
     CheckpointError,
@@ -30,8 +31,9 @@ from skirmish.learners import (
     save_learner,
     team_td_train_step,
 )
+from skirmish.scenario import get_scenario
 
-from conftest import compact_episode, dense_obs, tiny_scenario
+from conftest import compact_episode, dense_obs, dense_state, tiny_scenario
 from test_env import restore_world
 
 
@@ -247,6 +249,72 @@ def test_bot_heals_lowest_damaged_ally():
     assert bot.act(r.observations, r.masks)[0] == ACTION_MOVE_EAST
 
 
+def reference_bot_act(scenario, team, obs, masks):
+    """``ScriptedBot.act`` as a loop over agents, the rule stated one agent at a time."""
+    layout = team_layout(scenario, team)
+    units, enemies = scenario.team_units(team), scenario.team_units(team.other)
+    A, E = layout.n_agents, layout.n_enemies
+    enemy_max_h = np.array([s.max_health for s in enemies])
+    enemy_max_s = np.array([s.max_shield for s in enemies])
+    ally_max_h = np.array([u.max_health for u in units])[ally_slots(A)]
+    actions = np.empty(A, dtype=np.int64)
+    for a in range(A):
+        mask = masks[a]
+        if mask[ACTION_NOOP]:
+            actions[a] = ACTION_NOOP
+            continue
+        chosen = -1
+        if units[a].is_healer:
+            avail = mask[TARGET_OFFSET : TARGET_OFFSET + A - 1]
+            if avail.any():
+                rows = obs[a, layout.ally_off : layout.ally_off + (A - 1) * layout.ally_width]
+                health = rows.reshape(A - 1, layout.ally_width)[:, 3] * ally_max_h[a]
+                damaged = avail & (health < ally_max_h[a])
+                if damaged.any():
+                    chosen = int(np.where(damaged, health, np.inf).argmin())
+        else:
+            avail = mask[TARGET_OFFSET : TARGET_OFFSET + E]
+            if avail.any():
+                rows = obs[a, layout.enemy_off : layout.enemy_off + E * layout.enemy_width]
+                rows = rows.reshape(E, layout.enemy_width)
+                pool = rows[:, 4] * enemy_max_h + rows[:, 5] * enemy_max_s
+                chosen = int(np.where(avail, pool, np.inf).argmin())
+        if chosen >= 0:
+            actions[a] = TARGET_OFFSET + chosen
+        elif mask[ACTION_MOVE_EAST]:
+            actions[a] = ACTION_MOVE_EAST
+        else:
+            actions[a] = ACTION_STOP
+    return actions
+
+
+@pytest.mark.parametrize("name", ["3m", "MMM2", "25m", "1c3s5z"])
+def test_bot_matches_the_per_agent_reference(name):
+    """Both sides' bots act as the loop does on every step of seeded random-vs-bot episodes."""
+    scenario = get_scenario(name)
+    env = BattleEnv(scenario)
+    bots = ScriptedBot(scenario, Team.RED), ScriptedBot(scenario, Team.BLUE)
+    red = RandomPolicy(env.team_spec(Team.RED))
+    rng = np.random.default_rng(0)
+    steps = targeted = healed = 0
+    for seed in range(2):
+        r_res, b_res = env.reset(seed)
+        while True:
+            acts = [bot.act(res.observations, res.masks) for bot, res in zip(bots, (r_res, b_res))]
+            for bot, res, act in zip(bots, (r_res, b_res), acts):
+                want = reference_bot_act(scenario, bot.team, res.observations, res.masks)
+                assert act.dtype == want.dtype and np.array_equal(act, want)
+                targeted += int((act >= TARGET_OFFSET).sum())
+                healer = [u.is_healer for u in scenario.team_units(bot.team)]
+                healed += int((act[healer] >= TARGET_OFFSET).sum())
+            if env.terminated:
+                break
+            r_res, b_res = env.step(red.act(r_res.observations, r_res.masks, rng=rng), acts[1])
+            steps += 1
+    assert steps and targeted
+    assert healed or name != "MMM2"  # MMM2's medivacs heal
+
+
 # -- mixing -----------------------------------------------------------------------
 
 
@@ -315,7 +383,7 @@ def chosen_q(learner, episode):
     T = episode.length
     spec = learner.team_spec
     out = np.empty((T, spec.n_agents))
-    obs = dense_obs(episode)
+    obs = dense_obs(episode, spec.obs_len)
     for t in range(T):
         last = episode.actions[t - 1] if t > 0 else None
         inputs = learner._inputs(obs[t], last)
@@ -454,7 +522,7 @@ def episode_inputs(learner, episode):
     spec = learner.team_spec
     A, nA, L = spec.n_agents, spec.n_actions, spec.obs_len
     inputs = np.zeros((episode.length + 1, A, learner.input_dim), dtype=learner.nets[0].dtype)
-    inputs[..., :L] = dense_obs(episode)
+    inputs[..., :L] = dense_obs(episode, L)
     inputs[..., L : L + A] = np.eye(A)
     inputs[1:, :, L + A :] = np.eye(nA)[episode.actions]
     return inputs
@@ -477,7 +545,8 @@ def padded_update(learner, episodes):
     for b, ep in enumerate(episodes):
         T = ep.length
         inputs[b, : T + 1] = episode_inputs(learner, ep)
-        states[b, : T + 1], avail[b, : T + 1], actions[b, :T], rewards[b, :T] = ep.state, ep.masks, ep.actions, ep.rewards
+        states[b, : T + 1], avail[b, : T + 1] = dense_state(ep, S), ep.masks
+        actions[b, :T], rewards[b, :T] = ep.actions, ep.rewards
         pad[b, :T], boot[b, : T - 1] = 1.0, 1.0
     avail[..., ACTION_NOOP] |= ~avail.any(axis=-1)  # padding rows stay maskable
     q_now, trace = nn.forward_trace(net, inputs[:, :-1].reshape(-1, D))
@@ -607,7 +676,7 @@ def test_collate_builds_each_distinct_input_once():
     assert got.dtype == full.dtype and got.tobytes() == full.tobytes()
     live, blank = 0, set()
     for ep in episodes:
-        obs = dense_obs(ep)
+        obs = dense_obs(ep, spec.obs_len)
         for t in range(ep.length + 1):
             for agent in range(spec.n_agents):
                 if obs[t, agent].any():

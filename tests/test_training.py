@@ -7,14 +7,13 @@ import pytest
 
 from skirmish.engine import Team
 from skirmish.env import BattleEnv
-from skirmish.learners import LearnerConfig, ScriptedBot, make_learner
+from skirmish.learners import LearnerConfig, ScriptedBot, _collate, make_learner
 from skirmish.scenario import get_scenario
 from skirmish.training import (
     MutablePoolMember,
     OpponentPool,
     TrainConfig,
     TrainingError,
-    _packed,
     build_opponent_pool,
     run_episode,
     train_mixed,
@@ -22,7 +21,7 @@ from skirmish.training import (
     train_vs_bot,
 )
 
-from conftest import dense_obs
+from conftest import dense_obs, dense_state
 
 SCENARIO = get_scenario("3m")
 LEARNER = LearnerConfig(hidden=(16,), batch_episodes=2, buffer_episodes=16, epsilon_anneal_steps=300, target_interval=3)
@@ -123,13 +122,8 @@ def arrays_of(episode):
     return [getattr(episode, f.name) for f in dataclasses.fields(episode)]
 
 
-def test_buffered_episodes_are_exact_copies_in_a_mapping_of_their_own_size():
-    env = BattleEnv(SCENARIO)
-    red, blue = learner("iql"), ScriptedBot(SCENARIO, Team.BLUE)
-    recorded = run_episode(env, red, blue, seed=3, epsilon_red=1.0, rng_red=np.random.default_rng(0),
-                           collect_red=True).red_episode
-    for want, got in zip(arrays_of(recorded), arrays_of(_packed(recorded))):
-        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+def test_buffered_episodes_live_in_a_mapping_of_their_own_size():
+    red = learner("iql")
     train_vs_bot(red, SCENARIO, CONFIG)
     for ep in red.buffer:  # not views of a recorder's mapping, which has room for the step limit
         arrays = arrays_of(ep)
@@ -142,22 +136,15 @@ def test_buffered_episodes_are_exact_copies_in_a_mapping_of_their_own_size():
         assert len(owners[0]) <= sum(a.nbytes for a in arrays) + 64 * len(arrays)
 
 
-def test_collected_episodes_match_the_env_step_by_step():
-    env = BattleEnv(SCENARIO)
-    red = make_learner("random", env.team_spec(Team.RED), seed=1)
-    blue = make_learner("bot", env.team_spec(Team.BLUE), scenario=SCENARIO)
-    first = run_episode(env, red, blue, seed=4, epsilon_red=1.0, rng_red=np.random.default_rng(0), collect_red=True,
-                        collect_blue=True)
-    names = ("blank", "live_obs", "state", "masks", "actions", "rewards")
-    kept = {name: getattr(first.red_episode, name).copy() for name in names}
-    run_episode(env, red, blue, seed=5, epsilon_red=1.0, rng_red=np.random.default_rng(1), collect_red=True)
-    for name, array in kept.items():  # a later episode writes into arrays of its own
-        assert np.array_equal(getattr(first.red_episode, name), array)
-
-    rng = np.random.default_rng(0)
-    red.begin_episode()
-    blue.begin_episode()
-    r_res, b_res = env.reset(4)
+def recorded_and_dense(scenario, seed):
+    """A random red against the blue bot, as ``run_episode`` records it and as dense arrays read off the env."""
+    env = BattleEnv(scenario)
+    red = make_learner("random", env.team_spec(Team.RED))
+    blue = make_learner("bot", env.team_spec(Team.BLUE), scenario=scenario)
+    recorded = run_episode(env, red, blue, seed=seed, epsilon_red=1.0, rng_red=np.random.default_rng(seed),
+                           collect_red=True, collect_blue=True)
+    rng = np.random.default_rng(seed)
+    r_res, b_res = env.reset(seed)
     obs, state, masks, actions, rewards = [r_res.observations], [r_res.state], [r_res.masks], [], []
     while not env.terminated:
         a_r = red.act(r_res.observations, r_res.masks, 1.0, rng)
@@ -168,17 +155,78 @@ def test_collected_episodes_match_the_env_step_by_step():
         masks.append(r_res.masks)
         actions.append(a_r)
         rewards.append(r_res.reward)
-    ep = first.red_episode
-    assert ep.length == first.length == len(actions)
-    assert ep.live_obs.dtype == ep.state.dtype == np.float32 and ep.masks.dtype == ep.blank.dtype == bool
-    assert ep.actions.dtype == np.int16 and ep.rewards.dtype == np.float64
     obs = np.array(obs, dtype=np.float32)
-    blank = ~obs.any(axis=-1)
-    assert np.array_equal(ep.blank, blank) and blank.any()  # units die in this episode
-    obs[blank] = 0.0  # a blank row is kept as its flag alone, so the -0.0s a dead unit's row holds read back as 0.0
-    assert dense_obs(ep).tobytes() == obs.tobytes()
-    assert np.array_equal(ep.state, np.array(state, dtype=np.float32))
-    assert np.array_equal(ep.masks, np.array(masks))
-    assert np.array_equal(ep.actions, np.array(actions))
-    assert np.array_equal(ep.rewards, np.array(rewards))
-    assert all(getattr(ep, name).flags.writeable and getattr(ep, name).flags.c_contiguous for name in names)
+    obs[~obs.any(axis=-1)] = 0.0  # a blank row is kept as its flag alone, so the -0.0s a dead unit's row holds read back as 0.0
+    dense = {"obs": obs, "state": np.array(state, dtype=np.float32), "masks": np.array(masks),
+             "actions": np.array(actions), "rewards": np.array(rewards)}
+    return recorded, dense
+
+
+def negative_zeros(a):
+    return int(((a == 0) & np.signbit(a)).sum())
+
+
+def test_collected_episodes_match_the_env_step_by_step():
+    spec = BattleEnv(SCENARIO).team_spec(Team.RED)
+    first, dense = recorded_and_dense(SCENARIO, 4)
+    kept = [a.copy() for a in arrays_of(first.red_episode)]
+    recorded_and_dense(SCENARIO, 5)
+    for array, copy in zip(arrays_of(first.red_episode), kept):  # a later episode writes into arrays of its own
+        assert np.array_equal(array, copy)
+
+    ep = first.red_episode
+    assert ep.length == first.length == len(dense["actions"])
+    assert ep.obs_values.dtype == ep.state_values.dtype == np.float32 and ep.masks.dtype == ep.blank.dtype == bool
+    assert ep.obs_bits.dtype == ep.state_bits.dtype == np.uint8
+    assert ep.actions.dtype == np.int16 and ep.rewards.dtype == np.float64
+    assert np.array_equal(ep.blank, ~dense["obs"].any(axis=-1)) and ep.blank.any()  # units die in this episode
+    assert dense_obs(ep, spec.obs_len).tobytes() == dense["obs"].tobytes()
+    assert dense_state(ep, spec.state_len).tobytes() == dense["state"].tobytes()
+    assert np.array_equal(ep.masks, dense["masks"])
+    assert np.array_equal(ep.actions, dense["actions"])
+    assert np.array_equal(ep.rewards, dense["rewards"])
+    assert all(a.flags.writeable and a.flags.c_contiguous for a in arrays_of(ep))
+
+
+@pytest.mark.parametrize("name", ["3m", "MMM2"])
+def test_stored_episodes_round_trip_bit_for_bit(name):
+    """Every observation and state cell reads back with its float32 bits, ``-0.0`` included, whoever dies."""
+    scenario = get_scenario(name)
+    spec = BattleEnv(scenario).team_spec(Team.RED)
+    wiped_out = negatives = 0
+    for seed in range(3):
+        recorded, dense = recorded_and_dense(scenario, seed)
+        ep = recorded.red_episode
+        assert np.array_equal(dense_obs(ep, spec.obs_len).view(np.uint32), dense["obs"].view(np.uint32))
+        assert np.array_equal(dense_state(ep, spec.state_len).view(np.uint32), dense["state"].view(np.uint32))
+        wiped_out += bool(ep.blank[-1].all())
+        negatives += negative_zeros(ep.obs_values) + negative_zeros(ep.state_values)
+    assert wiped_out and negatives  # an episode in which every red agent dies, and -0.0 cells kept as values
+
+
+def test_collate_of_stored_episodes_matches_the_dense_batch():
+    scenario = get_scenario("MMM2")
+    spec = BattleEnv(scenario).team_spec(Team.RED)
+    learner = make_learner("qmix", spec, LEARNER)
+    played = [recorded_and_dense(scenario, seed) for seed in range(3)]
+    batch = _collate(learner, [recorded.red_episode for recorded, _ in played])
+    A, L, nA = spec.n_agents, spec.obs_len, spec.n_actions
+    inputs = []
+    for _, dense in played:  # each row's input built from the dense arrays
+        rows = np.zeros((len(dense["obs"]), A, learner.input_dim), dtype=np.float32)
+        rows[..., :L] = dense["obs"]
+        rows[..., L : L + A] = np.eye(A)
+        rows[1:, :, L + A :] = np.eye(nA)[dense["actions"]]
+        inputs.append(rows)
+    assert batch.inputs[batch.inverse].tobytes() == np.concatenate(inputs).tobytes()
+    assert batch.states.dtype == np.float32
+    assert batch.states.tobytes() == np.concatenate([dense["state"] for _, dense in played]).tobytes()
+    assert batch.avail.tobytes() == np.concatenate([dense["masks"] for _, dense in played]).tobytes()
+
+
+def test_an_mmm2_episode_stores_in_at_most_half_its_dense_bytes():
+    recorded, dense = recorded_and_dense(get_scenario("MMM2"), 0)
+    ep = recorded.red_episode
+    live = dense["obs"][~ep.blank]
+    dense_bytes = sum(a.nbytes for a in (ep.blank, live, dense["state"], ep.masks, ep.actions, ep.rewards))
+    assert sum(a.nbytes for a in arrays_of(ep)) <= 0.5 * dense_bytes
