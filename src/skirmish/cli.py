@@ -1,18 +1,22 @@
 """Command-line entry points.
 
 Subcommands: train, eval (``--replay-out`` also records the episodes),
-pool, serve, analyze, scenarios, replay, bench.  A scenario is a built-in
+serve, analyze, scenarios, replay, bench.  A scenario is a built-in
 name or a scenario document file (``--scenario FILE``); the ``--config``
 JSON file overrides the ``engine``, ``reward`` and ``learner`` defaults,
 and command-line flags set the rest.  ``eval --red/--blue`` and each entry
-of a ``train --vs`` pool name a policy the one way: ``bot``, ``random`` or a
-value learner's checkpoint, such as a ``pool`` member file; ``train --vs
-ALGO`` instead trains blue as a value learner beside red (paired).
+of a ``train --vs`` pool name a policy the one way: ``bot``, ``random`` or
+any ``train`` run's checkpoint, which plays either side its shapes fit;
+``train --vs ALGO`` instead trains blue as a value learner beside red
+(paired).  On an asymmetric scenario such as MMM2, a blue-shaped checkpoint
+comes from ``train`` on a document with ``base = MMM2`` and the ``[red]``
+and ``[blue]`` counts swapped, which keeps the name MMM2.
 Every run directory gets a manifest with the fully resolved configuration
 so it can be reproduced bit-for-bit.
 
 Exit codes: 0 success; 2 usage or configuration error, found before the
-run starts (bad flags, a missing input file, a :class:`CliError` such as
+run starts (bad flags, a missing input file, a path of the wrong kind such
+as an input that is a directory, a :class:`CliError` such as
 an unknown ``--config`` section, a
 :class:`~skirmish.config.ConfigError` for a ``--config`` key, type or
 range, a :class:`~skirmish.scenario.ScenarioError`, a
@@ -35,7 +39,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +57,6 @@ from .training import (
     OpponentPool,
     RunMetrics,
     TrainConfig,
-    build_opponent_pool,
     curve_to_json,
     evaluate,
     median_win_rate,
@@ -90,17 +93,6 @@ non_negative = integer(0)  # seeds: numpy's SeedSequence takes no negative integ
 port = integer(0, 65535)
 
 
-def algo_list(text: str) -> list[str]:
-    """argparse type of a comma-separated list of at least one value-learner algorithm."""
-    algos = [a for a in text.split(",") if a]
-    if not algos:
-        raise argparse.ArgumentTypeError("names no algorithm (the bot joins a train --vs pool as 'bot')")
-    unknown = sorted(set(algos) - set(VALUE_ALGOS))
-    if unknown:
-        raise argparse.ArgumentTypeError(f"unknown algorithm(s) {', '.join(unknown)} (expected {', '.join(VALUE_ALGOS)})")
-    return algos
-
-
 def positive(text: str) -> float:
     """argparse type of a finite number above 0: a deadline in seconds (sockets refuse inf) or a bandwidth."""
     value = float(text)
@@ -131,7 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", default="iql", choices=VALUE_ALGOS, help="red's learning algorithm")
     p.add_argument("--vs", nargs="+", default=["bot"], metavar="POLICY",
                    help=f"blue: one of {', '.join(VALUE_ALGOS)} learns beside red (paired), or else a frozen pool of "
-                        "'bot', 'random' and checkpoint paths, one drawn per episode (bot mode if just 'bot')")
+                        "'bot', 'random' and any train run's checkpoints, one drawn per episode (bot mode if just "
+                        "'bot'); a red checkpoint plays blue, and on an asymmetric scenario a blue-shaped one is "
+                        "trained on a scenario document with its [red] and [blue] counts swapped")
     p.add_argument("--steps", type=count, default=300_000, help="training env steps per seed")
     p.add_argument("--seeds", type=count, default=5, help="number of seeded runs")
     p.add_argument("--seed-base", type=non_negative, default=0, help="first seed value")
@@ -148,13 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=non_negative, default=0, help="evaluation seed")
     p.add_argument("--out", default=None, help="write the result as JSON here")
     p.add_argument("--replay-out", default=None, help="write replay JSONL here")
-
-    p = sub.add_parser("pool", help="build a frozen opponent pool", formatter_class=fmt)
-    _add_common(p)
-    p.add_argument("--algos", type=algo_list, default="iql,vdn,qmix", help="comma-separated member algorithms")
-    p.add_argument("--steps-per-member", type=count, default=150_000, help="training env steps per member")
-    p.add_argument("--seed", type=non_negative, default=0, help="pool build seed")
-    p.add_argument("--out", default="runs/pool", help="output directory")
 
     p = sub.add_parser("serve", help="serve lockstep protocol sessions", formatter_class=fmt)
     _add_common(p)
@@ -217,11 +204,11 @@ def _resolve_run(args) -> tuple[ScenarioSpec, dict]:
 
 
 def _check_fits(learner: Learner, label: str, env: BattleEnv, team: Team) -> Learner:
-    """``learner``, if it was saved for the side, scenario and shapes of ``team`` in ``env``."""
+    """``learner``, if it was saved for the scenario and shapes of ``team`` in ``env``, on either side."""
     have, want = learner.team_spec, env.team_spec(team)
-    if have != want:
+    if replace(have, team=want.team) != want:
         def describe(s):
-            return (f"{s.team.name.lower()} on {s.scenario!r} ({s.n_agents} agents, {s.n_enemies} enemies, "
+            return (f"{s.scenario!r} ({s.n_agents} agents, {s.n_enemies} enemies, "
                     f"{s.n_actions} actions, {s.obs_len} observation and {s.state_len} state features)")
         raise CheckpointScenarioMismatch(f"{label} was saved for {describe(have)}, not {describe(want)}")
     return learner
@@ -232,6 +219,7 @@ def _policy(label: str, env: BattleEnv, team: Team) -> Learner:
     if label in ("bot", "random"):
         return make_learner(label, env.team_spec(team), scenario=env.scenario)
     learner = _check_fits(load_learner(label), f"checkpoint {label}", env, team)
+    learner.team_spec = env.team_spec(team)  # the side it plays, whichever it was trained on
     learner.freeze()
     return learner
 
@@ -343,23 +331,6 @@ def cmd_eval(args) -> int:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(text, encoding="utf-8")
     print(text)
-    return 0
-
-
-def cmd_pool(args) -> int:
-    scenario, sections = _resolve_run(args)
-    config = TrainConfig(total_env_steps=args.steps_per_member, **sections)
-    members = build_opponent_pool(scenario, args.algos, config, seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for k, member in enumerate(members):
-        filename = f"member_{k}_{member.algo}.npz"
-        save_learner(out / filename, member, {"pool_seed": args.seed})
-        entries.append({"algo": member.algo, "file": filename, "steps": member.env_steps,
-                        "hash": member.checkpoint_hash()})
-    _manifest(out / "manifest.json", args, {"members": entries})
-    print(f"built pool of {len(entries)} members in {out}:", *(out / e["file"] for e in entries))
     return 0
 
 
@@ -480,7 +451,6 @@ def cmd_bench(args) -> int:
 _COMMANDS = {
     "train": cmd_train,
     "eval": cmd_eval,
-    "pool": cmd_pool,
     "serve": cmd_serve,
     "analyze": cmd_analyze,
     "scenarios": cmd_scenarios,
@@ -499,6 +469,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"skirmish {args.command}: no such file: {exc.filename}", file=sys.stderr)
+        return 2
+    except (IsADirectoryError, NotADirectoryError, FileExistsError) as exc:  # such as an --out that is a file
+        print(f"skirmish {args.command}: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures
         print(f"skirmish {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -604,7 +604,7 @@ def load_learner(path) -> ValueLearner:
         data = np.load(path)
     except IsADirectoryError as exc:
         raise CheckpointError(f"{path} is a directory, not a checkpoint: name the checkpoint files in it, "
-                              "such as a pool's member_0_iql.npz") from exc
+                              "such as checkpoint_seed0_iql_red.npz") from exc
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # ValueError: pickled or malformed data
         raise CheckpointError(f"{path} is not a checkpoint: not an .npz archive") from exc
     if not isinstance(data, np.lib.npyio.NpzFile):  # a plain .npy array

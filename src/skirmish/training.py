@@ -10,9 +10,13 @@ greedy :func:`evaluate` set, and the caller records the result.
   evaluation set is reported from both sides;
 * :func:`train_mixed`: red learns against a per-episode pool draw, and
   evaluation draws from the pool too; against a pool that is just the
-  scripted bot (:func:`train_vs_bot`) the run is labelled ``bot``;
-* :func:`build_opponent_pool`: each member learns as blue against the red
-  bot, unevaluated, and is then frozen; the bot joins a pool as one more member.
+  scripted bot (:func:`train_vs_bot`) the run is labelled ``bot``.
+
+A pool member is any frozen learner whose shapes fit blue, such as a red
+checkpoint of an earlier run: a value learner reads nothing of its side, so
+a checkpoint plays either side once its ``team_spec`` names the one it
+plays.  On an asymmetric scenario, a blue-shaped member is trained as red on
+a scenario document whose ``[red]`` and ``[blue]`` counts are swapped.
 
 Every run is reproducible from its seed, because episode seeds,
 exploration, opponent draws and evaluation each use their own derived
@@ -25,14 +29,14 @@ import csv
 import math
 import mmap
 import warnings
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .engine import EngineConfig, Outcome, Team
 from .env import BattleEnv, ReplayWriter, RewardConfig, replay_record
-from .learners import Learner, LearnerConfig, ScriptedBot, TeamEpisode, make_learner, pack_rows
+from .learners import Learner, LearnerConfig, ScriptedBot, TeamEpisode, pack_rows
 from .seeding import STREAM_EVAL, STREAM_EXPLORE, STREAM_POOL, derive_seed, episode_seed
 
 
@@ -412,25 +416,6 @@ def train_mixed(
 def train_vs_bot(algo: Learner, scenario, config: TrainConfig, seed: int = 0) -> RunMetrics:
     """Red trains against the scripted bot on blue, a one-member pool."""
     return train_mixed(algo, OpponentPool([ScriptedBot(scenario, Team.BLUE)]), scenario, config, seed)
-
-
-def build_opponent_pool(scenario, algos: Sequence[str], config: TrainConfig, seed: int = 0) -> list[Learner]:
-    """Train one blue member per algorithm against the red bot, freeze it, and return the members in order.
-
-    Each member trains for ``config.total_env_steps`` with ``config``'s
-    learner, engine and reward settings, and is not evaluated.  Members
-    are trained as blue so their shapes fit the opponent slot even on
-    asymmetric scenarios.
-    """
-    spec = BattleEnv(scenario, config.engine, config.reward).team_spec(Team.BLUE)
-    members: list[Learner] = []
-    for k, algo_name in enumerate(algos):
-        member_seed = derive_seed(STREAM_POOL, seed, k)
-        learner = make_learner(algo_name, spec, config.learner, seed=member_seed)
-        _train(ScriptedBot(scenario, Team.RED), learner, scenario, config, member_seed)
-        learner.freeze()
-        members.append(learner)
-    return members
 
 
 # -- aggregation and persistence ----------------------------------------------

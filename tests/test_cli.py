@@ -1,5 +1,6 @@
 """Command-line paths end to end on tiny budgets, and the exit-code contract."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -13,11 +14,12 @@ import pytest
 import skirmish
 from skirmish import cli
 from skirmish.engine import Team
-from skirmish.env import BattleEnv, UnavailableAction
-from skirmish.learners import LearnerConfig, load_learner, make_learner
+from skirmish.env import BattleEnv, UnavailableAction, read_replay
+from skirmish.learners import LearnerConfig, ScriptedBot, load_learner, make_learner, save_learner
 from skirmish.protocol import bot_client, client_loop
-from skirmish.scenario import get_scenario
-from skirmish.training import read_metrics_csv
+from skirmish.scenario import get_scenario, parse_scenario_config
+from skirmish.seeding import episode_seed
+from skirmish.training import read_metrics_csv, run_episode, train_mixed
 
 from test_learners import write_broken_checkpoint
 
@@ -55,8 +57,8 @@ def test_eval_reports_the_same_with_and_without_a_replay(tmp_path, capsys):
 def test_the_manifest_records_the_thread_settings(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-    assert cli.main(["pool", "--scenario", "3m", "--algos", "iql", "--steps-per-member", "30",
-                     "--out", str(tmp_path)]) == 0
+    assert cli.main(["train", "--scenario", "3m", "--steps", "30", "--seeds", "1", "--test-interval", "30",
+                     "--test-episodes", "1", "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["thread_env"]["OPENBLAS_NUM_THREADS"] == "3"
     assert manifest["thread_env"]["MKL_NUM_THREADS"] is None
@@ -175,10 +177,10 @@ def test_bench_json_prints_one_line(capsys):
     [
         ["train", "--steps", "-5"], ["train", "--seeds", "0"], ["train", "--test-interval", "0"],
         ["train", "--test-episodes", "0"], ["train", "--jobs", "0"], ["eval", "--episodes", "0"],
-        ["pool", "--steps-per-member", "0"], ["serve", "--episodes", "0"],
+        ["serve", "--episodes", "0"],
         ["serve", "--timeout", "0"], ["serve", "--timeout", "-1.5"], ["serve", "--timeout", "inf"],
         ["bench", "--steps", "0"],
-        ["train", "--seed-base", "-1"], ["eval", "--seed", "-1"], ["pool", "--seed", "-1"],  # numpy seeds are >= 0
+        ["train", "--seed-base", "-1"], ["eval", "--seed", "-1"],  # numpy seeds are >= 0
         ["serve", "--seed", "-1"], ["bench", "--seed", "-1"],
         ["serve", "--port", "70000"], ["serve", "--port", "-5"],
         ["analyze", "--diversity-bandwidth", "0"], ["analyze", "--diversity-bandwidth", "-1"],
@@ -212,6 +214,29 @@ def test_missing_input_file_is_a_usage_error(argv, tmp_path, monkeypatch, capsys
     assert f"no such file: {argv[-1]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("argv", "why"),
+    [
+        (["replay", "--file", "dir"], "Is a directory"),
+        (["analyze", "--replays", "dir", "--out", "out"], "Is a directory"),
+        (["bench", "--config", "dir"], "Is a directory"),
+        (["bench", "--config", "file/config.json"], "Not a directory"),
+        (["train", "--config", "dir", "--out", "out"], "Is a directory"),
+        (["train", "--steps", "30", "--seeds", "1", "--out", "file"], "File exists"),  # refused before any training
+        (["train", "--steps", "30", "--seeds", "1", "--out", "file/run"], "Not a directory"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_a_path_of_the_wrong_kind_is_a_usage_error_that_names_it(argv, why, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("dir").mkdir()
+    Path("file").write_text("")
+    assert cli.main(argv) == 2
+    path = next(arg for arg in argv if arg.startswith(("dir", "file")))
+    assert f"{path}: {why}" in capsys.readouterr().err
+    assert sorted(entry.name for entry in tmp_path.iterdir()) == ["dir", "file"]
+
+
 def _exit_code(argv):
     try:
         return cli.main(argv)
@@ -219,11 +244,19 @@ def _exit_code(argv):
         return exc.code
 
 
+def test_the_parser_offers_the_commands_main_runs_and_no_pool(tmp_path, monkeypatch, capsys):
+    parser = cli.build_parser()
+    [commands] = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    assert list(commands.choices) == list(cli._COMMANDS)
+    monkeypatch.chdir(tmp_path)
+    assert _exit_code(["pool", "--scenario", "3m", "--algos", "iql", "--out", "out"]) == 2
+    assert "invalid choice: 'pool'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["pool", "--algos", "bogus"],
-        ["pool", "--algos="],  # no algorithm: the bot joins a train --vs pool by name
         ["analyze"],
         ["analyze", "--metrics-dir", "."],  # a directory with no metrics CSV in it
     ],
@@ -236,7 +269,7 @@ def test_bad_pool_and_analyze_inputs_are_usage_errors(argv, tmp_path, monkeypatc
 
 # Inputs the cases below may name, each wrong in one way.
 _BAD_INPUTS = {
-    "pool/manifest.json": "{}",  # a pool directory, named where its member files belong
+    "pool/manifest.json": "{}",  # a directory, named where its checkpoint files belong
     "wide.ini": "[scenario]\nbase = 3m\nspawn_spread = 10.2\n",
     "count.ini": "[scenario]\nbase = 3m\n\n[red]\nmarines = x\n",
     "batch.json": json.dumps({"learner": {"batch_episodes": 0}}),
@@ -349,16 +382,86 @@ def test_eval_with_a_checkpoint_of_another_scenario_is_a_usage_error(tmp_path, m
     assert cli.main(["eval", "--scenario", b, "--red", "run/checkpoint_seed0_iql_red.npz",
                      "--out", "out/eval.json"]) == 2
     err = capsys.readouterr().err
-    assert "saved for red on 'custom' (3 agents" in err and "not red on 'custom' (5 agents" in err
+    assert "saved for 'custom' (3 agents" in err and "not 'custom' (5 agents" in err
     assert not (tmp_path / "out").exists()
 
 
 def test_mixed_training_against_a_pool_of_another_scenario_is_a_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["pool", "--scenario", "3m", "--algos", "iql", "--steps-per-member", "30", "--out", "pool"]) == 0
-    assert cli.main(["train", "--vs", "pool/member_0_iql.npz", "--scenario", "8m",
+    assert cli.main(["train", "--scenario", "3m", "--steps", "30", "--seeds", "1", "--test-interval", "30",
+                     "--test-episodes", "1", "--out", "run"]) == 0
+    assert cli.main(["train", "--vs", "run/checkpoint_seed0_iql_red.npz", "--scenario", "8m",
                      "--steps", "30", "--seeds", "1", "--out", "out"]) == 2
-    assert "checkpoint pool/member_0_iql.npz was saved for blue on '3m'" in capsys.readouterr().err
+    assert "checkpoint run/checkpoint_seed0_iql_red.npz was saved for '3m'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_MIRROR = {"red_win": "blue_win", "blue_win": "red_win", "draw": "draw"}
+
+
+def _replayed(path):
+    """Per episode of a replay log: its outcome, length and red and blue returns."""
+    episodes = {}
+    for rec in read_replay(path):
+        _, _, red, blue = episodes.get(rec["episode"], (None, 0, 0.0, 0.0))
+        episodes[rec["episode"]] = (rec["outcome"], rec["step"], red + rec["rewards"]["red"],
+                                    blue + rec["rewards"]["blue"])
+    return [episodes[k] for k in sorted(episodes)]
+
+
+def _mirrored(episodes):
+    return [(_MIRROR[outcome], length, blue, red) for outcome, length, red, blue in episodes]
+
+
+# The scenario a red checkpoint is saved on, and the one it then plays blue in.  On MMM2 the checkpoint comes
+# from the document with the teams' counts swapped, which keeps the name MMM2; without spawn jitter the two
+# scenarios' layouts are mirror images.
+_MMM2 = "[scenario]\nbase = MMM2\nspawn_spread = 0\n"
+_SIDES = {
+    "3m": ("[scenario]\nbase = 3m\n", "[scenario]\nbase = 3m\n"),
+    "MMM2": (_MMM2 + "\n[red]\nmarauders = 3\nmarines = 8\n\n[blue]\nmarauders = 2\nmarines = 7\n", _MMM2),
+}
+
+
+@pytest.mark.parametrize("name", list(_SIDES))
+def test_a_red_checkpoint_plays_blue_as_the_mirror_of_its_red_episodes(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    saved_on, plays_in = _SIDES[name]
+    Path("red.ini").write_text(saved_on)
+    Path("blue.ini").write_text(plays_in)
+    spec = BattleEnv(parse_scenario_config(saved_on)).team_spec(Team.RED)
+    save_learner("red.npz", make_learner("iql", spec, LearnerConfig(hidden=(8,))))
+    common = ["--episodes", "8", "--seed", "0"]
+    assert cli.main(["eval", "--scenario", "red.ini", "--red", "red.npz", "--blue", "bot", *common,
+                     "--replay-out", "as_red.jsonl"]) == 0
+    assert cli.main(["eval", "--scenario", "blue.ini", "--red", "bot", "--blue", "red.npz", *common,
+                     "--replay-out", "as_blue.jsonl"]) == 0
+    mirror = _mirrored(_replayed("as_red.jsonl"))
+    assert _replayed("as_blue.jsonl") == mirror
+
+    members = []  # the pool a train --vs run plays against
+
+    def spy(algo, pool, *args, **kwargs):
+        members.extend(pool.members)
+        return train_mixed(algo, pool, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_mixed", spy)
+    assert cli.main(["train", "--scenario", "blue.ini", "--vs", "red.npz", "--steps", "30", "--seeds", "1",
+                     "--test-interval", "30", "--test-episodes", "1", "--out", "run"]) == 0
+    [member] = members
+    scenario = parse_scenario_config(plays_in)
+    env, bot = BattleEnv(scenario), ScriptedBot(scenario, Team.RED)
+    played = [run_episode(env, bot, member, seed=episode_seed(0, i)) for i in range(8)]
+    assert [(ep.outcome.value, ep.length, ep.return_red, ep.return_blue) for ep in played] == mirror
+
+
+def test_an_mmm2_red_checkpoint_cannot_play_blue(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    spec = BattleEnv(get_scenario("MMM2")).team_spec(Team.RED)
+    save_learner("red.npz", make_learner("iql", spec, LearnerConfig(hidden=(8,))))
+    assert cli.main(["eval", "--scenario", "MMM2", "--blue", "red.npz", "--out", "out/eval.json"]) == 2
+    err = capsys.readouterr().err
+    assert "saved for 'MMM2' (10 agents, 12 enemies" in err and "not 'MMM2' (12 agents, 10 enemies" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -369,17 +472,16 @@ def test_mixed_training_against_a_pool_of_another_scenario_is_a_usage_error(tmp_
 @pytest.mark.parametrize(
     "argv",
     [
-        ["eval", "--red", "pool/member.npz", "--out", "out/eval.json", "--replay-out", "out/replay.jsonl"],
-        ["train", "--vs", "pool/member.npz", "--steps", "30", "--seeds", "1", "--out", "out"],
+        ["eval", "--red", "run/checkpoint.npz", "--out", "out/eval.json", "--replay-out", "out/replay.jsonl"],
+        ["train", "--vs", "run/checkpoint.npz", "--steps", "30", "--seeds", "1", "--out", "out"],
     ],
     ids=lambda argv: argv[0],
 )
 def test_checkpoints_that_cannot_load_are_usage_errors(tmp_path, monkeypatch, capsys, argv, kind):
     monkeypatch.chdir(tmp_path)
-    team = Team.BLUE if argv[0] == "train" else Team.RED  # pool members play blue
-    learner = make_learner("iql", BattleEnv(get_scenario("3m")).team_spec(team), LearnerConfig(hidden=(8,)))
-    Path("pool").mkdir()
-    expect = write_broken_checkpoint(Path("pool/member.npz"), learner, kind)
+    learner = make_learner("iql", BattleEnv(get_scenario("3m")).team_spec(Team.RED), LearnerConfig(hidden=(8,)))
+    Path("run").mkdir()
+    expect = write_broken_checkpoint(Path("run/checkpoint.npz"), learner, kind)
     assert cli.main([*argv, "--scenario", "3m"]) == 2
     assert expect in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -398,13 +500,13 @@ def test_scenario_errors_exit_2(tmp_path):
     assert cli.main(["bench", "--scenario", str(scenario), "--steps", "10"]) == 2
 
 
-def test_pool_resolves_the_whole_config(tmp_path):
+def test_train_resolves_the_whole_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"engine": {"bogus": 1}}))
-    assert cli.main(["pool", "--algos", "iql", "--config", str(bad), "--out", str(tmp_path / "bad")]) == 2
+    assert cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "bad")]) == 2
     assert not (tmp_path / "bad").exists()
 
-    # A [reward] override reaches the members: the same seed trains a different network.
+    # A [reward] override reaches the learner: the same seed trains a different network.
     learner = {"hidden": [8], "batch_episodes": 1}
     hashes = []
     for name, config in (("plain", {"learner": learner}),
@@ -412,9 +514,9 @@ def test_pool_resolves_the_whole_config(tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(config))
         out = tmp_path / name
-        assert cli.main(["pool", "--algos", "iql", "--steps-per-member", "60",
+        assert cli.main(["train", "--steps", "60", "--seeds", "1", "--test-interval", "60", "--test-episodes", "1",
                          "--config", str(path), "--out", str(out)]) == 0
-        hashes.append(json.loads((out / "manifest.json").read_text())["members"][0]["hash"])
+        hashes.append(load_learner(out / "checkpoint_seed0_iql_red.npz").checkpoint_hash())
     assert hashes[0] != hashes[1]
 
 
@@ -472,19 +574,19 @@ def test_paired_training_writes_both_sides_of_every_seed(tmp_path):
 
 
 def _pool_then_mixed(root, config):
-    """pool (iql, vdn) -> train --vs both members and the bot (2 seeds)."""
-    pool = root / "pool"
-    assert cli.main(["pool", "--scenario", "3m", "--algos", "iql,vdn", "--steps-per-member", "60", "--seed", "3",
-                     "--config", str(config), "--out", str(pool)]) == 0
-    members = json.loads((pool / "manifest.json").read_text())["members"]
-    assert [(m["algo"], m["file"]) for m in members] == [("iql", "member_0_iql.npz"), ("vdn", "member_1_vdn.npz")]
-    assert cli.main(["train", "--vs", *(str(pool / m["file"]) for m in members), "bot",
+    """train iql and vdn -> train --vs both checkpoints and the bot (2 seeds)."""
+    members = []
+    for algo in ("iql", "vdn"):
+        assert cli.main(["train", "--algo", algo, "--scenario", "3m", "--steps", "60", "--seeds", "1",
+                         "--seed-base", "3", "--test-interval", "60", "--test-episodes", "1",
+                         "--config", str(config), "--out", str(root / algo)]) == 0
+        members.append(str(root / algo / f"checkpoint_seed3_{algo}_red.npz"))
+    assert cli.main(["train", "--vs", *members, "bot",
                      "--algo", "qmix", "--scenario", "3m", "--steps", "120", "--seeds", "2", "--test-interval", "60",
                      "--test-episodes", "2", "--config", str(config), "--out", str(root / "mixed")]) == 0
     assert read_metrics_csv(root / "mixed" / "metrics_seed1.csv").algo_blue == "pool"
-    outputs = {path.relative_to(root).as_posix(): path.read_bytes()
-               for path in sorted(root.rglob("*")) if path.is_file() and path.name != "manifest.json"}
-    return outputs, members  # manifests record the output paths; compare the members they list
+    return {path.relative_to(root).as_posix(): path.read_bytes()  # manifests record the output paths
+            for path in sorted(root.rglob("*")) if path.is_file() and path.name != "manifest.json"}
 
 
 @pytest.mark.slow
@@ -492,9 +594,11 @@ def test_pool_then_mixed_outputs_are_byte_identical_across_runs(tmp_path):
     config = tmp_path / "learner.json"
     config.write_text(json.dumps({"learner": {"hidden": [16], "batch_episodes": 2, "epsilon_anneal_steps": 100}}))
     first = _pool_then_mixed(tmp_path / "a", config)
-    assert sorted(first[0]) == [
+    assert sorted(first) == [
+        "iql/aggregate.json", "iql/checkpoint_seed3_iql_red.npz", "iql/metrics_seed3.csv",
         "mixed/aggregate.json", "mixed/checkpoint_seed0_qmix_red.npz", "mixed/checkpoint_seed1_qmix_red.npz",
-        "mixed/metrics_seed0.csv", "mixed/metrics_seed1.csv", "pool/member_0_iql.npz", "pool/member_1_vdn.npz",
+        "mixed/metrics_seed0.csv", "mixed/metrics_seed1.csv",
+        "vdn/aggregate.json", "vdn/checkpoint_seed3_vdn_red.npz", "vdn/metrics_seed3.csv",
     ]
     assert _pool_then_mixed(tmp_path / "b", config) == first
 

@@ -1,4 +1,8 @@
-"""Training controllers: bot, paired and mixed runs and pool building share one loop."""
+"""Training controllers: bot, paired and mixed runs share one loop.
+
+A mixed run's pool members are learners trained by earlier runs and frozen;
+one trained as red plays blue once its ``team_spec`` names blue.
+"""
 
 import dataclasses
 
@@ -14,7 +18,6 @@ from skirmish.training import (
     OpponentPool,
     TrainConfig,
     TrainingError,
-    build_opponent_pool,
     run_episode,
     train_mixed,
     train_paired,
@@ -32,9 +35,14 @@ def learner(algo, team=Team.RED, seed=0):
     return make_learner(algo, BattleEnv(SCENARIO).team_spec(team), LEARNER, seed=seed)
 
 
-def small_pool(algos=("vdn",), bot=True, seed=0):
-    members = build_opponent_pool(SCENARIO, algos, TrainConfig(total_env_steps=120, learner=LEARNER), seed)
-    return OpponentPool(members + ([ScriptedBot(SCENARIO, Team.BLUE)] if bot else []))
+def member(algo, seed=0):
+    """A pool member: a red learner trained against the bot, frozen and relabelled to play blue."""
+    trained = learner(algo, seed=seed)
+    train_vs_bot(trained, SCENARIO, TrainConfig(total_env_steps=120, test_interval=120, test_episodes=1,
+                                                learner=LEARNER), seed)
+    trained.freeze()
+    trained.team_spec = BattleEnv(SCENARIO).team_spec(Team.BLUE)
+    return trained
 
 
 def points(metrics):
@@ -55,7 +63,7 @@ def test_paired_reports_one_evaluation_from_both_sides():
 
 
 def test_mixed_trains_red_and_leaves_the_pool_unchanged():
-    pool = small_pool()
+    pool = OpponentPool([member("vdn"), ScriptedBot(SCENARIO, Team.BLUE)])
     before = pool.hashes()
     red = learner("vdn", seed=4)
     start = red.checkpoint_hash()
@@ -68,15 +76,15 @@ def test_mixed_trains_red_and_leaves_the_pool_unchanged():
 
 
 def test_mixed_rejects_a_member_that_changes():
-    pool = small_pool(bot=False)
-    member = pool.members[0]
-    act = member.act
+    drifting = member("vdn")
+    pool = OpponentPool([drifting])
+    act = drifting.act
 
     def drifting_act(obs, masks, epsilon=0.0, rng=None):
-        member.parameter_arrays()[0].flat[0] += 1.0
+        drifting.parameter_arrays()[0].flat[0] += 1.0
         return act(obs, masks, epsilon, rng)
 
-    member.act = drifting_act
+    drifting.act = drifting_act
     with pytest.raises(MutablePoolMember):
         train_mixed(learner("iql"), pool, SCENARIO, CONFIG, seed=0)
     with pytest.raises(MutablePoolMember):
@@ -85,26 +93,13 @@ def test_mixed_rejects_a_member_that_changes():
         OpponentPool([])
 
 
-def test_build_opponent_pool_trains_frozen_blue_members():
-    budget = 120
-    members = small_pool(("iql", "qmix"), bot=False).members
-    assert [m.algo for m in members] == ["iql", "qmix"]
-    fresh = [learner(algo, Team.BLUE).checkpoint_hash() for algo in ("iql", "qmix")]
-    for member, untrained in zip(members, fresh):
-        assert member.frozen
-        assert member.team_spec.team is Team.BLUE
-        assert budget <= member.env_steps < budget + SCENARIO.episode_step_limit
-        assert member.train_steps > 0
-        assert member.checkpoint_hash() != untrained
-
-
 def test_same_seed_gives_identical_runs():
     def run():
         bot_red = learner("qmix", seed=6)
         bot = train_vs_bot(bot_red, SCENARIO, CONFIG, seed=7)
         a, b = learner("vdn", Team.RED, 8), learner("iql", Team.BLUE, 9)
         paired = train_paired(a, b, SCENARIO, CONFIG, seed=10)
-        pool = small_pool(("iql",), seed=11)
+        pool = OpponentPool([member("iql", seed=11), ScriptedBot(SCENARIO, Team.BLUE)])
         mixed_red = learner("iql", seed=12)
         mixed = train_mixed(mixed_red, pool, SCENARIO, CONFIG, seed=13)
         return (
