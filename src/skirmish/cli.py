@@ -255,9 +255,10 @@ def _train_one_seed(payload: tuple) -> list[RunMetrics]:
     env = BattleEnv(scenario, config.engine, config.reward)
     sides = [(Team.RED, args.algo)] + ([(Team.BLUE, args.vs[0])] if pool is None else [])
     learners = [
-        # Paired sides' seeds carry a side index; a lone learner's seed does not.
+        # Paired sides' seeds carry a side index from 1 (a trailing 0 would not change the seed);
+        # a lone learner's seed carries none.
         make_learner(algo, env.team_spec(team), config.learner,
-                     seed=derive_seed(STREAM_INIT, seed, *([i] if len(sides) > 1 else [])))
+                     seed=derive_seed(STREAM_INIT, seed, *([i + 1] if len(sides) > 1 else [])))
         for i, (team, algo) in enumerate(sides)
     ]
     if pool is None:

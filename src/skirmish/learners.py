@@ -115,13 +115,13 @@ def epsilon_greedy(q_values: np.ndarray, mask: np.ndarray, epsilon: float, rng) 
 
 
 def pack_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stored form of float32 ``rows``: each row's bitmap of nonzero cells, and those cells' values in row order.
+    """The stored form of float ``rows``: each row's bitmap of nonzero cells, and those cells' values in row order.
 
     A cell counts as nonzero by its bits, so ``-0.0`` is kept as a value and
     :func:`unpack_rows` gives back every bit.  Packed per row, the bitmaps
     of several row blocks concatenate.
     """
-    nonzero = rows.view(np.uint32) != 0
+    nonzero = rows.view(f"u{rows.itemsize}") != 0
     return np.packbits(nonzero, axis=1), rows[nonzero]
 
 

@@ -1,4 +1,4 @@
-"""Lockstep dual-team wire protocol over newline-delimited JSON.
+"""Lockstep dual-team wire protocol: JSON lines, observations as binary frames.
 
 A server owns one environment and two team slots.  External processes
 claim a slot with ``hello``, receive an ``assign`` describing the scenario
@@ -15,53 +15,57 @@ Each message is one JSON object on one line of ASCII text, ended by
   assign     {v, team, scenario, n_agents, obs_len, n_actions, episodes}
              scenario is the ``scenario.scenario_config`` text of the
              served scenario; ``parse_scenario_config`` reads it back
-  obs        {episode, step, obs, masks, reward, terminated, outcome}
+  obs        {episode, step, data, reward, terminated, outcome}
   act        {actions}: one plain integer action code per agent
   reset_ack  {}
   error      {code, message}
   bye        {reason}
 
-The two array fields of ``obs`` are binary and take their shapes from
-``assign`` (``N = n_agents``, ``L = obs_len``, ``A = n_actions``):
-  obs    the team's observations, an N x L array of IEEE 754 binary64
-         numbers laid out row-major (agent by agent), each stored as 8
-         little-endian bytes: N * L * 8 bytes, compressed as one zlib
-         stream (RFC 1950) at level 1, then encoded as standard base64
-         (RFC 4648 section 4: ``A-Z a-z 0-9 + /``, ``=`` padding, no line
-         breaks).  Decoding yields the server's numbers bit for bit.
-  masks  the N x A action mask, row-major, one bit per entry (1 means
-         available), packed eight to a byte with the first entry in the
-         most significant bit (``numpy.packbits`` order); the last byte
-         is padded with zero bits, giving ceil(N * A / 8) bytes, then
-         encoded as standard base64 without compression.
-:func:`encode_obs` writes the two fields and :func:`decode_obs` reads them.
+An ``obs`` line is followed by a binary payload: ``data`` is its length,
+an integer from 0 to 2**24, and exactly that many bytes follow the
+``\n``.  The payload takes its shapes from ``assign`` (``N = n_agents``,
+``L = obs_len``, ``A = n_actions``) and holds, in order:
+  masks    the N x A action mask, row-major, one bit per entry (1 means
+           available), packed eight to a byte with the first entry in
+           the most significant bit (``numpy.packbits`` order); the last
+           byte is padded with zero bits: ceil(N * A / 8) bytes.
+  bitmaps  one per agent, ceil(L / 8) bytes each, packed the same way
+           with zero padding: bit j of agent i's bitmap is set where
+           observation cell (i, j) is not all zero bits, so -0.0 is set.
+  values   the set cells' values in row-major order (agent by agent),
+           each an IEEE 754 binary64 number in 8 little-endian bytes.
+The payload is therefore ceil(N * A / 8) + N * ceil(L / 8) + 8 * K bytes
+for K set bits, and the unset cells read +0.0; decoding yields the
+server's numbers bit for bit.  The bitmaps and values are
+``learners.pack_rows`` of the N x L rows.
+:func:`encode_obs` writes the payload and :func:`decode_obs` reads it.
 
 While the server waits for an ``act``, a line that is not a JSON object
 with a ``type``, any other message type, or a malformed ``act`` gets an
 ``error`` reply with code ``MalformedMessage``; an ``act`` naming an
 unavailable action gets ``UnavailableAction``.  Either way the server
 keeps waiting for an ``act`` for the same step.  A hang-up still ends the
-session with :class:`ConnectionLost`.  A client that cannot decode an
-``obs`` to the assigned shapes raises :class:`ProtocolViolation`.
+session with :class:`ConnectionLost`.  A client that cannot read a
+server message, or decode an ``obs`` to the assigned shapes, raises
+:class:`ProtocolViolation`.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import socket
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .engine import EngineConfig, Team
 from .env import BattleEnv, RewardConfig
-from .learners import Learner, ScriptedBot
+from .learners import Learner, ScriptedBot, pack_rows, unpack_rows
 from .scenario import ScenarioSpec, parse_scenario_config, scenario_config
 from .seeding import episode_seed
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
+MAX_DATA = 1 << 24  # largest obs payload a peer reads, in bytes
 
 
 class ProtocolError(RuntimeError):
@@ -95,52 +99,67 @@ class ProtocolViolation(ProtocolError):
 
 
 def _send(fh, message: dict) -> None:
-    fh.write(json.dumps(message, separators=(",", ":")) + "\n")
+    """Write ``message`` as one line; a bytes ``data`` goes as its length, its bytes right after the line.
+
+    Line and payload go in one ``write``: two small writes in a row stall
+    on Nagle's algorithm and the peer's delayed ACK.
+    """
+    payload = message.get("data")
+    if isinstance(payload, bytes):
+        message = {**message, "data": len(payload)}
+    else:
+        payload = b""
+    fh.write(json.dumps(message, separators=(",", ":")).encode("ascii") + b"\n" + payload)
     fh.flush()
 
 
 def _recv(fh) -> dict:
+    """The next message; an ``obs`` message's ``data`` holds its payload."""
     line = fh.readline()
     if not line:
         raise ConnectionLost("peer closed the connection")
     try:
         message = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError for bytes that are not text
         raise MalformedMessage(str(exc)) from exc
     if not isinstance(message, dict) or "type" not in message:
         raise MalformedMessage("messages must be objects with a 'type' field")
+    if message["type"] == "obs":
+        size = message.get("data")
+        if type(size) is not int or not 0 <= size <= MAX_DATA:
+            raise MalformedMessage(f"an obs 'data' must be a byte count from 0 to {MAX_DATA}")
+        message["data"] = fh.read(size)
+        if len(message["data"]) < size:
+            raise ConnectionLost("peer closed the connection inside a payload")
     return message
 
 
-def encode_obs(observations: np.ndarray, masks: np.ndarray) -> dict[str, str]:
-    """The ``obs`` and ``masks`` fields of an ``obs`` message (see the module docstring)."""
-    raw = np.ascontiguousarray(observations, dtype="<f8")
-    return {
-        "obs": base64.b64encode(zlib.compress(raw, 1)).decode("ascii"),
-        "masks": base64.b64encode(np.packbits(masks, axis=None)).decode("ascii"),
-    }
+def encode_obs(observations: np.ndarray, masks: np.ndarray) -> dict[str, bytes]:
+    """The ``data`` field of an ``obs`` message: its payload (see the module docstring)."""
+    bits, values = pack_rows(np.asarray(observations, dtype="<f8"))
+    return {"data": b"".join((np.packbits(masks, axis=None), bits, values))}
 
 
 def decode_obs(message: dict, assign: dict) -> tuple[np.ndarray, np.ndarray]:
     """Writable float64 observations and bool masks of an ``obs`` message, shaped by ``assign``.
 
-    Anything that does not decode to exactly the assigned shapes is a
-    :class:`ProtocolViolation`.
+    A payload whose length or bitmap padding does not fit the assigned
+    shapes is a :class:`ProtocolViolation`.
     """
     n, obs_len, n_actions = assign["n_agents"], assign["obs_len"], assign["n_actions"]
-    n_bytes, n_bits = n * obs_len * 8, n * n_actions
-    try:
-        inflate = zlib.decompressobj()
-        raw = inflate.decompress(base64.b64decode(message["obs"], validate=True), n_bytes + 1)
-        bits = base64.b64decode(message["masks"], validate=True)
-    except (KeyError, TypeError, ValueError, zlib.error) as exc:  # binascii.Error is a ValueError
-        raise ProtocolViolation(f"undecodable obs: {exc}") from exc
-    if len(raw) != n_bytes or not inflate.eof or inflate.unused_data:
-        raise ProtocolViolation(f"obs does not decode to {n} x {obs_len} float64 values")
-    if len(bits) != -(-n_bits // 8):
-        raise ProtocolViolation(f"masks do not decode to {n} x {n_actions} bits")
-    obs = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(n, obs_len)
-    masks = np.unpackbits(np.frombuffer(bits, dtype=np.uint8), count=n_bits).astype(bool).reshape(n, n_actions)
+    payload = np.frombuffer(message["data"], dtype=np.uint8)
+    mask_end = -(-n * n_actions // 8)
+    values_start = mask_end + n * -(-obs_len // 8)
+    if len(payload) < values_start:
+        raise ProtocolViolation(f"payload of {len(payload)} bytes is shorter than the masks and bitmaps")
+    bits = payload[mask_end:values_start].reshape(n, -1)
+    if (bits[:, -1] & (1 << -obs_len % 8) - 1).any():  # the low bits of a row's last byte pad it
+        raise ProtocolViolation("a bitmap has a padding bit set")
+    if len(payload) != values_start + 8 * int(np.bitwise_count(bits).sum()):
+        raise ProtocolViolation(f"payload of {len(payload)} bytes does not hold one float64 per set bitmap bit")
+    obs = np.zeros((n, obs_len))
+    unpack_rows(bits, payload[values_start:].view("<f8"), obs)
+    masks = np.unpackbits(payload[:mask_end], count=n * n_actions).astype(bool).reshape(n, n_actions)
     return obs, masks
 
 
@@ -210,8 +229,7 @@ class BattleServer:
         slots: dict[Team, _Slot] = {}
         while len(slots) < len(wanted):
             conn, _ = self._listener.accept()
-            rfile = conn.makefile("r", encoding="utf-8")
-            wfile = conn.makefile("w", encoding="utf-8")
+            rfile, wfile = conn.makefile("rb"), conn.makefile("wb")
             try:
                 hello = _recv(rfile)
             except ProtocolError:
@@ -372,8 +390,7 @@ def client_loop(
     policies that need the scenario (the scripted bot, say).
     """
     conn = socket.create_connection(address)
-    rfile = conn.makefile("r", encoding="utf-8")
-    wfile = conn.makefile("w", encoding="utf-8")
+    rfile, wfile = conn.makefile("rb"), conn.makefile("wb")
     episodes: list[ClientEpisode] = []
     try:
         _send(wfile, {"type": "hello", "v": PROTOCOL_VERSION, "team": team, "name": name})
@@ -416,6 +433,8 @@ def client_loop(
             obs, masks = decode_obs(message, assign)
             actions = policy.act(obs, masks, 0.0, None)
             _send(wfile, {"type": "act", "actions": [int(a) for a in actions]})
+    except MalformedMessage as exc:
+        raise ProtocolViolation(f"unreadable server message: {exc}") from exc
     finally:
         _close(rfile, wfile, conn)
     return episodes

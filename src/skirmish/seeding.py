@@ -19,7 +19,12 @@ STREAM_BENCH = 7
 
 
 def derive_seed(*parts: int) -> int:
-    """Mix integer parts into one well-distributed 63-bit seed."""
+    """Mix integer parts into one well-distributed 63-bit seed.
+
+    Parts that differ only by trailing zeros give the same seed:
+    ``SeedSequence`` pads short entropy with zeros, so
+    ``derive_seed(5, 7, 0) == derive_seed(5, 7)``.
+    """
     state = np.random.SeedSequence(list(parts)).generate_state(1, dtype=np.uint64)[0]
     return int(state >> np.uint64(1))
 

@@ -321,7 +321,7 @@ def _train(
     scenario,
     config: TrainConfig,
     seed: int,
-    record: Callable[[EvalPoint], None] | None = None,
+    record: Callable[[EvalPoint], None],
 ) -> None:
     """The one training loop: collect an episode, let each learning side train, evaluate on schedule.
 
@@ -330,7 +330,7 @@ def _train(
     observes it, takes one ``train_step`` and has its ``env_steps`` set.
     At every scheduled point, red plays a greedy
     :func:`evaluate` set against blue (or the whole pool), and ``record``
-    receives the result; with ``record`` unset, nothing is evaluated.
+    receives the result.
     """
     env = BattleEnv(scenario, config.engine, config.reward)
     rng_red = np.random.default_rng(derive_seed(STREAM_EXPLORE, seed, 0))
@@ -342,16 +342,15 @@ def _train(
     while True:
         while pending and steps >= pending[0]:
             nominal = pending.pop(0)
-            if record is not None:
-                point = evaluate(
-                    red, blue, scenario,
-                    n_episodes=config.test_episodes,
-                    seed=derive_seed(STREAM_EVAL, seed, point_idx),
-                    engine_config=config.engine,
-                    reward_config=config.reward,
-                )
-                point.env_step = nominal
-                record(point)
+            point = evaluate(
+                red, blue, scenario,
+                n_episodes=config.test_episodes,
+                seed=derive_seed(STREAM_EVAL, seed, point_idx),
+                engine_config=config.engine,
+                reward_config=config.reward,
+            )
+            point.env_step = nominal
+            record(point)
             point_idx += 1
         if not pending:  # the last scheduled point is the budget itself
             return

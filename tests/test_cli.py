@@ -573,6 +573,22 @@ def test_paired_training_writes_both_sides_of_every_seed(tmp_path):
             assert (r.mean_return_red, r.mean_return_blue) == (b.mean_return_blue, b.mean_return_red)
 
 
+def test_a_paired_red_learner_does_not_start_from_the_lone_red_learners_weights(tmp_path, monkeypatch):
+    initial = {}  # (run, side) -> checkpoint hash of the learner as built
+
+    def spy(algo, spec, *args, **kwargs):
+        learner = make_learner(algo, spec, *args, **kwargs)
+        initial[run, spec.team] = learner.checkpoint_hash()
+        return learner
+
+    monkeypatch.setattr(cli, "make_learner", spy)
+    for run, vs in (("lone", "bot"), ("paired", "iql")):
+        assert cli.main(["train", "--algo", "iql", "--vs", vs, "--scenario", "3m", "--steps", "30", "--seeds", "1",
+                         "--test-interval", "30", "--test-episodes", "1", "--out", str(tmp_path / run)]) == 0
+    assert initial["paired", Team.RED] != initial["lone", Team.RED]
+    assert initial["paired", Team.RED] != initial["paired", Team.BLUE]
+
+
 def _pool_then_mixed(root, config):
     """train iql and vdn -> train --vs both checkpoints and the bot (2 seeds)."""
     members = []
