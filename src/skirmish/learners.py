@@ -13,9 +13,10 @@ evaluates each distinct input row of its batch once; the rows of agents
 whose observation is all zero are keyed by agent and last action.  The
 update computes in its networks' dtype, float32, as PyMARL's learners do.
 Replay keeps each :class:`TeamEpisode` compact, its observation and state
-rows as nonzero bitmaps plus the nonzero values (:func:`pack_rows`), and
-the update's collate scatters them back (:func:`unpack_rows`), so it sees
-the same bits as from dense rows.
+rows as nonzero bitmaps plus the nonzero values (:func:`pack_rows`) and its
+action masks as bits (:func:`pack_masks`), and the update's collate reads
+them back (:func:`unpack_rows`, :func:`unpack_masks`), so it sees the same
+bits as from dense rows.
 :func:`save_learner` and :func:`load_learner` are the one checkpoint
 format, and only the Q-learners (:data:`VALUE_ALGOS`) have checkpoints: the
 bot and the random policy are named, not saved.
@@ -130,6 +131,20 @@ def unpack_rows(bits: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
     out[np.unpackbits(bits, axis=1, count=out.shape[1]).view(bool)] = values
 
 
+def pack_masks(masks: np.ndarray) -> np.ndarray:
+    """The stored form of ``(rows, A, n_actions)`` bool action masks: each row's entries as bits, row-major.
+
+    Returns ``(rows, ceil(A * n_actions / 8))`` uint8, the last byte of a
+    row padded with zero bits; a row is also protocol v4's mask bytes.
+    """
+    return np.packbits(masks.reshape(len(masks), -1), axis=1)
+
+
+def unpack_masks(bits: np.ndarray, n_agents: int, n_actions: int) -> np.ndarray:
+    """The ``(rows, n_agents, n_actions)`` bool masks that :func:`pack_masks` stored as ``bits``."""
+    return np.unpackbits(bits, axis=1, count=n_agents * n_actions).view(bool).reshape(-1, n_agents, n_actions)
+
+
 @dataclass
 class TeamEpisode:
     """One team's record of one episode, ready for episodic replay.
@@ -141,7 +156,9 @@ class TeamEpisode:
     too (62% on MMM2 and 58% on 25m at random play: one-hots, shields and
     the blocks of units out of sight), so they and the state rows are
     stored by :func:`pack_rows`, as a nonzero bitmap per row plus the
-    nonzero values; this halves an MMM2 or 25m episode's bytes.
+    nonzero values; this halves an MMM2 or 25m episode's bytes.  The action
+    masks are stored by :func:`pack_masks`, in an eighth of their bool
+    bytes.
     """
 
     blank: np.ndarray         # (T+1, A) bool, True where the agent's observation is all zero
@@ -149,7 +166,7 @@ class TeamEpisode:
     obs_values: np.ndarray    # float32, the nonzero cells of those rows in order
     state_bits: np.ndarray    # (T+1, ceil(state_len/8)) uint8, nonzero bitmap of each state row
     state_values: np.ndarray  # float32, the nonzero cells of the state rows in order
-    masks: np.ndarray         # (T+1, A, n_actions) bool
+    masks: np.ndarray         # (T+1, ceil(A*n_actions/8)) uint8, each row's action mask packed to bits
     actions: np.ndarray       # (T, A) int16
     rewards: np.ndarray       # (T,) float64
 
@@ -289,7 +306,8 @@ def _mixer_forward(mixer: tuple[nn.Mlp, ...], q: np.ndarray, state: np.ndarray) 
     The mixing weights are the absolute values of hypernetwork outputs, so
     every partial derivative of the team value with respect to an agent
     value stays non-negative.  The cache keeps the hypernetwork traces in
-    ``mixer`` order.
+    ``mixer`` order, and of the first layer's weights only ``w1_pre``,
+    from which backward takes both their absolute values and their signs.
     """
     hyper_w1, hyper_b1, hyper_w2, hyper_v = mixer
     w1_pre, w1_trace = nn.forward_trace(hyper_w1, state)
@@ -302,7 +320,7 @@ def _mixer_forward(mixer: tuple[nn.Mlp, ...], q: np.ndarray, state: np.ndarray) 
     v, v_trace = nn.forward_trace(hyper_v, state)
     qtot = (h * w2).sum(axis=-1) + v[:, 0]
     return qtot, {
-        "q": q, "w1_pre": w1_pre, "w1": w1, "h_pre": h_pre, "h": h, "w2_pre": w2_pre, "w2": w2,
+        "q": q, "w1_pre": w1_pre, "h_pre": h_pre, "h": h, "w2_pre": w2_pre, "w2": w2,
         "traces": [w1_trace, b1_trace, w2_trace, v_trace],
     }
 
@@ -314,8 +332,10 @@ def _mixer_backward(mixer: tuple[nn.Mlp, ...], cache: dict, d_qtot: np.ndarray) 
     d_h = g * cache["w2"]
     d_w2_pre = g * cache["h"] * np.sign(cache["w2_pre"])
     d_h_pre = d_h * _elu_grad(cache["h_pre"])
-    d_q = np.einsum("ne,nae->na", d_h_pre, cache["w1"])
-    d_w1 = np.einsum("na,ne->nae", q, d_h_pre).reshape(len(q), -1) * np.sign(cache["w1_pre"])
+    w1_pre = cache["w1_pre"]
+    d_q = np.einsum("ne,nae->na", d_h_pre, np.abs(w1_pre).reshape(*q.shape, -1))
+    d_w1 = np.einsum("na,ne->nae", q, d_h_pre).reshape(len(q), -1)
+    d_w1 *= np.sign(w1_pre)
     grads = []
     for net, trace, d_out in zip(mixer, cache["traces"], [d_w1, d_h_pre, d_w2_pre, g]):
         grads += nn.backward(net, trace, d_out)
@@ -444,10 +464,38 @@ def _collate(learner: ValueLearner, episodes: list[TeamEpisode]) -> _Batch:
         row += ep.length + 1
     inputs[np.arange(len(first)), L + agents] = 1.0
     inputs[acted, L + A + prev_of[acted]] = 1.0
+    avail = unpack_masks(np.concatenate([ep.masks for ep in episodes]), A, nA)
     return _Batch(
-        inputs, inverse.reshape(prev.shape), states, np.concatenate([ep.masks for ep in episodes]), now, actions,
+        inputs, inverse.reshape(prev.shape), states, avail, now, actions,
         np.concatenate([ep.rewards for ep in episodes], dtype=dtype), ~last[now + 1],
     )
+
+
+def _td_targets(learner: ValueLearner, batch: _Batch, online_next: np.ndarray | None) -> np.ndarray:
+    """The TD targets of every live step: ``(N, A)`` for iql, ``(N, 1)`` for vdn and qmix.
+
+    The target networks value each step's next row; ``online_next``, the
+    online values of those rows, picks the action with ``double_q`` and is
+    None without it.  The target pass's arrays are freed on return, before
+    the online mixer builds its backward cache.
+    """
+    target_net, *target_mixer = learner.targets
+    nxt = batch.now + 1
+    q_next = nn.forward(target_net, batch.inputs)[batch.inverse[nxt]]
+    avail_next = batch.avail[nxt]
+    if online_next is not None:
+        pick = np.where(avail_next, online_next, -np.inf).argmax(axis=-1)
+        next_max = np.take_along_axis(q_next, pick[..., None], axis=-1)[..., 0]
+    else:
+        next_max = q_next.max(axis=-1, where=avail_next, initial=-np.inf)
+    del q_next, avail_next  # freed before the target mixer runs
+    if learner.algo == "iql":
+        next_tot = next_max
+    elif learner.algo == "vdn":
+        next_tot = next_max.sum(axis=-1, keepdims=True)
+    else:
+        next_tot = _mixer_forward(target_mixer, next_max, batch.states[nxt])[0][:, None]
+    return batch.rewards[:, None] + learner.config.gamma * (batch.boot[:, None] * next_tot)  # bool * q keeps q's dtype
 
 
 def team_td_train_step(learner: ValueLearner, episodes: list[TeamEpisode]) -> float:
@@ -465,38 +513,27 @@ def team_td_train_step(learner: ValueLearner, episodes: list[TeamEpisode]) -> fl
     if not episodes:
         raise LearnerError("empty batch")
     net, *mixer = learner.nets
-    target_net, *target_mixer = learner.targets
     batch = _collate(learner, episodes)
-    now, nxt = batch.now, batch.now + 1
-    row_now, row_nxt = batch.inverse[now], batch.inverse[nxt]
+    row_now = batch.inverse[batch.now]
     U, nA = len(batch.inputs), learner.team_spec.n_actions
     q, trace = nn.forward_trace(net, batch.inputs)
-    q_next = nn.forward(target_net, batch.inputs)[row_nxt]
-    avail_next = batch.avail[nxt]
-    if learner.config.double_q:
-        pick = np.where(avail_next, q[row_nxt], -np.inf).argmax(axis=-1)
-        next_max = np.take_along_axis(q_next, pick[..., None], axis=-1)[..., 0]
-    else:
-        next_max = np.where(avail_next, q_next, -np.inf).max(axis=-1)
+    y = _td_targets(learner, batch, q[batch.inverse[batch.now + 1]] if learner.config.double_q else None)
     chosen = q[row_now, batch.actions]
-
     if learner.algo == "iql":
-        q_tot, next_tot = chosen, next_max
+        q_tot = chosen
     elif learner.algo == "vdn":
         q_tot = chosen.sum(axis=-1, keepdims=True)
-        next_tot = next_max.sum(axis=-1, keepdims=True)
     else:
-        q_tot, mix_cache = _mixer_forward(mixer, chosen, batch.states[now])
+        q_tot, mix_cache = _mixer_forward(mixer, chosen, batch.states[batch.now])
         q_tot = q_tot[:, None]
-        next_tot = _mixer_forward(target_mixer, next_max, batch.states[nxt])[0][:, None]
 
-    y = batch.rewards[:, None] + learner.config.gamma * (batch.boot[:, None] * next_tot)  # bool * q keeps q's dtype
     diff = q_tot - y
     loss = float((diff * diff).sum() / diff.size)
     d_tot = 2.0 * diff / diff.size
 
     if mixer:
         d_chosen, mixer_grads = _mixer_backward(mixer, mix_cache, d_tot[:, 0])
+        del mix_cache  # freed before the agent network's backward pass
     else:
         d_chosen, mixer_grads = np.broadcast_to(d_tot, chosen.shape), []
 

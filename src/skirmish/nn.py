@@ -9,7 +9,11 @@ containers, so target-network copies, checkpointing (see
 ``learners.save_learner``) and hashing stay trivial.  Forward is a pure
 function of (net, input); backward is a pure function of (net, trace,
 output gradient), where the trace is what :func:`forward_trace` returned,
-so a gradient never costs a second forward pass.
+so a gradient never costs a second forward pass.  The trace holds only
+what backward reads: each layer's input, that is the network input and
+every hidden activation.  A hidden unit's rectified output is positive
+exactly where its pre-activation is, so the activations also give
+backward its rectifier masks, and no pre-activation is kept.
 """
 
 from __future__ import annotations
@@ -81,9 +85,10 @@ def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
 
 
 def forward_trace(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass that also returns per-layer pre-activations for backward.
+    """Forward pass that also returns each layer's input for backward: ``x``, then every hidden activation.
 
     ``x`` is cast to the network's dtype; an input already in it is not copied.
+    Each layer is computed in place in the array its product made.
     """
     x = np.asarray(x, dtype=net.dtype)
     squeeze = x.ndim == 1
@@ -93,10 +98,10 @@ def forward_trace(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]
     trace = [a]
     last = len(net.weights) - 1
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T + b
-        trace.append(z)
-        a = z if l == last else np.maximum(z, 0.0)
+        a = a @ w.T
+        a += b
         if l != last:
+            np.maximum(a, 0.0, out=a)
             trace.append(a)
     y = a[0] if squeeze else a
     return y, trace
@@ -110,6 +115,7 @@ def backward(net: Mlp, trace: list[np.ndarray], output_gradient: np.ndarray) -> 
     loss.  The pass stops at layer 0's weights: no caller reads the
     gradient with respect to the input, so it is never formed.  The output
     gradient is cast to the network's dtype, and so are the gradients.
+    Neither the trace nor the output gradient is written to.
     """
     g = np.asarray(output_gradient, dtype=net.dtype)
     if g.ndim == 1:
@@ -119,9 +125,9 @@ def backward(net: Mlp, trace: list[np.ndarray], output_gradient: np.ndarray) -> 
     last = len(net.weights) - 1
     grads: list[np.ndarray] = []
     for l in range(last, -1, -1):
-        if l != last:
-            g = g * (trace[2 * l + 1] > 0.0)
-        grads[:0] = [g.T @ trace[2 * l], g.sum(axis=0)]
+        if l != last:  # g is this pass's own product here; layer l's output is > 0 where its input was
+            g *= trace[l + 1] > 0.0
+        grads[:0] = [g.T @ trace[l], g.sum(axis=0)]
         if l:
             g = g @ net.weights[l]
     return grads

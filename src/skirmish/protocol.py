@@ -37,7 +37,8 @@ an integer from 0 to 2**24, and exactly that many bytes follow the
 The payload is therefore ceil(N * A / 8) + N * ceil(L / 8) + 8 * K bytes
 for K set bits, and the unset cells read +0.0; decoding yields the
 server's numbers bit for bit.  The bitmaps and values are
-``learners.pack_rows`` of the N x L rows.
+``learners.pack_rows`` of the N x L rows, and the masks are
+``learners.pack_masks`` of the one N x A row.
 :func:`encode_obs` writes the payload and :func:`decode_obs` reads it.
 
 While the server waits for an ``act``, a line that is not a JSON object
@@ -60,7 +61,7 @@ import numpy as np
 
 from .engine import EngineConfig, Team
 from .env import BattleEnv, RewardConfig
-from .learners import Learner, ScriptedBot, pack_rows, unpack_rows
+from .learners import Learner, ScriptedBot, pack_masks, pack_rows, unpack_masks, unpack_rows
 from .scenario import ScenarioSpec, parse_scenario_config, scenario_config
 from .seeding import episode_seed
 
@@ -137,14 +138,14 @@ def _recv(fh) -> dict:
 def encode_obs(observations: np.ndarray, masks: np.ndarray) -> dict[str, bytes]:
     """The ``data`` field of an ``obs`` message: its payload (see the module docstring)."""
     bits, values = pack_rows(np.asarray(observations, dtype="<f8"))
-    return {"data": b"".join((np.packbits(masks, axis=None), bits, values))}
+    return {"data": b"".join((pack_masks(masks[None]), bits, values))}
 
 
 def decode_obs(message: dict, assign: dict) -> tuple[np.ndarray, np.ndarray]:
     """Writable float64 observations and bool masks of an ``obs`` message, shaped by ``assign``.
 
-    A payload whose length or bitmap padding does not fit the assigned
-    shapes is a :class:`ProtocolViolation`.
+    A payload whose length, mask padding or bitmap padding does not fit the
+    assigned shapes is a :class:`ProtocolViolation`.
     """
     n, obs_len, n_actions = assign["n_agents"], assign["obs_len"], assign["n_actions"]
     payload = np.frombuffer(message["data"], dtype=np.uint8)
@@ -152,6 +153,8 @@ def decode_obs(message: dict, assign: dict) -> tuple[np.ndarray, np.ndarray]:
     values_start = mask_end + n * -(-obs_len // 8)
     if len(payload) < values_start:
         raise ProtocolViolation(f"payload of {len(payload)} bytes is shorter than the masks and bitmaps")
+    if payload[mask_end - 1] & (1 << -(n * n_actions) % 8) - 1:  # the low bits of the last mask byte pad it
+        raise ProtocolViolation("the masks have a padding bit set")
     bits = payload[mask_end:values_start].reshape(n, -1)
     if (bits[:, -1] & (1 << -obs_len % 8) - 1).any():  # the low bits of a row's last byte pad it
         raise ProtocolViolation("a bitmap has a padding bit set")
@@ -159,8 +162,7 @@ def decode_obs(message: dict, assign: dict) -> tuple[np.ndarray, np.ndarray]:
         raise ProtocolViolation(f"payload of {len(payload)} bytes does not hold one float64 per set bitmap bit")
     obs = np.zeros((n, obs_len))
     unpack_rows(bits, payload[values_start:].view("<f8"), obs)
-    masks = np.unpackbits(payload[:mask_end], count=n * n_actions).astype(bool).reshape(n, n_actions)
-    return obs, masks
+    return obs, unpack_masks(payload[None, :mask_end], n, n_actions)[0]
 
 
 def _close(*handles) -> None:
@@ -419,6 +421,9 @@ def client_loop(
                 raise ProtocolViolation(f"server error {message.get('code')}: {message.get('message')}")
             if kind != "obs":
                 raise ProtocolViolation(f"expected obs, got {kind!r}")
+            missing = [key for key in ("step", "terminated", "reward", "outcome") if key not in message]
+            if missing:
+                raise ProtocolViolation(f"obs message without {', '.join(missing)}")
             if message["step"] == 0:
                 rewards = []
                 steps = 0

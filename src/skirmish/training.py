@@ -36,7 +36,7 @@ import numpy as np
 
 from .engine import EngineConfig, Outcome, Team
 from .env import BattleEnv, ReplayWriter, RewardConfig, replay_record
-from .learners import Learner, LearnerConfig, ScriptedBot, TeamEpisode, pack_rows
+from .learners import Learner, LearnerConfig, ScriptedBot, TeamEpisode, pack_masks, pack_rows
 from .seeding import STREAM_EVAL, STREAM_EXPLORE, STREAM_POOL, derive_seed, episode_seed
 
 
@@ -189,7 +189,7 @@ class _Recorder:
             return None
         t = self.t
         arrays = [self.blank[: t + 1], *pack_rows(self.live_obs[: self.k]), *pack_rows(self.state[: t + 1]),
-                  self.masks[: t + 1], self.actions[:t], self.rewards[:t]]
+                  pack_masks(self.masks[: t + 1]), self.actions[:t], self.rewards[:t]]
         stored = _mapped_arrays([(a.shape, a.dtype) for a in arrays])
         for dst, src in zip(stored, arrays):
             dst[...] = src

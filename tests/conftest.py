@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from skirmish.engine import CATALOG, EngineConfig, Team, new_world
-from skirmish.learners import TeamEpisode, pack_rows, unpack_rows
+from skirmish.learners import TeamEpisode, pack_masks, pack_rows, unpack_rows
 from skirmish.scenario import ScenarioSpec, get_scenario
 
 
@@ -31,11 +31,15 @@ def tiny_scenario(red=("marine", 2), blue=("marine", 2), step_limit=40, arena=(3
 
 
 def compact_episode(obs, state, masks, actions, rewards) -> TeamEpisode:
-    """The episode of dense ``(T+1, A, L)`` observations and ``(T+1, S)`` states, stored as the recorder stores it."""
+    """The episode of dense ``(T+1, A, L)`` observations, ``(T+1, S)`` states and ``(T+1, A, nA)`` masks.
+
+    It is stored as the recorder stores it: observations and states by
+    ``pack_rows``, and masks by ``pack_masks``.
+    """
     obs = np.asarray(obs, dtype=np.float32)
     live = obs.any(axis=-1)
     return TeamEpisode(~live, *pack_rows(obs[live]), *pack_rows(np.asarray(state, dtype=np.float32)),
-                       masks=masks, actions=actions, rewards=rewards)
+                       masks=pack_masks(masks), actions=actions, rewards=rewards)
 
 
 def dense_obs(episode: TeamEpisode, obs_len: int) -> np.ndarray:

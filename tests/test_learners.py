@@ -30,6 +30,7 @@ from skirmish.learners import (
     make_mixer,
     save_learner,
     team_td_train_step,
+    unpack_masks,
 )
 from skirmish.scenario import get_scenario
 
@@ -545,7 +546,7 @@ def padded_update(learner, episodes):
     for b, ep in enumerate(episodes):
         T = ep.length
         inputs[b, : T + 1] = episode_inputs(learner, ep)
-        states[b, : T + 1], avail[b, : T + 1] = dense_state(ep, S), ep.masks
+        states[b, : T + 1], avail[b, : T + 1] = dense_state(ep, S), unpack_masks(ep.masks, A, nA)
         actions[b, :T], rewards[b, :T] = ep.actions, ep.rewards
         pad[b, :T], boot[b, : T - 1] = 1.0, 1.0
     avail[..., ACTION_NOOP] |= ~avail.any(axis=-1)  # padding rows stay maskable

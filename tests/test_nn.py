@@ -113,15 +113,50 @@ def test_backward_purity(monkeypatch):
     snapshot = [p.copy() for p in net.params()]
     _, trace = nn.forward_trace(net, np.ones(4))
     trace_snapshot = [a.copy() for a in trace]
+    gy = np.ones(3, dtype=np.float32)
 
     def no_forward(*args):
         raise AssertionError("backward must reuse the trace, not run forward again")
 
     monkeypatch.setattr(nn, "forward_trace", no_forward)
     monkeypatch.setattr(nn, "forward", no_forward)
-    nn.backward(net, trace, np.ones(3))
-    for before, after in zip(snapshot + trace_snapshot, net.params() + trace):
+    nn.backward(net, trace, gy)
+    for before, after in zip(snapshot + trace_snapshot + [np.ones(3)], net.params() + trace + [gy]):
         assert np.array_equal(before, after)
+
+
+def _pre_activations_and_inputs(net, x):
+    pre, inputs = [], [x]
+    for w, b in zip(net.weights, net.biases):
+        pre.append(inputs[-1] @ w.T + b)
+        inputs.append(np.maximum(pre[-1], 0.0))
+    return pre, inputs[:-1]
+
+
+def test_the_trace_holds_each_layers_input_and_backward_masks_as_the_pre_activations_would():
+    """The pass as written with pre-activation masks gives the same bits from a trace of layer inputs."""
+    net = nn.init_params((4, 8, 8, 3), seed=6)
+    net.weights[0][0] = 0.0  # a hidden unit whose pre-activation is a zero
+    net.biases[0][0] = -0.0
+    x = np.random.default_rng(1).normal(size=(6, 4)).astype(np.float32)
+    y, trace = nn.forward_trace(net, x)
+    pre, inputs = _pre_activations_and_inputs(net, x)
+    assert len(trace) == 3 and trace[0] is x
+    for got, want in zip(trace + [y], inputs + [pre[-1]]):
+        assert np.array_equal(got, want)
+    g, want = np.ones((6, 3), dtype=np.float32), []
+    for l in (2, 1, 0):
+        if l != 2:
+            g = g * (pre[l] > 0.0)
+        want[:0] = [g.T @ inputs[l], g.sum(axis=0)]
+        g = g @ net.weights[l]
+    for got, ref in zip(nn.backward(net, trace, np.ones((6, 3))), want):
+        assert np.array_equal(got, ref)
+    x[2, 1] = np.nan  # NaN is not > 0, before the rectifier or after it
+    _, trace = nn.forward_trace(net, x)
+    pre, _ = _pre_activations_and_inputs(net, x)
+    for l in (0, 1):
+        assert np.array_equal(trace[l + 1] > 0.0, pre[l] > 0.0)
 
 
 def finite_diff_error(net, x, h=1e-4) -> float:

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import io
+import json
 import socket
 import threading
 
@@ -233,6 +234,14 @@ GOOD = encode_obs(np.zeros((3, 5)), MASKS)["data"]  # 4 mask bytes, then 3 one-b
 ONE_CELL = encode_obs(np.eye(3, 5), MASKS)["data"]
 
 
+def obs_line_without(name) -> bytes:
+    """``obs_line(GOOD)`` less its field ``name``."""
+    line, payload = obs_line(GOOD).split(b"\n", 1)
+    message = json.loads(line)
+    del message[name]
+    return json.dumps(message).encode("ascii") + b"\n" + payload
+
+
 @pytest.mark.parametrize(
     "n_agents, sent",
     [
@@ -243,11 +252,14 @@ ONE_CELL = encode_obs(np.eye(3, 5), MASKS)["data"]
         (3, obs_line(ONE_CELL[:-8])),
         (3, obs_line(GOOD + bytes(8))),
         (3, obs_line(GOOD[:4] + b"\x01" + GOOD[5:] + bytes(8))),  # the first bitmap's last padding bit
+        (3, obs_line(GOOD[:3] + bytes([GOOD[3] | 1]) + GOOD[4:])),  # 27 mask bits: the last byte's last padding bit
         (3, obs_line(MAX_DATA + 1)),
         (3, obs_line("7")),
+        *[(3, obs_line_without(name)) for name in ("step", "terminated", "reward", "outcome")],
     ],
     ids=["obs shape", "masks shape", "assign shape", "short of the bitmaps", "a value short", "a value over",
-         "padding bit", "data over the cap", "data not an int"],
+         "padding bit", "mask padding bit", "data over the cap", "data not an int",
+         "no step", "no terminated", "no reward", "no outcome"],
 )
 def test_client_rejects_a_malformed_obs(n_agents, sent):
     with pytest.raises(ProtocolViolation):

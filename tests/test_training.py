@@ -11,7 +11,7 @@ import pytest
 
 from skirmish.engine import Team
 from skirmish.env import BattleEnv
-from skirmish.learners import LearnerConfig, ScriptedBot, _collate, make_learner
+from skirmish.learners import LearnerConfig, ScriptedBot, _collate, make_learner, unpack_masks
 from skirmish.scenario import get_scenario
 from skirmish.training import (
     MutablePoolMember,
@@ -171,13 +171,13 @@ def test_collected_episodes_match_the_env_step_by_step():
 
     ep = first.red_episode
     assert ep.length == first.length == len(dense["actions"])
-    assert ep.obs_values.dtype == ep.state_values.dtype == np.float32 and ep.masks.dtype == ep.blank.dtype == bool
-    assert ep.obs_bits.dtype == ep.state_bits.dtype == np.uint8
+    assert ep.obs_values.dtype == ep.state_values.dtype == np.float32 and ep.blank.dtype == bool
+    assert ep.obs_bits.dtype == ep.state_bits.dtype == ep.masks.dtype == np.uint8
     assert ep.actions.dtype == np.int16 and ep.rewards.dtype == np.float64
     assert np.array_equal(ep.blank, ~dense["obs"].any(axis=-1)) and ep.blank.any()  # units die in this episode
     assert dense_obs(ep, spec.obs_len).tobytes() == dense["obs"].tobytes()
     assert dense_state(ep, spec.state_len).tobytes() == dense["state"].tobytes()
-    assert np.array_equal(ep.masks, dense["masks"])
+    assert np.array_equal(unpack_masks(ep.masks, spec.n_agents, spec.n_actions), dense["masks"])
     assert np.array_equal(ep.actions, dense["actions"])
     assert np.array_equal(ep.rewards, dense["rewards"])
     assert all(a.flags.writeable and a.flags.c_contiguous for a in arrays_of(ep))
@@ -197,6 +197,20 @@ def test_stored_episodes_round_trip_bit_for_bit(name):
         wiped_out += bool(ep.blank[-1].all())
         negatives += negative_zeros(ep.obs_values) + negative_zeros(ep.state_values)
     assert wiped_out and negatives  # an episode in which every red agent dies, and -0.0 cells kept as values
+
+
+@pytest.mark.parametrize("name", ["3m", "MMM2"])
+def test_stored_masks_are_each_rows_mask_packed_to_bits(name):
+    """A row's ``(A, n_actions)`` mask is stored row-major, eight entries to a byte, the last byte zero-padded."""
+    scenario = get_scenario(name)
+    spec = BattleEnv(scenario).team_spec(Team.RED)
+    recorded, dense = recorded_and_dense(scenario, 1)
+    ep = recorded.red_episode
+    width = spec.n_agents * spec.n_actions
+    assert ep.masks.dtype == np.uint8 and ep.masks.shape == (ep.length + 1, -(-width // 8))
+    bits = np.unpackbits(ep.masks, axis=1)
+    assert np.array_equal(bits[:, :width].view(bool), dense["masks"].reshape(len(bits), width))
+    assert not bits[:, width:].any()
 
 
 def test_collate_of_stored_episodes_matches_the_dense_batch():
@@ -223,5 +237,5 @@ def test_an_mmm2_episode_stores_in_at_most_half_its_dense_bytes():
     recorded, dense = recorded_and_dense(get_scenario("MMM2"), 0)
     ep = recorded.red_episode
     live = dense["obs"][~ep.blank]
-    dense_bytes = sum(a.nbytes for a in (ep.blank, live, dense["state"], ep.masks, ep.actions, ep.rewards))
+    dense_bytes = sum(a.nbytes for a in (ep.blank, live, dense["state"], dense["masks"], ep.actions, ep.rewards))
     assert sum(a.nbytes for a in arrays_of(ep)) <= 0.5 * dense_bytes
